@@ -13,12 +13,12 @@ holomorphic symbol::
 boundary *limit* condition, the second as a *sup* condition equivalent to
 ``J_g`` being bounded on the Bloch space.)
 
-:func:`evaluate_criterion` buckets grid samples into exponential boundary
-shells of the relevant limit variable — ``|phi(z)|`` for the phi-boundary
-criteria, ``|z|`` otherwise — and estimates ``sup`` as the grid max and
-``limsup`` as the max over the last three nonempty shells.  When the sampled
-sup of ``|phi|`` stays away from 1 the limit set ``|phi(z)| -> 1`` is empty
-and limit conditions hold vacuously.
+A :class:`FieldSet` samples each field of a pair ``(phi, g)`` at most once
+and buckets it into exponential boundary shells of the relevant limit
+variable — ``|phi(z)|`` for the phi-boundary criteria, ``|z|`` otherwise —
+estimating ``sup`` as the grid max and ``limsup`` as the max over the last
+three nonempty shells.  When the sampled sup of ``|phi|`` stays away from 1
+the limit set ``|phi(z)| -> 1`` is empty and limit conditions hold vacuously.
 
 :func:`classify` reduces reports to a :class:`Verdict` per named statement.
 All sampled maxima are lower bounds of the true suprema, so verdicts are
@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .diskgeom import DiskGrid, SelfMap, schwarz_derivative
+from .diskgeom import DiskGrid, SelfMap, schwarz_derivative, shell_for_modulus, shell_maxima
 
 ONE_SIDED_NOTE = "sampled maxima are lower bounds of true suprema"
 
@@ -66,10 +67,6 @@ class Membership(enum.Enum):
     IN_B0 = "InB0"
     NOT_IN_B0_EVIDENCE = "NotInB0Evidence"
     INCONCLUSIVE = "Inconclusive"
-
-
-class AllShellsEmpty(ValueError):
-    """Raised when a criterion is evaluated over an empty grid."""
 
 
 class PreconditionFailed(RuntimeError):
@@ -175,41 +172,61 @@ def criterion_value(kind: CriterionKind, phi, g, z):
     return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
-def _shell_indices(moduli: np.ndarray, max_shell: int) -> np.ndarray:
-    m = np.minimum(moduli, 1.0 - np.finfo(float).tiny)
-    k = np.floor(-np.log2(1.0 - m))
-    return np.clip(k, 0, max_shell).astype(int)
+#: Fields of the symbol alone, read by the hypothesis checks and membership.
+_SUP_NORM, _BLOCH = "|g|", "(1-|z|^2)|g'|"
+_SYMBOL_FIELDS = {
+    _SUP_NORM: lambda g, z: np.abs(g(z)),
+    _BLOCH: lambda g, z: (1.0 - np.abs(z) ** 2) * np.abs(g.deriv(z)),
+}
 
 
-def _field_report(
-    kind,
-    values: np.ndarray,
-    bucket_moduli: np.ndarray,
-    grid: DiskGrid,
-    bucket_by: str,
-    sup_modulus: float | None = None,
-) -> CriterionReport:
-    j = int(np.argmax(values))
-    ks = _shell_indices(bucket_moduli, grid.max_shell)
-    shell_sups = tuple(
-        (int(k), float(values[ks == k].max()))
-        for k in range(grid.max_shell + 1)
-        if np.any(ks == k)
-    )
-    vacuous = sup_modulus is not None and sup_modulus < 1.0 - 2.0 ** (-grid.max_shell)
-    if vacuous:
-        limsup = 0.0
-    else:
-        limsup = max(s for _, s in shell_sups[-3:])
-    return CriterionReport(
-        kind=kind,
-        sup_value=float(values[j]),
-        arg_sup=complex(grid.points[j]),
-        shell_sups=shell_sups,
-        boundary_limsup_estimate=limsup,
-        vacuous_boundary=vacuous,
-        bucket_by=bucket_by,
-    )
+class FieldSet:
+    """The fields of one pair ``(phi, g)`` on one grid, each sampled on first use.
+
+    ``Lg`` and ``LgLogBoundedness`` share one field.  Hold one set per pair
+    and drop it before the next.
+    """
+
+    def __init__(self, phi, g, grid: DiskGrid):
+        self.phi, self.g, self.grid = phi, g, grid
+        self._values: dict = {}
+
+    def values(self, kind: CriterionKind | str) -> np.ndarray:
+        key = CriterionKind.LG if kind is CriterionKind.LG_LOG_BOUNDEDNESS else kind
+        if key not in self._values:
+            pts = self.grid.points
+            if isinstance(key, CriterionKind):
+                out = criterion_value(key, self.phi, self.g, pts)
+            else:
+                out = _SYMBOL_FIELDS[key](self.g, pts)
+            self._values[key] = np.broadcast_to(out, pts.shape)
+        return self._values[key]
+
+    @cached_property
+    def _phi_shells(self) -> tuple[np.ndarray, float]:
+        """``|phi(z)|`` shell indices and the sup of ``|phi|`` that decides vacuity."""
+        pts = self.grid.points
+        moduli = np.abs(np.broadcast_to(np.asarray(self.phi(pts)), pts.shape))
+        sup = self.phi.sup_modulus_estimate if isinstance(self.phi, SelfMap) else float(moduli.max())
+        return shell_for_modulus(moduli, self.grid.max_shell), sup
+
+    def report(self, kind: CriterionKind | str, bucket_by: str) -> CriterionReport:
+        """The field reduced over shells of ``|phi(z)|`` (``"phi"``) or ``|z|`` (``"z"``)."""
+        values, grid = self.values(kind), self.grid
+        # the |z| -> 1 limit set is never empty, so only |phi| buckets carry a sup
+        shells, sup_modulus = self._phi_shells if bucket_by == "phi" else (grid.shell_index, None)
+        shell_sups = shell_maxima(values, shells, grid.max_shell)
+        vacuous = sup_modulus is not None and sup_modulus < 1.0 - 2.0 ** (-grid.max_shell)
+        j = int(np.argmax(values))
+        return CriterionReport(
+            kind=kind,
+            sup_value=float(values[j]),
+            arg_sup=complex(grid.points[j]),
+            shell_sups=shell_sups,
+            boundary_limsup_estimate=0.0 if vacuous else max(s for _, s in shell_sups[-3:]),
+            vacuous_boundary=vacuous,
+            bucket_by=bucket_by,
+        )
 
 
 def evaluate_criterion(
@@ -220,19 +237,9 @@ def evaluate_criterion(
     ``bucket_by`` is ``"phi"`` (shells of |phi(z)|), ``"z"`` (shells of |z|),
     or ``"auto"`` to pick the kind's own limit variable.
     """
-    if grid.size == 0:
-        raise AllShellsEmpty("criterion evaluation needs a nonempty grid")
     if bucket_by == "auto":
         bucket_by = "phi" if kind in PHI_BOUNDARY_KINDS else "z"
-    pts = grid.points
-    values = criterion_value(kind, phi, g, pts)
-    if bucket_by == "phi":
-        moduli = np.abs(np.broadcast_to(np.asarray(phi(pts)), pts.shape))
-        sup_modulus = phi.sup_modulus_estimate if isinstance(phi, SelfMap) else float(moduli.max())
-    else:
-        moduli = np.abs(pts)
-        sup_modulus = None  # the |z| -> 1 limit set is never empty
-    return _field_report(kind, values, moduli, grid, bucket_by, sup_modulus)
+    return FieldSet(phi, g, grid).report(kind, bucket_by)
 
 
 # --------------------------------------------------------------------------
@@ -325,25 +332,11 @@ THEOREMS: dict[str, TheoremSpec] = {
 }
 
 
-def _bloch_field_report(g, grid: DiskGrid) -> CriterionReport:
-    pts = grid.points
-    values = (1.0 - np.abs(pts) ** 2) * np.abs(
-        np.broadcast_to(np.asarray(g.deriv(pts)), pts.shape)
-    )
-    return _field_report("(1-|z|^2)|g'|", values, np.abs(pts), grid, "z")
-
-
-def _hinf_field_report(g, grid: DiskGrid) -> CriterionReport:
-    pts = grid.points
-    values = np.abs(np.broadcast_to(np.asarray(g(pts)), pts.shape))
-    return _field_report("|g|", values, np.abs(pts), grid, "z")
-
-
 def little_bloch_membership(
     g, grid: DiskGrid, thresholds: Thresholds = DEFAULT_THRESHOLDS
 ) -> Membership:
     """Classify the trend of ``(1-|z|^2)|g'(z)|`` toward the boundary."""
-    return _membership_from_report(_bloch_field_report(g, grid), thresholds)
+    return _membership_from_report(FieldSet(None, g, grid).report(_BLOCH, "z"), thresholds)
 
 
 def _membership_from_report(report: CriterionReport, th: Thresholds) -> Membership:
@@ -355,12 +348,12 @@ def _membership_from_report(report: CriterionReport, th: Thresholds) -> Membersh
     return Membership.INCONCLUSIVE
 
 
-def _run_precheck(name: str, g, grid: DiskGrid, th: Thresholds) -> CriterionReport:
+def _run_precheck(name: str, fields: FieldSet, th: Thresholds) -> CriterionReport:
     if name == "hinf":
-        report = _hinf_field_report(g, grid)
+        report = fields.report(_SUP_NORM, "z")
         label = "symbol is not sup-norm bounded"
     else:
-        report = evaluate_criterion(CriterionKind.LG_LOG_BOUNDEDNESS, None, g, grid)
+        report = fields.report(CriterionKind.LG_LOG_BOUNDEDNESS, "z")
         label = "J-type operator is not bounded on Bloch"
     if bounded_conclusion(report, th) is Conclusion.NOT_BOUNDED_EVIDENCE:
         raise PreconditionFailed(f"hypothesis check failed: {label}", report)
@@ -373,8 +366,9 @@ def classify(
     g,
     grid: DiskGrid,
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
+    fields: FieldSet | None = None,
 ) -> Verdict:
-    """Reduce one named statement to a verdict for the pair (phi, g)."""
+    """Reduce one named statement to a verdict for (phi, g), reading their ``fields`` if given."""
     try:
         spec = THEOREMS[theorem_id]
     except KeyError:
@@ -383,14 +377,15 @@ def classify(
         ) from None
     if spec.needs_phi and phi is None:
         raise ValueError(f"{theorem_id} requires a self-map")
+    fields = fields or FieldSet(phi, g, grid)
 
     notes = [ONE_SIDED_NOTE]
     evidence: list[CriterionReport] = []
     if spec.precheck is not None:
-        evidence.append(_run_precheck(spec.precheck, g, grid, thresholds))
+        evidence.append(_run_precheck(spec.precheck, fields, thresholds))
 
     if spec.mode == "membership":
-        report = _bloch_field_report(g, grid)
+        report = fields.report(_BLOCH, "z")
         evidence.append(report)
         member = _membership_from_report(report, thresholds)
         if member is Membership.IN_B0:
@@ -401,7 +396,7 @@ def classify(
             notes.append("sufficiency-only statement: membership " + member.value)
         return Verdict(theorem_id, conclusion, tuple(evidence), thresholds, tuple(notes))
 
-    main = evaluate_criterion(spec.kind, phi, g, grid, bucket_by=spec.bucket_by)
+    main = fields.report(spec.kind, spec.bucket_by)
     evidence.append(main)
     # Divergence of the sup happens toward |z| -> 1 (the field is continuous
     # on compact subsets), so growth is always detected on |z| shells even
@@ -409,7 +404,7 @@ def classify(
     if spec.bucket_by == "z":
         growth_report = main
     else:
-        growth_report = evaluate_criterion(spec.kind, phi, g, grid, bucket_by="z")
+        growth_report = fields.report(spec.kind, "z")
         evidence.append(growth_report)
     bounded = bounded_conclusion(growth_report, thresholds)
 

@@ -26,7 +26,7 @@ class NotASelfMap(ValueError):
 
     def __init__(self, witness: complex, modulus: float):
         super().__init__(
-            f"|phi({witness})| = {modulus} >= 1; not a self-map of the disk"
+            f"|phi({witness})| = {modulus} is not below 1; not a self-map of the disk"
         )
         self.witness = witness
         self.modulus = modulus
@@ -46,6 +46,14 @@ def shell_for_modulus(m, max_shell: int):
         k = np.floor(-np.log2(1.0 - m[inside]))
     out[inside] = np.clip(k, 0, max_shell).astype(int)
     return out if out.ndim else int(out)
+
+
+def shell_maxima(values: np.ndarray, shells: np.ndarray, max_shell: int):
+    """``(shell, max of values in it)`` for each nonempty shell, by shell index."""
+    maxima = np.full(max_shell + 1, -np.inf)
+    np.maximum.at(maxima, shells, values)
+    nonempty = np.bincount(shells, minlength=max_shell + 1) > 0
+    return tuple((int(k), float(maxima[k])) for k in np.flatnonzero(nonempty))
 
 
 @dataclass(eq=False)
@@ -71,7 +79,7 @@ class DiskGrid:
 
     def shells(self) -> list[np.ndarray]:
         """Per-shell views of :attr:`points`."""
-        return [self.points[self.shell_index == k] for k in range(self.max_shell + 1)]
+        return np.split(self.points, np.cumsum(self.angular_counts)[:-1])
 
     def __repr__(self) -> str:
         return f"DiskGrid(max_shell={self.max_shell}, base_angular={self.base_angular}, size={self.size})"
@@ -150,11 +158,11 @@ def validate_self_map(fn: AnalyticFn, grid: DiskGrid) -> SelfMap:
 
     ``sup_modulus_estimate`` is the sampled max plus a shell-resolution margin
     ``2**-(max_shell+1)``, capped at 1.  Raises :class:`NotASelfMap` with the
-    first offending grid point otherwise.
+    first offending grid point otherwise; a non-finite sample (NaN) offends.
     """
     values = np.asarray(fn(grid.points))
     moduli = np.abs(values)
-    bad = np.flatnonzero(moduli >= 1.0)
+    bad = np.flatnonzero(~(moduli < 1.0))
     if bad.size:
         j = int(bad[0])
         raise NotASelfMap(complex(grid.points[j]), float(moduli[j]))

@@ -38,6 +38,7 @@ from .criteria import (
     classify,
     compact_conclusion,
     Conclusion,
+    FieldSet,
     evaluate_criterion,
     little_bloch_membership,
 )
@@ -48,6 +49,7 @@ from .diskgeom import (
     NotASelfMap,
     SelfMap,
     make_grid,
+    shell_maxima,
     shell_radius,
     validate_self_map,
 )
@@ -236,18 +238,17 @@ def run_classification(spec: ExperimentSpec) -> SuiteReport:
             symbols[src] = exc
 
     cases = []
-    for theorem_id in spec.theorem_ids:
-        for phi_src in spec.phi_exprs:
-            for g_src in spec.g_exprs:
-                phi, g = maps[phi_src], symbols[g_src]
-                if isinstance(phi, Exception):
-                    cases.append(CaseResult(theorem_id, phi_src, g_src, error=f"phi: {phi}"))
-                    continue
-                if isinstance(g, Exception):
-                    cases.append(CaseResult(theorem_id, phi_src, g_src, error=f"g: {g}"))
-                    continue
+    for phi_src in spec.phi_exprs:
+        for g_src in spec.g_exprs:
+            phi, g = maps[phi_src], symbols[g_src]
+            if isinstance(phi, Exception) or isinstance(g, Exception):
+                error = f"phi: {phi}" if isinstance(phi, Exception) else f"g: {g}"
+                cases.extend(CaseResult(t, phi_src, g_src, error=error) for t in spec.theorem_ids)
+                continue
+            fields = FieldSet(phi, g, grid)  # shared by this pair's statements only
+            for theorem_id in spec.theorem_ids:
                 try:
-                    verdict = classify(theorem_id, phi, g, grid, spec.thresholds)
+                    verdict = classify(theorem_id, phi, g, grid, spec.thresholds, fields)
                     cases.append(CaseResult(theorem_id, phi_src, g_src, verdict=verdict))
                 except (PreconditionFailed, QuadratureError, ValueError) as exc:
                     cases.append(CaseResult(theorem_id, phi_src, g_src, error=str(exc)))
@@ -326,17 +327,16 @@ def rotation_average_check(
 
     pts = grid.points[np.abs(grid.points) <= 0.75]
     one_minus = 1.0 - np.abs(pts) ** 2
+    dg = g.deriv(pts)
     avg = np.zeros(pts.shape, dtype=float)
     for k in range(16):
         w = complex(np.exp(2j * math.pi * k / 16))
-        avg += one_minus * np.abs(
-            np.broadcast_to(np.asarray(g.deriv(w * pts) * w - g.deriv(pts)), pts.shape)
-        )
+        avg += one_minus * np.abs(np.broadcast_to(np.asarray(g.deriv(w * pts) * w - dg), pts.shape))
     avg /= 16.0
     aliased = np.zeros(pts.shape, dtype=complex)
     for n in range(16, series.degree_bound + 1, 16):
         aliased += n * series.coeffs[n] * pts ** (n - 1)
-    rhs = one_minus * np.abs(aliased - np.broadcast_to(np.asarray(g.deriv(pts)), pts.shape))
+    rhs = one_minus * np.abs(aliased - np.broadcast_to(np.asarray(dg), pts.shape))
     defect = float(np.max(rhs - avg))
 
     return RotationAverageOutcome(
@@ -385,18 +385,15 @@ def hospital_ratio_check(phi: SelfMap, grid: DiskGrid) -> HospitalRatioReport:
     den = np.log(2.0 / (1.0 - np.abs(pts) ** 2))
     ratio = num / den
     s = abs(complex(phi(0.0)))
-    rows = []
-    max_excess = -math.inf
-    for k in range(grid.max_shell + 1):
-        mask = grid.shell_index == k
-        shell_max = float(ratio[mask].max())
-        allowed = 1.0 + hospital_slack(k, s)
-        rows.append((k, shell_max, allowed))
-        max_excess = max(max_excess, shell_max - allowed)
+    rows = tuple(
+        (k, shell_max, 1.0 + hospital_slack(k, s))
+        for k, shell_max in shell_maxima(ratio, grid.shell_index, grid.max_shell)
+    )
+    max_excess = max(shell_max - allowed for _, shell_max, allowed in rows)
     return HospitalRatioReport(
         phi_source=phi.source,
         phi0_modulus=s,
-        rows=tuple(rows),
+        rows=rows,
         passed=max_excess <= 0.0,
         max_excess=max_excess,
     )

@@ -42,9 +42,6 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 class OperatorKind(enum.Enum):
-    COMPOSITION = "composition"
-    VOLTERRA_J = "volterra_j"
-    INTEGRAL_I = "integral_i"
     COMMUTATOR_J = "commutator_j"
     COMMUTATOR_I = "commutator_i"
 

@@ -15,7 +15,10 @@ from blochlab import (
     criterion_value,
     evaluate_criterion,
     little_bloch_membership,
+    validate_self_map,
 )
+from blochlab.criteria import FieldSet
+from blochlab.diskgeom import SelfMap
 
 
 # --------------------------------------------------------------------------
@@ -115,6 +118,66 @@ def test_report_serializes(grid6, self_map):
     assert data["kind"] == "KJ"
     assert data["bucket_by"] == "phi"
     assert len(data["shell_sups"]) == len(report.shell_sups)
+
+
+# --------------------------------------------------------------------------
+# the shared field set against the per-shell mask loop it replaced
+
+
+def _mask_loop_reduction(values, phi, grid, bucket_by):
+    """One boolean mask per shell, shells recomputed from the moduli."""
+    pts = grid.points
+    if bucket_by == "phi":
+        moduli = np.abs(np.broadcast_to(np.asarray(phi(pts)), pts.shape))
+        sup_modulus = phi.sup_modulus_estimate if isinstance(phi, SelfMap) else float(moduli.max())
+    else:
+        moduli, sup_modulus = np.abs(pts), None
+    m = np.minimum(moduli, 1.0 - np.finfo(float).tiny)
+    ks = np.clip(np.floor(-np.log2(1.0 - m)), 0, grid.max_shell).astype(int)
+    shell_sups = tuple(
+        (k, float(values[ks == k].max())) for k in range(grid.max_shell + 1) if np.any(ks == k)
+    )
+    vacuous = sup_modulus is not None and sup_modulus < 1.0 - 2.0 ** (-grid.max_shell)
+    j = int(np.argmax(values))
+    return shell_sups, float(values[j]), complex(pts[j]), vacuous
+
+
+def _assert_same_reduction(report, expected):
+    shell_sups, sup_value, arg_sup, vacuous = expected
+    assert report.shell_sups == shell_sups
+    assert report.sup_value == sup_value
+    assert report.arg_sup == arg_sup
+    assert report.vacuous_boundary is vacuous
+    limsup = 0.0 if vacuous else max(s for _, s in shell_sups[-3:])
+    assert report.boundary_limsup_estimate == limsup
+
+
+# z/2 leaves every |phi| shell past the first empty; z^2/2 is not a SelfMap.
+@pytest.mark.parametrize(
+    "phi_src, validated",
+    [("z/2", True), ("mobius(0.5)", True), ("(z+0.3)/2", True), ("z^2/2", False)],
+)
+@pytest.mark.parametrize("bucket_by", ["phi", "z"])
+def test_field_set_matches_per_shell_mask_loop(grid8, phi_src, validated, bucket_by):
+    phi = validate_self_map(analytic(phi_src), grid8) if validated else analytic(phi_src)
+    g = analytic("log(2/(1-0.9*z))")
+    fields = FieldSet(phi, g, grid8)
+    for kind in CriterionKind:
+        values = criterion_value(kind, phi, g, grid8.points)
+        expected = _mask_loop_reduction(values, phi, grid8, bucket_by)
+        _assert_same_reduction(fields.report(kind, bucket_by), expected)
+        _assert_same_reduction(evaluate_criterion(kind, phi, g, grid8, bucket_by), expected)
+
+
+def test_hypothesis_fields_match_per_shell_mask_loop(grid8, self_map):
+    phi, g = self_map("mobius(0.5)", grid8), analytic("1-mobius(0.7)")
+    pts = grid8.points
+    sup_norm = classify("T3.2", phi, g, grid8).evidence[0]
+    bloch = classify("C4.3", None, g, grid8).evidence[0]
+    assert (sup_norm.kind_label, bloch.kind_label) == ("|g|", "(1-|z|^2)|g'|")
+    _assert_same_reduction(sup_norm, _mask_loop_reduction(np.abs(g(pts)), None, grid8, "z"))
+    bloch_values = (1.0 - np.abs(pts) ** 2) * np.abs(g.deriv(pts))
+    _assert_same_reduction(bloch, _mask_loop_reduction(bloch_values, None, grid8, "z"))
 
 
 # --------------------------------------------------------------------------

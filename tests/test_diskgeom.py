@@ -97,6 +97,18 @@ def test_validate_rejects_constant_outside_disk(grid6):
         validate_self_map(analytic("z+1"), grid6)
 
 
+def test_validate_rejects_map_that_is_nan_on_the_grid(default_grid):
+    # 0 * exp(800 z) is 0 * inf = NaN wherever exp overflows (Re z > ~0.89)
+    fn = analytic("z/2 + 0*exp(800*z)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        moduli = np.abs(fn(default_grid.points))
+        with pytest.raises(NotASelfMap) as excinfo:
+            validate_self_map(fn, default_grid)
+    first_nan = int(np.flatnonzero(np.isnan(moduli))[0])
+    assert excinfo.value.witness == default_grid.points[first_nan]
+    assert np.isnan(excinfo.value.modulus)
+
+
 # --------------------------------------------------------------------------
 # hyperbolic derivative and modulus bounds
 

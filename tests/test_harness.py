@@ -1,5 +1,6 @@
 """Panels, experiment execution, invariant checks, and report emission."""
 
+import collections
 import csv
 import io
 import json
@@ -18,14 +19,19 @@ from blochlab import (
     ROTATION_PANEL,
     SHRINKER_PANEL,
     TEN_MAP_PANEL,
+    THEOREMS,
+    PreconditionFailed,
     analytic,
+    classify,
     hospital_ratio_check,
+    make_grid,
     rotation_average_check,
     run_classification,
     to_csv,
     to_json,
     validate_self_map,
 )
+from blochlab import criteria
 from blochlab.harness import CSV_COLUMNS
 
 
@@ -213,3 +219,38 @@ def test_rotation_average_flags_steep_symbol(default_grid):
     outcome = rotation_average_check(analytic("log(2/(1-0.999*z))"), 64, default_grid)
     assert outcome.witness_t is not None
     assert outcome.classification.startswith("Witness(")
+
+
+# --------------------------------------------------------------------------
+# one field set per pair
+
+
+def test_run_samples_each_formula_at_most_once_per_pair(monkeypatch):
+    calls = collections.Counter()
+    original = criteria.criterion_value
+
+    def counting(kind, phi, g, z):
+        calls[(phi.source if phi is not None else None, g.source)] += 1
+        return original(kind, phi, g, z)
+
+    monkeypatch.setattr(criteria, "criterion_value", counting)
+    spec = ExperimentSpec(
+        phi_exprs=("mobius(0.5)", "-mobius(0.7)", "z/2"),
+        g_exprs=("1", "z^2", "log(2/(1-0.999*z))", "1/(1-z)"),
+        theorem_ids=tuple(sorted(THEOREMS)),
+        max_shell=6,
+    )
+    report = run_classification(spec)
+    monkeypatch.undo()
+    assert len(calls) == 12
+    assert max(calls.values()) <= 4
+
+    # sharing the fields changes no case: each matches a classify of its own
+    grid = make_grid(6, 64)
+    maps = {p: validate_self_map(analytic(p), grid) for p in spec.phi_exprs}
+    for case in report.cases:
+        try:
+            fresh = classify(case.theorem_id, maps[case.phi], analytic(case.g), grid).to_dict()
+        except (PreconditionFailed, ValueError) as exc:
+            fresh = str(exc)
+        assert fresh == (case.verdict.to_dict() if case.verdict else case.error)

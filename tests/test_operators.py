@@ -134,9 +134,9 @@ def test_commutator_rejects_non_commutator_kind(self_map):
     phi = self_map("z/2")
     g, f = analytic("z"), analytic("z")
     with pytest.raises(ValueError):
-        commutator_value(OperatorKind.COMPOSITION, phi, g, f, 0.3)
+        commutator_value("composition", phi, g, f, 0.3)
     with pytest.raises(ValueError):
-        commutator_derivative(OperatorKind.VOLTERRA_J, phi, g, f, 0.3)
+        commutator_derivative("volterra_j", phi, g, f, 0.3)
 
 
 # --------------------------------------------------------------------------

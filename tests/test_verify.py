@@ -35,6 +35,13 @@ def test_filter_matches_substring():
     assert names == [n for n in available_checks("bounds") if "testfns." in n]
 
 
+@pytest.mark.parametrize("name", available_checks())
+def test_every_check_passes(name):
+    (result,) = run_suite("all", name_filter=name)
+    assert result.name == name
+    assert result.passed, result.detail
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("everything")
