@@ -32,13 +32,7 @@ from .criteria import (
 from .diskgeom import NotASelfMap, make_grid, validate_self_map
 from .exprdsl import ExprError, analytic
 from .harness import ExperimentSpec, run_classification, to_csv, to_json
-from .operators import (
-    OperatorKind,
-    QuadratureError,
-    bloch_seminorm,
-    commutator_seminorm,
-    hinf_norm,
-)
+from .operators import OperatorKind, bloch_seminorm, commutator_seminorm, hinf_norm
 from .verify import SUITES, run_suite
 
 ERROR_PREFIX = "blochlab: error:"
@@ -294,9 +288,6 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError) as exc:
         print(f"{ERROR_PREFIX} {exc}", file=sys.stderr)
         return 2
-    except QuadratureError as exc:
-        print(f"{ERROR_PREFIX} {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,4 +1,4 @@
-"""Runtime configuration: grid shape, verdict thresholds, quadrature tolerance.
+"""Runtime configuration: grid shape and verdict thresholds.
 
 Config files are INI-style (flat TOML with ``[section]`` / ``key = value``
 pairs parses identically)::
@@ -10,9 +10,6 @@ pairs parses identically)::
     [thresholds]
     divergence = 1e3
     compact_tol = 1e-2
-
-    [quadrature]
-    tol = 1e-12
 
 Resolution order: explicit path argument, then the ``BLOCHLAB_CONFIG``
 environment variable, then built-in defaults.  Unknown sections or keys are
@@ -26,8 +23,7 @@ import os
 from dataclasses import dataclass, field
 
 from .criteria import Thresholds
-from .diskgeom import DEFAULT_BASE_ANGULAR, DEFAULT_MAX_SHELL, DiskGrid, make_grid
-from .operators import QUAD_TOL
+from .diskgeom import DEFAULT_BASE_ANGULAR, DEFAULT_MAX_SHELL
 
 ENV_VAR = "BLOCHLAB_CONFIG"
 
@@ -43,28 +39,9 @@ class GridConfig:
 
 
 @dataclass(frozen=True)
-class QuadratureConfig:
-    tol: float = QUAD_TOL
-
-
-@dataclass(frozen=True)
 class Config:
     grid: GridConfig = field(default_factory=GridConfig)
     thresholds: Thresholds = field(default_factory=Thresholds)
-    quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
-
-    def make_grid(self) -> DiskGrid:
-        return make_grid(self.grid.max_shell, self.grid.base_angular)
-
-    def to_dict(self) -> dict:
-        return {
-            "grid": {
-                "max_shell": self.grid.max_shell,
-                "base_angular": self.grid.base_angular,
-            },
-            "thresholds": self.thresholds.to_dict(),
-            "quadrature": {"tol": self.quadrature.tol},
-        }
 
 
 DEFAULT_CONFIG = Config()
@@ -72,7 +49,6 @@ DEFAULT_CONFIG = Config()
 _SCHEMA = {
     "grid": {"max_shell": int, "base_angular": int},
     "thresholds": {"divergence": float, "compact_tol": float},
-    "quadrature": {"tol": float},
 }
 
 
@@ -100,5 +76,4 @@ def load_config(path: str | None = None) -> Config:
     return Config(
         grid=GridConfig(**values["grid"]),
         thresholds=Thresholds(**values["thresholds"]),
-        quadrature=QuadratureConfig(**values["quadrature"]),
     )

@@ -10,7 +10,7 @@ monotone under refinement by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -160,8 +160,7 @@ def validate_self_map(fn: AnalyticFn, grid: DiskGrid) -> SelfMap:
     ``2**-(max_shell+1)``, capped at 1.  Raises :class:`NotASelfMap` with the
     first offending grid point otherwise; a non-finite sample (NaN) offends.
     """
-    values = np.asarray(fn(grid.points))
-    moduli = np.abs(values)
+    moduli = np.abs(np.broadcast_to(np.asarray(fn(grid.points)), grid.points.shape))
     bad = np.flatnonzero(~(moduli < 1.0))
     if bad.size:
         j = int(bad[0])

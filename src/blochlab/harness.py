@@ -54,7 +54,6 @@ from .diskgeom import (
     validate_self_map,
 )
 from .exprdsl import AnalyticFn, ExprError, analytic
-from .operators import QuadratureError
 from .series import coeffs_from_samples, recovery_count
 
 SCHEMA_VERSION = 1
@@ -148,17 +147,34 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
-        grid = data.get("grid", {})
-        thresholds = data.get("thresholds", {})
+        """Build a spec from parsed JSON; a malformed spec raises ``ValueError``."""
+        if not isinstance(data, dict):
+            raise ValueError(f"spec must be a JSON object, got {type(data).__name__}")
+        for key in ("phi", "g", "theorems"):
+            if key not in data:
+                raise ValueError(f"spec is missing required key {key!r}")
+            if not isinstance(data[key], list) or not all(isinstance(v, str) for v in data[key]):
+                raise ValueError(f"spec key {key!r} must be a list of strings")
+        for key in ("grid", "thresholds"):
+            if not isinstance(data.get(key, {}), dict):
+                raise ValueError(f"spec key {key!r} must be an object")
+
+        def number(section: str, key: str, cast, default):
+            value = data.get(section, {}).get(key, default)
+            try:
+                return cast(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"bad value for spec key {section}.{key}: {value!r}") from None
+
         return cls(
             phi_exprs=tuple(data["phi"]),
             g_exprs=tuple(data["g"]),
             theorem_ids=tuple(data["theorems"]),
-            max_shell=int(grid.get("max_shell", DEFAULT_MAX_SHELL)),
-            base_angular=int(grid.get("base_angular", DEFAULT_BASE_ANGULAR)),
+            max_shell=number("grid", "max_shell", int, DEFAULT_MAX_SHELL),
+            base_angular=number("grid", "base_angular", int, DEFAULT_BASE_ANGULAR),
             thresholds=Thresholds(
-                divergence=float(thresholds.get("divergence", DEFAULT_THRESHOLDS.divergence)),
-                compact_tol=float(thresholds.get("compact_tol", DEFAULT_THRESHOLDS.compact_tol)),
+                divergence=number("thresholds", "divergence", float, DEFAULT_THRESHOLDS.divergence),
+                compact_tol=number("thresholds", "compact_tol", float, DEFAULT_THRESHOLDS.compact_tol),
             ),
             output=data.get("output", "json"),
         )
@@ -250,7 +266,7 @@ def run_classification(spec: ExperimentSpec) -> SuiteReport:
                 try:
                     verdict = classify(theorem_id, phi, g, grid, spec.thresholds, fields)
                     cases.append(CaseResult(theorem_id, phi_src, g_src, verdict=verdict))
-                except (PreconditionFailed, QuadratureError, ValueError) as exc:
+                except (PreconditionFailed, ValueError) as exc:
                     cases.append(CaseResult(theorem_id, phi_src, g_src, error=str(exc)))
     cases.sort(key=lambda c: c.key)
     config = {

@@ -114,6 +114,11 @@ _REGISTRY: dict[str, tuple[str, object]] = {}
 
 
 def _check(name: str, suite: str):
+    """Register a zero-argument check under ``name`` in ``suite``.
+
+    The check returns ``(passed, detail)`` or ``(passed, detail, slack)``;
+    :func:`run_suite` attaches the name and suite given here.
+    """
     assert suite in SUITES
 
     def register(fn):
@@ -140,11 +145,10 @@ def run_suite(suite: str = "all", name_filter: str | None = None) -> list[CheckR
     for name in names:
         check_suite, fn = _REGISTRY[name]
         try:
-            results.append(fn())
+            passed, detail, *slack = fn()
         except Exception as exc:  # honest red: a crash is a failure, not a skip
-            results.append(
-                CheckResult(name, check_suite, False, f"raised {type(exc).__name__}: {exc}")
-            )
+            passed, detail, slack = False, f"raised {type(exc).__name__}: {exc}", ()
+        results.append(CheckResult(name, check_suite, passed, detail, *slack))
     return results
 
 
@@ -272,14 +276,8 @@ def _series_ring_ops():
             and (a * b) * c == a * (b * c)
         )
         if not ok:
-            return CheckResult(
-                "series.ring_ops_exact", "identities", False,
-                "commutativity/associativity broke on integer coefficient series",
-            )
-    return CheckResult(
-        "series.ring_ops_exact", "identities", True,
-        "20 random integer-coefficient triples: add/mul commute and associate exactly",
-    )
+            return False, "commutativity/associativity broke on integer coefficient series"
+    return True, "20 random integer-coefficient triples: add/mul commute and associate exactly"
 
 
 @_check("series.deriv_antideriv_exact", "identities")
@@ -291,18 +289,12 @@ def _series_deriv_antideriv():
         ints = rng.integers(-8, 9, n) + 1j * rng.integers(-8, 9, n)
         s = TaylorSeries(ints * np.arange(1, n + 1))
         if derivative(antiderivative(s)) != s:
-            return CheckResult(
-                "series.deriv_antideriv_exact", "identities", False,
-                f"derivative(antiderivative(s)) != s on representable input (N={n})",
-            )
+            return False, f"derivative(antiderivative(s)) != s on representable input (N={n})"
         t = TaylorSeries(ints)
         back = antiderivative(derivative(t))
         expected = TaylorSeries(np.concatenate([[0.0], ints[1:]]))
         if back != expected:
-            return CheckResult(
-                "series.deriv_antideriv_exact", "identities", False,
-                "antiderivative(derivative(s)) != s - a_0 on integer input",
-            )
+            return False, "antiderivative(derivative(s)) != s - a_0 on integer input"
     # tolerance branch: arbitrary float coefficients at N = 16
     worst = 0.0
     for _ in range(10):
@@ -311,11 +303,11 @@ def _series_deriv_antideriv():
         err = float(np.max(np.abs(derivative(antiderivative(s)).coeffs - coeffs)))
         worst = max(worst, err)
     passed = worst < 1e-14
-    return CheckResult(
-        "series.deriv_antideriv_exact", "identities", passed,
+    return (
+        passed,
         f"exact on (n+1)-divisible integer coefficients up to N=64; "
         f"float N=16 max coefficient error {worst:.3e} (tol 1e-14)",
-        slack=1e-14 - worst,
+        1e-14 - worst,
     )
 
 
@@ -329,11 +321,11 @@ def _series_recovery():
         rec = coeffs_from_samples(s, radius=0.5, count=4 * 8, degree=8)
         worst = max(worst, float(np.max(np.abs(rec.coeffs - coeffs))))
     passed = worst < 1e-10
-    return CheckResult(
-        "series.recovery_polynomial", "identities", passed,
+    return (
+        passed,
         f"degree-8 coefficient recovery at radius 0.5, count 32: "
         f"max error {worst:.3e} (tol 1e-10)",
-        slack=1e-10 - worst,
+        1e-10 - worst,
     )
 
 
@@ -346,12 +338,9 @@ def _exprdsl_roundtrip():
         a = np.asarray(evaluate(e, pts))
         b = np.asarray(evaluate(e2, pts))
         if not np.array_equal(np.broadcast_to(a, pts.shape), np.broadcast_to(b, pts.shape)):
-            return CheckResult(
-                "exprdsl.roundtrip_corpus", "identities", False,
-                f"round-trip of {src!r} changed values",
-            )
-    return CheckResult(
-        "exprdsl.roundtrip_corpus", "identities", True,
+            return False, f"round-trip of {src!r} changed values"
+    return (
+        True,
         f"{len(ROUNDTRIP_CORPUS)} corpus expressions round-trip bit-for-bit "
         "at 100 sample points",
     )
@@ -369,11 +358,11 @@ def _exprdsl_derivative_fd():
         rel = np.abs(np.broadcast_to(fd, pts.shape) - cd) / (1.0 + np.abs(cd))
         worst = max(worst, float(rel.max()))
     passed = worst < FD_RTOL
-    return CheckResult(
-        "exprdsl.derivative_finite_difference", "identities", passed,
+    return (
+        passed,
         f"symbolic vs central-difference derivative on the corpus at 50 points: "
         f"worst relative error {worst:.3e} (tol {FD_RTOL:g})",
-        slack=FD_RTOL - worst,
+        FD_RTOL - worst,
     )
 
 
@@ -398,12 +387,12 @@ def _commutator_derivative_identity():
             )
             rel = np.abs(fd - cd) / (1.0 + np.abs(cd))
             worst = max(worst, float(rel.max()))
-    passed = worst < FD_RTOL
-    return CheckResult(
-        "operators.commutator_derivative_identity", "identities", passed,
+    passed = worst < FD_RTOL and pts.size == 1000
+    return (
+        passed,
         f"20 panel triples, both commutator kinds, {pts.size} grid points: "
         f"worst relative mismatch {worst:.3e} (tol {FD_RTOL:g})",
-        slack=FD_RTOL - worst,
+        FD_RTOL - worst,
     )
 
 
@@ -425,11 +414,11 @@ def _commutator_linearity():
             rel = np.abs(lhs - rhs) / (1.0 + np.abs(rhs))
             worst = max(worst, float(np.max(rel)))
     passed = worst < 1e-12
-    return CheckResult(
-        "operators.commutator_linearity", "identities", passed,
+    return (
+        passed,
         f"commutator derivative linear in f at 50 random points: "
         f"worst relative deviation {worst:.3e} (tol 1e-12)",
-        slack=1e-12 - worst,
+        1e-12 - worst,
     )
 
 
@@ -449,11 +438,11 @@ def _quadrature_vs_series():
         err_I = np.abs(np.asarray(apply_Ig(g, f, pts)) - oracle_I(pts))
         worst = max(worst, float(err_J.max()), float(err_I.max()))
     passed = worst < 1e-10
-    return CheckResult(
-        "operators.quadrature_vs_series", "identities", passed,
+    return (
+        passed,
         f"integral operators vs series antiderivative oracle on random "
         f"polynomial pairs at 100 points: max error {worst:.3e} (tol 1e-10)",
-        slack=1e-10 - worst,
+        1e-10 - worst,
     )
 
 
@@ -468,8 +457,8 @@ def _report_determinism():
     first = to_json(run_classification(spec).to_dict(include_timing=False))
     second = to_json(run_classification(spec).to_dict(include_timing=False))
     passed = first == second
-    return CheckResult(
-        "harness.report_determinism", "identities", passed,
+    return (
+        passed,
         "two runs of the same spec emit byte-identical JSON (timing excluded)"
         if passed
         else "reports differ between identical runs",
@@ -499,8 +488,8 @@ def _panel_composition():
     for src in G_CORPUS + BLOCH_F_CORPUS + HINF_F_CORPUS + POLYNOMIAL_G_CORPUS:
         _fn(src)
     passed = not problems
-    return CheckResult(
-        "harness.panel_composition", "identities", passed,
+    return (
+        passed,
         "; ".join(problems) if problems else
         "panels have the documented sizes, automorphism flags, and symbol shapes",
     )
@@ -529,12 +518,12 @@ def _chain_bound_I():
                 min_margin = min(min_margin, margin)
                 violations += margin < 0
     passed = violations == 0
-    return CheckResult(
-        "operators.chain_bound_I", "bounds", passed,
+    return (
+        passed,
         f"{len(TEN_MAP_PANEL) * len(G_CORPUS) * len(BLOCH_F_CORPUS)} cases of "
         f"commutator seminorm <= sup K_I * Bloch seminorm + {CHAIN_TOL:g}: "
         f"{violations} violations, min margin {min_margin:.3e}",
-        slack=min_margin,
+        min_margin,
     )
 
 
@@ -557,12 +546,12 @@ def _chain_bound_J():
                 min_margin = min(min_margin, margin)
                 violations += margin < 0
     passed = violations == 0
-    return CheckResult(
-        "operators.chain_bound_J", "bounds", passed,
+    return (
+        passed,
         f"{len(TEN_MAP_PANEL) * len(G_CORPUS) * len(HINF_F_CORPUS)} cases of "
         f"commutator seminorm <= sup K_J * sup norm + {CHAIN_TOL:g}: "
         f"{violations} violations, min margin {min_margin:.3e}",
-        slack=min_margin,
+        min_margin,
     )
 
 
@@ -598,12 +587,12 @@ def _necessity_peak_lower_bound():
                 violations += margin < 0
                 checked += 1
     passed = violations == 0
-    return CheckResult(
-        "criteria.necessity_peak_lower_bound", "bounds", passed,
+    return (
+        passed,
         f"{checked} outer-shell witnesses across the panel: peak test function "
         f"attains |phi(w)| * K_I(w) - {NECESSITY_TOL:g}; {violations} violations, "
         f"min margin {min_margin:.3e}",
-        slack=min_margin,
+        min_margin,
     )
 
 
@@ -617,10 +606,10 @@ def _mobius_seminorm_random():
         value = float(bloch_seminorm(make_test_fn(MobiusAlpha(complex(a))), grid))
         worst = max(worst, abs(value - 1.0))
     passed = worst <= 1e-6
-    return CheckResult(
-        "testfns.mobius_seminorm_random", "bounds", passed,
+    return (
+        passed,
         f"20 random Mobius seminorms: worst |value - 1| = {worst:.3e} (tol 1e-6)",
-        slack=1e-6 - worst,
+        1e-6 - worst,
     )
 
 
@@ -641,12 +630,12 @@ def _peak_seminorm_and_decay():
         worst = max(worst, float(bloch_seminorm(h, grid)))
     monotone = maxima[0] > maxima[1] > maxima[2]
     passed = worst <= 1.0 + 1e-9 and monotone
-    return CheckResult(
-        "testfns.peak_seminorm_and_decay", "bounds", passed,
+    return (
+        passed,
         f"peak seminorms max {worst:.12f} (bound 1+1e-9); max on |z|<=0.5 for "
         f"a=0.9,0.99,0.999: {maxima[0]:.4f} > {maxima[1]:.4f} > {maxima[2]:.4f} "
         f"{'holds' if monotone else 'FAILS'}",
-        slack=1.0 + 1e-9 - worst,
+        1.0 + 1e-9 - worst,
     )
 
 
@@ -661,10 +650,10 @@ def _log_family_seminorm():
         value = float(bloch_seminorm(make_test_fn(LogFw(complex(w))), grid))
         worst = max(worst, value)
     passed = worst <= 2.0 + 1e-9
-    return CheckResult(
-        "testfns.log_family_seminorm", "bounds", passed,
+    return (
+        passed,
         f"log family seminorms over 21 parameters: max {worst:.12f} (bound 2+1e-9)",
-        slack=2.0 + 1e-9 - worst,
+        2.0 + 1e-9 - worst,
     )
 
 
@@ -680,23 +669,23 @@ def _product_family_hinf():
         worst_zero = max(worst_zero, abs(complex(f(a))))
         worst_sup = max(worst_sup, float(hinf_norm(f, grid)))
     passed = worst_zero <= 1e-12 and worst_sup <= 2.0 + 1e-9
-    return CheckResult(
-        "testfns.product_family_hinf", "bounds", passed,
+    return (
+        passed,
         f"product family: |f(a)| max {worst_zero:.3e} (tol 1e-12), "
         f"sup norm max {worst_sup:.12f} (bound 2+1e-9)",
-        slack=2.0 + 1e-9 - worst_sup,
+        2.0 + 1e-9 - worst_sup,
     )
+
+
+_INTERPOLATION_NODES = [0.5, 0.75, 0.875, 0.96875, 0.984375]
 
 
 @_check("testfns.interpolation_sum_bound", "bounds")
 def _interpolation_sum_bound():
     radial = [1.0 - 2.0 ** (-k) for k in range(1, 11)]
     nodes = select_separated_subsequence(radial, 0.1)[:5]
-    if len(nodes) < 5:
-        return CheckResult(
-            "testfns.interpolation_sum_bound", "bounds", False,
-            f"selector kept only {len(nodes)} of 10 radial points at d=0.1",
-        )
+    if nodes != _INTERPOLATION_NODES:
+        return False, f"selector kept {nodes} at d=0.1, expected {_INTERPOLATION_NODES}"
     fam = build_interpolation_family(nodes, 0.1)
     kron = max(
         abs(complex(h(x)) - (1.0 if j == k else 0.0))
@@ -712,12 +701,13 @@ def _interpolation_sum_bound():
         and resampled <= fam.sum_bound_estimate + 1e-12
         and fam_fine.sum_bound_estimate >= fam.sum_bound_estimate
         and drift <= 0.05
+        and 1.0 < fam.sum_bound_estimate < math.inf
     )
-    return CheckResult(
-        "testfns.interpolation_sum_bound", "bounds", passed,
+    return (
+        passed,
         f"5-node family: Kronecker error {kron:.3e} (tol 1e-10), "
-        f"M = {fam.sum_bound_estimate:.6f}, refinement drift {drift:.3%} (tol 5%)",
-        slack=0.05 - drift,
+        f"M = {fam.sum_bound_estimate:.6f} (> 1), refinement drift {drift:.3%} (tol 5%)",
+        0.05 - drift,
     )
 
 
@@ -731,11 +721,11 @@ def _schwarz_pick_random_maps():
         mags = np.abs(schwarz_derivative(phi, grid.points))
         worst = max(worst, float(np.max(mags)))
     passed = worst <= 1.0 + 1e-12
-    return CheckResult(
-        "diskgeom.schwarz_pick_random_maps", "bounds", passed,
+    return (
+        passed,
         f"100 random composed self-maps: max |schwarz derivative| = {worst:.15f} "
         f"(bound 1+1e-12)",
-        slack=1.0 + 1e-12 - worst,
+        1.0 + 1e-12 - worst,
     )
 
 
@@ -747,10 +737,10 @@ def _schwarz_automorphism_equality():
         mags = np.abs(schwarz_derivative(_self_map(src), grid.points))
         worst = max(worst, float(np.max(np.abs(mags - 1.0))))
     passed = worst <= 1e-9
-    return CheckResult(
-        "diskgeom.schwarz_automorphism_equality", "bounds", passed,
+    return (
+        passed,
         f"8 automorphisms: max | |schwarz derivative| - 1 | = {worst:.3e} (tol 1e-9)",
-        slack=1e-9 - worst,
+        1e-9 - worst,
     )
 
 
@@ -766,11 +756,11 @@ def _modulus_bound_panel():
         bound = schwarz_pick_modulus_bound(phi, grid.points)
         worst = max(worst, float(np.max(actual - bound)))
     passed = worst <= 1e-12
-    return CheckResult(
-        "diskgeom.modulus_bound_panel", "bounds", passed,
+    return (
+        passed,
         f"{len(sources)} validated maps: max |phi(z)| excess over the "
         f"(|z|+s)/(1+s|z|) bound = {worst:.3e} (tol 1e-12)",
-        slack=1e-12 - worst,
+        1e-12 - worst,
     )
 
 
@@ -811,8 +801,8 @@ def _grid_monotonicity():
                     )
             previous = (sup, verdict.conclusion)
     passed = not problems
-    return CheckResult(
-        "criteria.grid_monotonicity", "theorems", passed,
+    return (
+        passed,
         "; ".join(problems) if problems else
         f"{len(_CURATED_CASES)} curated cases over K=6..14: sup estimates "
         "monotone, no compact/not-compact flips",
@@ -841,11 +831,11 @@ def _bounded_implies_chain():
                 min_margin = min(min_margin, margin)
                 violations += margin < 0
     passed = violations == 0 and bounded_cases > 0
-    return CheckResult(
-        "criteria.bounded_implies_chain", "theorems", passed,
+    return (
+        passed,
         f"{bounded_cases} panel pairs judged bounded; seminorm chain holds for "
         f"every corpus f with min margin {min_margin:.3e}",
-        slack=min_margin,
+        min_margin,
     )
 
 
@@ -853,9 +843,13 @@ def _bounded_implies_chain():
 def _rigidity_nonconstant_g():
     grid = _grid()
     problems = []
+    constant = [src for src in G_CORPUS if not _depends_on_z(_fn(src).expr)]
+    if len(constant) != 2 or len(G_CORPUS) != 9:
+        problems.append(f"corpus has {len(constant)} constant of {len(G_CORPUS)} g, "
+                        "expected 2 of 9")
     for g_src in G_CORPUS:
         g = _fn(g_src)
-        if not _depends_on_z(g.expr):
+        if g_src in constant:
             for phi_src in AUTOMORPHISM_PANEL:
                 values = criterion_value(CriterionKind.KI, _self_map(phi_src), g, grid.points)
                 if float(np.max(np.abs(values))) != 0.0:
@@ -872,11 +866,11 @@ def _rigidity_nonconstant_g():
             problems.append(f"non-constant g={g_src}: no automorphism gave "
                             "not-compact evidence")
     passed = not problems
-    return CheckResult(
-        "criteria.rigidity_nonconstant_g", "theorems", passed,
+    return (
+        passed,
         "; ".join(problems) if problems else
-        "every non-constant corpus g has a witnessing automorphism; "
-        "constant g give K_I identically 0",
+        "each of the 7 non-constant corpus g has a witnessing automorphism; "
+        "the 2 constant g give K_I identically 0",
     )
 
 
@@ -887,7 +881,8 @@ def _little_bloch_sufficiency():
     for g_src in dict.fromkeys(G_CORPUS + POLYNOMIAL_G_CORPUS):
         if little_bloch_membership(_fn(g_src), grid) is Membership.IN_B0:
             members.append(g_src)
-    problems = []
+    problems = [f"polynomial g={g_src}: not a little-Bloch member"
+                for g_src in POLYNOMIAL_G_CORPUS if g_src not in members]
     for g_src in members:
         g = _fn(g_src)
         for phi_src in TEN_MAP_PANEL:
@@ -897,11 +892,11 @@ def _little_bloch_sufficiency():
                     f"g={g_src}, phi={phi_src}: {verdict.conclusion.value}"
                 )
     passed = not problems and len(members) >= 10
-    return CheckResult(
-        "criteria.little_bloch_sufficiency", "theorems", passed,
+    return (
+        passed,
         "; ".join(problems) if problems else
-        f"{len(members)} little-Bloch members x {len(TEN_MAP_PANEL)} maps "
-        "all classify compact",
+        f"{len(members)} little-Bloch members (all {len(POLYNOMIAL_G_CORPUS)} polynomial g "
+        f"among them) x {len(TEN_MAP_PANEL)} maps all classify compact",
     )
 
 
@@ -916,8 +911,8 @@ def _rotation_necessity():
             witness = phi_src
             break
     passed = witness is not None
-    return CheckResult(
-        "criteria.rotation_necessity", "theorems", passed,
+    return (
+        passed,
         f"Bloch-not-little-Bloch log symbol: rotation {witness} gives "
         "not-compact evidence" if passed else
         "no rotation produced not-compact evidence for the log symbol",
@@ -935,12 +930,12 @@ def _hospital_ratio_panel():
         if not report.passed:
             failures.append(src)
     passed = not failures
-    return CheckResult(
-        "harness.hospital_ratio_panel", "theorems", passed,
+    return (
+        passed,
         f"boundary log-ratio within slack for {len(TEN_MAP_PANEL + ROTATION_PANEL)} "
         f"maps; min margin {min_margin:.3e}" if passed else
         f"ratio exceeded slack for: {', '.join(failures)}",
-        slack=min_margin,
+        min_margin,
     )
 
 
@@ -956,9 +951,9 @@ def _rotation_average_coherence():
         all_consistent = all_consistent and outcome.consistent
         rows.append(f"{g_src}: {outcome.classification}")
     passed = all_consistent and worst_defect <= 1e-8
-    return CheckResult(
-        "harness.rotation_average_coherence", "theorems", passed,
+    return (
+        passed,
         f"membership/rotation coherence holds ({'; '.join(rows)}); "
         f"worst averaging defect {worst_defect:.3e} (tol 1e-8)",
-        slack=1e-8 - worst_defect,
+        1e-8 - worst_defect,
     )

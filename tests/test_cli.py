@@ -135,6 +135,26 @@ def test_sweep_flags_case_errors(capsys, tmp_path):
     assert out_path.exists()  # the report still lands, errors and all
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"g": ["z"], "theorems": ["T3.1"]},
+        {"phi": ["z/2"], "g": ["z"]},
+        {"phi": "z/2", "g": ["z"], "theorems": ["T3.1"]},
+        {"phi": ["z/2"], "g": ["z"], "theorems": ["T3.1"], "grid": 5},
+        {"phi": ["z/2"], "g": ["z"], "theorems": ["T3.1"], "thresholds": [1e3, 1e-2]},
+        ["z/2"],
+    ],
+)
+def test_sweep_malformed_spec_is_usage_error(capsys, tmp_path, payload):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = _run(capsys, "sweep", "--spec", str(spec), "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert err.startswith("blochlab: error:")
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_sweep_missing_spec_is_usage_error(capsys, tmp_path):
     code, out, err = _run(
         capsys, "sweep", "--spec", str(tmp_path / "absent.json"),
@@ -164,6 +184,7 @@ def test_classify_failed_hypothesis_exits_one(capsys):
         ("seminorm", "--f", "z", "--grid", "banana"),
         ("seminorm", "--f", "z", "--grid", "3,64"),
         ("criterion", "--kind", "KI", "--phi", "2*z", "--g", "z"),
+        ("criterion", "--kind", "KI", "--phi", "2", "--g", "z"),
         ("criterion", "--kind", "KI", "--g", "z"),
         ("classify", "--thm", "T3.1", "--g", "z"),
         ("classify", "--thm", "T9.9", "--phi", "z/2", "--g", "z"),
@@ -231,6 +252,7 @@ def test_flag_overrides_config_file(capsys, tmp_path):
         "[grid]\nwidth = 3\n",
         "[turbo]\nx = 1\n",
         "[thresholds]\ncompact_tol = many\n",
+        "[quadrature]\ntol = 1e-12\n",
     ],
 )
 def test_bad_config_exits_two(capsys, tmp_path, body):

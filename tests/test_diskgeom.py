@@ -97,6 +97,15 @@ def test_validate_rejects_constant_outside_disk(grid6):
         validate_self_map(analytic("z+1"), grid6)
 
 
+@pytest.mark.parametrize("source, modulus", [("2", 2.0), ("1", 1.0), ("i", 1.0)])
+def test_validate_rejects_constant_map_off_the_disk(grid6, source, modulus):
+    # a constant expression evaluates to one scalar for the whole grid
+    with pytest.raises(NotASelfMap) as excinfo:
+        validate_self_map(analytic(source), grid6)
+    assert excinfo.value.witness == grid6.points[0]
+    assert excinfo.value.modulus == modulus
+
+
 def test_validate_rejects_map_that_is_nan_on_the_grid(default_grid):
     # 0 * exp(800 z) is 0 * inf = NaN wherever exp overflows (Re z > ~0.89)
     fn = analytic("z/2 + 0*exp(800*z)")

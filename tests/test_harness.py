@@ -4,14 +4,13 @@ import collections
 import csv
 import io
 import json
+import re
 
-import numpy as np
 import pytest
 
 from blochlab import (
     AUTOMORPHISM_PANEL,
     BLOCH_F_CORPUS,
-    CaseResult,
     ExperimentSpec,
     G_CORPUS,
     HINF_F_CORPUS,
@@ -108,6 +107,30 @@ def test_spec_validation_rejects(overrides):
         _spec(**overrides)
 
 
+_GOOD_SPEC = {"phi": ["z/2"], "g": ["z"], "theorems": ["T3.1"]}
+
+
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        (["z/2"], "JSON object"),
+        ({"g": ["z"], "theorems": ["T3.1"]}, "'phi'"),
+        ({"phi": ["z/2"], "theorems": ["T3.1"]}, "'g'"),
+        ({"phi": ["z/2"], "g": ["z"]}, "'theorems'"),
+        (dict(_GOOD_SPEC, phi="z/2"), "'phi'"),
+        (dict(_GOOD_SPEC, g=["z", 2]), "'g'"),
+        (dict(_GOOD_SPEC, theorems="T3.1"), "'theorems'"),
+        (dict(_GOOD_SPEC, grid=[5, 64]), "'grid'"),
+        (dict(_GOOD_SPEC, thresholds=1e-2), "'thresholds'"),
+        (dict(_GOOD_SPEC, grid={"max_shell": None}), "grid.max_shell"),
+        (dict(_GOOD_SPEC, thresholds={"compact_tol": "small"}), "thresholds.compact_tol"),
+    ],
+)
+def test_spec_from_dict_names_the_malformed_key(data, key):
+    with pytest.raises(ValueError, match=re.escape(key)):
+        ExperimentSpec.from_dict(data)
+
+
 # --------------------------------------------------------------------------
 # classification runs
 
@@ -170,7 +193,7 @@ def test_json_renders_floats_at_full_precision():
 
 def test_json_report_parses_back(small_report):
     payload = json.loads(to_json(small_report.to_dict()))
-    assert payload["schema"]
+    assert payload["schema"] == 1
     assert len(payload["cases"]) == 4
     assert payload["config"]["grid"]["max_shell"] == 5
 
