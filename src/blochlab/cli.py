@@ -4,9 +4,9 @@ Exit codes follow the usual triage convention: 0 when everything the
 invocation asserted holds, 1 when a computation ran but produced failures
 (failed verification checks, per-case sweep errors, a hypothesis check that
 rejects the symbol), and 2 for usage errors (bad flags, unparsable
-expressions, maps that are not disk self-maps, unreadable files).  All error
-text goes to stderr prefixed with ``blochlab: error:`` so callers can grep
-for it.
+expressions, maps that are not disk self-maps, functions or derivatives that
+are not finite at a grid point, unreadable files).  All error text goes to
+stderr prefixed with ``blochlab: error:`` so callers can grep for it.
 
 An optional INI config file (``--config`` or the BLOCHLAB_CONFIG environment
 variable, see :mod:`blochlab.config`) supplies default grid resolution and
@@ -29,7 +29,7 @@ from .criteria import (
     classify,
     evaluate_criterion,
 )
-from .diskgeom import NotASelfMap, make_grid, validate_self_map
+from .diskgeom import NotASelfMap, NotFiniteOnGrid, make_grid, validate_self_map, validate_symbol
 from .exprdsl import ExprError, analytic
 from .harness import ExperimentSpec, run_classification, to_csv, to_json
 from .operators import OperatorKind, bloch_seminorm, commutator_seminorm, hinf_norm
@@ -84,6 +84,13 @@ def _analytic(source: str):
         raise UsageError(f"cannot parse {source!r}: {exc}") from exc
 
 
+def _symbol(source: str, grid):
+    try:
+        return validate_symbol(_analytic(source), grid)
+    except NotFiniteOnGrid as exc:
+        raise UsageError(f"{source!r}: {exc}") from exc
+
+
 def _self_map(source: str, grid):
     try:
         return validate_self_map(_analytic(source), grid)
@@ -111,7 +118,7 @@ def _print_report(report, as_json: bool) -> None:
 
 def _cmd_seminorm(args, config) -> int:
     grid = _grid_for(args, config)
-    est = bloch_seminorm(_analytic(args.f), grid)
+    est = bloch_seminorm(_symbol(args.f, grid), grid)
     print(f"bloch seminorm estimate {est.value:.17g} "
           f"(attained near z = {_fmt_complex(est.arg)})")
     return 0
@@ -119,7 +126,7 @@ def _cmd_seminorm(args, config) -> int:
 
 def _cmd_hinf(args, config) -> int:
     grid = _grid_for(args, config)
-    est = hinf_norm(_analytic(args.f), grid)
+    est = hinf_norm(_symbol(args.f, grid), grid)
     print(f"sup norm estimate {est.value:.17g} "
           f"(attained near z = {_fmt_complex(est.arg)})")
     return 0
@@ -131,7 +138,7 @@ def _cmd_criterion(args, config) -> int:
     phi = _self_map(args.phi, grid) if args.phi is not None else None
     if phi is None and kind in PHI_BOUNDARY_KINDS:
         raise UsageError(f"criterion {args.kind} needs --phi")
-    g = _analytic(args.g)
+    g = _symbol(args.g, grid)
     try:
         report = evaluate_criterion(kind, phi, g, grid)
     except ValueError as exc:
@@ -150,7 +157,7 @@ def _cmd_classify(args, config) -> int:
     phi = _self_map(args.phi, grid) if args.phi is not None else None
     if spec.needs_phi and phi is None:
         raise UsageError(f"{args.thm} requires --phi")
-    g = _analytic(args.g)
+    g = _symbol(args.g, grid)
     try:
         verdict = classify(args.thm, phi, g, grid, config.thresholds)
     except PreconditionFailed as exc:
@@ -172,7 +179,7 @@ def _cmd_commutator(args, config) -> int:
     grid = _grid_for(args, config)
     phi = _self_map(args.phi, grid)
     est = commutator_seminorm(
-        _COMMUTATORS[args.kind], phi, _analytic(args.g), _analytic(args.f), grid
+        _COMMUTATORS[args.kind], phi, _symbol(args.g, grid), _symbol(args.f, grid), grid
     )
     print(f"commutator-{args.kind} seminorm estimate {est.value:.17g} "
           f"(attained near z = {_fmt_complex(est.arg)})")

@@ -13,10 +13,11 @@ holomorphic symbol::
 boundary *limit* condition, the second as a *sup* condition equivalent to
 ``J_g`` being bounded on the Bloch space.)
 
-A :class:`FieldSet` samples each field of a pair ``(phi, g)`` at most once
-and buckets it into exponential boundary shells of the relevant limit
-variable — ``|phi(z)|`` for the phi-boundary criteria, ``|z|`` otherwise —
-estimating ``sup`` as the grid max and ``limsup`` as the max over the last
+A :class:`FieldSet` samples ``phi``, ``phi'``, ``g``, ``g'``, ``g o phi`` and
+``g' o phi`` over the grid once per pair, computes every field from those
+samples, and reduces each field over exponential boundary shells of the
+relevant limit variable — ``|phi(z)|`` for the phi-boundary criteria, ``|z|``
+otherwise, each shell one contiguous segment — estimating ``sup`` as the grid max and ``limsup`` as the max over the last
 three nonempty shells.  When the sampled sup of ``|phi|`` stays away from 1
 the limit set ``|phi(z)| -> 1`` is empty and limit conditions hold vacuously.
 
@@ -36,7 +37,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .diskgeom import DiskGrid, SelfMap, schwarz_derivative, shell_for_modulus, shell_maxima
+from .diskgeom import (
+    DiskGrid,
+    SelfMap,
+    ShellSegments,
+    shell_for_modulus,
+    shell_maxima,
+    shell_segments,
+)
 
 ONE_SIDED_NOTE = "sampled maxima are lower bounds of true suprema"
 
@@ -150,75 +158,128 @@ class Verdict:
 # pointwise fields
 
 
+#: Fields of the symbol alone, read by the hypothesis checks and membership.
+_SUP_NORM, _BLOCH = "|g|", "(1-|z|^2)|g'|"
+
+
+class _Samples:
+    """The primitives of one pair ``(phi, g)`` at the points ``z``, each taken on first use.
+
+    Every field is a formula over these samples, so ``phi``, ``phi'``,
+    ``g``, ``g'``, ``g o phi`` and ``g' o phi`` are each evaluated once.
+    """
+
+    def __init__(self, phi, g, z: np.ndarray):
+        self.phi, self.g, self.z = phi, g, z
+
+    @cached_property
+    def one_minus(self):
+        return 1.0 - np.abs(self.z) ** 2
+
+    @cached_property
+    def w(self):
+        return np.asarray(self.phi(self.z), dtype=complex)
+
+    @cached_property
+    def one_minus_w(self):
+        return 1.0 - np.abs(self.w) ** 2
+
+    @cached_property
+    def dphi(self):
+        return self.phi.deriv(self.z)
+
+    @cached_property
+    def g_z(self):
+        return self.g(self.z)
+
+    @cached_property
+    def dg_z(self):
+        return self.g.deriv(self.z)
+
+    @cached_property
+    def g_w(self):
+        return self.g(self.w)
+
+    @cached_property
+    def dg_w(self):
+        return self.g.deriv(self.w)
+
+    @cached_property
+    def _kj(self):
+        return self.one_minus * np.abs(self.dg_w * self.dphi - self.dg_z)
+
+    @cached_property
+    def _bloch(self):
+        return self.one_minus * np.abs(self.dg_z)
+
+    def field(self, kind: CriterionKind | str):
+        """The field ``kind`` at the points, from the samples (not broadcast)."""
+        if kind in PHI_BOUNDARY_KINDS and self.phi is None:
+            raise ValueError(f"criterion {kind.value} requires a self-map")
+        if kind is CriterionKind.KI:
+            # |phi#(z)| with phi#(z) = (1-|z|^2) / (1-|phi(z)|^2) * phi'(z)
+            return np.abs(self.one_minus / self.one_minus_w * self.dphi) * np.abs(self.g_w - self.g_z)
+        if kind is CriterionKind.KJ:
+            return self._kj
+        if kind is CriterionKind.KJLOG:
+            return self._kj * np.log(2.0 / self.one_minus_w)
+        if kind == _SUP_NORM:
+            return np.abs(self.g_z)
+        if kind == _BLOCH:
+            return self._bloch
+        if kind in (CriterionKind.LG, CriterionKind.LG_LOG_BOUNDEDNESS):
+            return self._bloch * np.log(2.0 / self.one_minus)
+        raise ValueError(f"unknown field {kind!r}")
+
+
 def criterion_value(kind: CriterionKind, phi, g, z):
     """Pointwise criterion value; vectorized over ``z`` arrays."""
     zs = np.asarray(z, dtype=complex)
-    one_minus = 1.0 - np.abs(zs) ** 2
-    if kind in PHI_BOUNDARY_KINDS:
-        if phi is None:
-            raise ValueError(f"criterion {kind.value} requires a self-map")
-        w = np.asarray(phi(zs), dtype=complex)
-        if kind is CriterionKind.KI:
-            out = np.abs(schwarz_derivative(phi, zs)) * np.abs(g(w) - g(zs))
-        else:
-            kj = one_minus * np.abs(g.deriv(w) * phi.deriv(zs) - g.deriv(zs))
-            if kind is CriterionKind.KJ:
-                out = kj
-            else:
-                out = kj * np.log(2.0 / (1.0 - np.abs(w) ** 2))
-    else:
-        out = one_minus * np.abs(g.deriv(zs)) * np.log(2.0 / one_minus)
-    out = np.broadcast_to(np.asarray(out, dtype=float), zs.shape)
+    out = np.broadcast_to(np.asarray(_Samples(phi, g, zs).field(kind), dtype=float), zs.shape)
     return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
-#: Fields of the symbol alone, read by the hypothesis checks and membership.
-_SUP_NORM, _BLOCH = "|g|", "(1-|z|^2)|g'|"
-_SYMBOL_FIELDS = {
-    _SUP_NORM: lambda g, z: np.abs(g(z)),
-    _BLOCH: lambda g, z: (1.0 - np.abs(z) ** 2) * np.abs(g.deriv(z)),
-}
+class FieldSet(_Samples):
+    """The fields of one pair ``(phi, g)`` on one grid, sampled on first use.
 
-
-class FieldSet:
-    """The fields of one pair ``(phi, g)`` on one grid, each sampled on first use.
-
-    ``Lg`` and ``LgLogBoundedness`` share one field.  Hold one set per pair
-    and drop it before the next.
+    The samples of ``phi`` and ``g`` are shared by every field, each field
+    and each report is computed once, and the ``|phi(z)|`` shells are sorted
+    once.  Hold one set per pair and drop it before the next.
     """
 
     def __init__(self, phi, g, grid: DiskGrid):
-        self.phi, self.g, self.grid = phi, g, grid
+        super().__init__(phi, g, grid.points)
+        self.grid = grid
         self._values: dict = {}
+        self._reports: dict = {}
 
     def values(self, kind: CriterionKind | str) -> np.ndarray:
         key = CriterionKind.LG if kind is CriterionKind.LG_LOG_BOUNDEDNESS else kind
         if key not in self._values:
-            pts = self.grid.points
-            if isinstance(key, CriterionKind):
-                out = criterion_value(key, self.phi, self.g, pts)
-            else:
-                out = _SYMBOL_FIELDS[key](self.g, pts)
-            self._values[key] = np.broadcast_to(out, pts.shape)
+            out = np.asarray(self.field(key), dtype=float)
+            self._values[key] = np.broadcast_to(out, self.z.shape)
         return self._values[key]
 
     @cached_property
-    def _phi_shells(self) -> tuple[np.ndarray, float]:
-        """``|phi(z)|`` shell indices and the sup of ``|phi|`` that decides vacuity."""
-        pts = self.grid.points
-        moduli = np.abs(np.broadcast_to(np.asarray(self.phi(pts)), pts.shape))
+    def _phi_shells(self) -> tuple[ShellSegments, float]:
+        """``|phi(z)|`` shell segments and the sup of ``|phi|`` that decides vacuity."""
+        moduli = np.abs(np.broadcast_to(self.w, self.z.shape))
         sup = self.phi.sup_modulus_estimate if isinstance(self.phi, SelfMap) else float(moduli.max())
-        return shell_for_modulus(moduli, self.grid.max_shell), sup
+        max_shell = self.grid.max_shell
+        return shell_segments(shell_for_modulus(moduli, max_shell), max_shell), sup
 
     def report(self, kind: CriterionKind | str, bucket_by: str) -> CriterionReport:
         """The field reduced over shells of ``|phi(z)|`` (``"phi"``) or ``|z|`` (``"z"``)."""
+        key = (kind, bucket_by)
+        if key in self._reports:
+            return self._reports[key]
         values, grid = self.values(kind), self.grid
         # the |z| -> 1 limit set is never empty, so only |phi| buckets carry a sup
-        shells, sup_modulus = self._phi_shells if bucket_by == "phi" else (grid.shell_index, None)
-        shell_sups = shell_maxima(values, shells, grid.max_shell)
+        segments, sup_modulus = self._phi_shells if bucket_by == "phi" else (grid.segments, None)
+        shell_sups = shell_maxima(values, segments)
         vacuous = sup_modulus is not None and sup_modulus < 1.0 - 2.0 ** (-grid.max_shell)
         j = int(np.argmax(values))
-        return CriterionReport(
+        self._reports[key] = CriterionReport(
             kind=kind,
             sup_value=float(values[j]),
             arg_sup=complex(grid.points[j]),
@@ -227,6 +288,7 @@ class FieldSet:
             vacuous_boundary=vacuous,
             bucket_by=bucket_by,
         )
+        return self._reports[key]
 
 
 def evaluate_criterion(

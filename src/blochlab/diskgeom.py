@@ -21,6 +21,15 @@ DEFAULT_MAX_SHELL = 14
 DEFAULT_BASE_ANGULAR = 64
 
 
+class NotFiniteOnGrid(ValueError):
+    """A function or its derivative is not finite at a grid point; carries the point."""
+
+    def __init__(self, what: str, witness: complex, value: complex):
+        super().__init__(f"{what}(z) = {value} is not finite at the grid point z = {witness}")
+        self.witness = witness
+        self.value = value
+
+
 class NotASelfMap(ValueError):
     """The candidate map leaves the unit disk; carries a witness point."""
 
@@ -48,12 +57,36 @@ def shell_for_modulus(m, max_shell: int):
     return out if out.ndim else int(out)
 
 
-def shell_maxima(values: np.ndarray, shells: np.ndarray, max_shell: int):
-    """``(shell, max of values in it)`` for each nonempty shell, by shell index."""
-    maxima = np.full(max_shell + 1, -np.inf)
-    np.maximum.at(maxima, shells, values)
-    nonempty = np.bincount(shells, minlength=max_shell + 1) > 0
-    return tuple((int(k), float(maxima[k])) for k in np.flatnonzero(nonempty))
+@dataclass(frozen=True, eq=False)
+class ShellSegments:
+    """Points grouped so that each nonempty shell is one contiguous slice.
+
+    ``order`` is a stable permutation that sorts the points by shell (``None``
+    when they already are), ``starts`` the offset of each nonempty shell in
+    that order and ``shells`` its index.
+    """
+
+    order: np.ndarray | None
+    starts: np.ndarray
+    shells: tuple[int, ...]
+
+
+def shell_segments(shells: np.ndarray, max_shell: int) -> ShellSegments:
+    """Segments of the per-point shell indices ``shells`` (one stable sort)."""
+    counts = np.bincount(shells, minlength=max_shell + 1)
+    nonempty = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[nonempty]
+    return ShellSegments(np.argsort(shells, kind="stable"), starts, tuple(nonempty.tolist()))
+
+
+def shell_maxima(values: np.ndarray, segments: ShellSegments):
+    """``(shell, max of values in it)`` for each nonempty shell, by shell index.
+
+    NaN propagates: a shell holding a NaN sample has a NaN max.
+    """
+    if segments.order is not None:
+        values = values[segments.order]
+    return tuple(zip(segments.shells, np.maximum.reduceat(values, segments.starts).tolist()))
 
 
 @dataclass(eq=False)
@@ -77,9 +110,15 @@ class DiskGrid:
     def radii(self) -> tuple[float, ...]:
         return tuple(shell_radius(k) for k in range(self.max_shell + 1))
 
+    @cached_property
+    def segments(self) -> ShellSegments:
+        """The ``|z|`` shells: the grid is shell-major, so no reordering."""
+        starts = np.cumsum((0,) + self.angular_counts[:-1])
+        return ShellSegments(None, starts, tuple(range(self.max_shell + 1)))
+
     def shells(self) -> list[np.ndarray]:
         """Per-shell views of :attr:`points`."""
-        return np.split(self.points, np.cumsum(self.angular_counts)[:-1])
+        return np.split(self.points, self.segments.starts[1:])
 
     def __repr__(self) -> str:
         return f"DiskGrid(max_shell={self.max_shell}, base_angular={self.base_angular}, size={self.size})"
@@ -168,6 +207,22 @@ def validate_self_map(fn: AnalyticFn, grid: DiskGrid) -> SelfMap:
     margin = 2.0 ** (-(grid.max_shell + 1))
     est = min(1.0, float(moduli.max()) + margin)
     return SelfMap(fn, est, _syntactic_automorphism(fn.expr))
+
+
+def validate_symbol(fn: AnalyticFn, grid: DiskGrid) -> AnalyticFn:
+    """Check that ``fn`` and ``fn'`` are finite at every grid point and return ``fn``.
+
+    Raises :class:`NotFiniteOnGrid` with the first offending point, value first.
+    """
+    pts = grid.points
+    for what, evaluate_at in (("f", fn), ("f'", fn.deriv)):
+        with np.errstate(all="ignore"):
+            values = np.broadcast_to(np.asarray(evaluate_at(pts)), pts.shape)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            j = int(bad[0])
+            raise NotFiniteOnGrid(what, complex(pts[j]), complex(values[j]))
+    return fn
 
 
 def schwarz_derivative(phi, z):

@@ -11,8 +11,14 @@ trend is still visible at shell resolution.
 Reports are plain dicts rendered by a small deterministic JSON emitter that
 writes every real with 17 significant digits (the stdlib encoder's shortest
 round-trip floats would be non-lossy too, but the fixed format makes byte
-identity across runs trivial to check).  CSV output is reserved for sweep
-results, one row per (phi, g, theorem) case.
+identity across runs trivial to check).  The emitter looks each value's exact
+type up in a table of scalar renderers and walks only dicts, lists and tuples;
+a subclass (``np.float64`` is a float) renders as its base type and any other
+value as its quoted ``str``.  Each string key is quoted once per call.  CSV
+output is reserved for sweep results, one row per (phi, g, theorem) case.
+
+A symbol whose value or derivative is not finite at a grid point is a per-case
+error of every case that uses it, as a map that leaves the disk is.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -47,11 +54,13 @@ from .diskgeom import (
     DEFAULT_MAX_SHELL,
     DiskGrid,
     NotASelfMap,
+    NotFiniteOnGrid,
     SelfMap,
     make_grid,
     shell_maxima,
     shell_radius,
     validate_self_map,
+    validate_symbol,
 )
 from .exprdsl import AnalyticFn, ExprError, analytic
 from .series import coeffs_from_samples, recovery_count
@@ -249,8 +258,8 @@ def run_classification(spec: ExperimentSpec) -> SuiteReport:
     symbols: dict[str, AnalyticFn | Exception] = {}
     for src in dict.fromkeys(spec.g_exprs):
         try:
-            symbols[src] = analytic(src)
-        except ExprError as exc:
+            symbols[src] = validate_symbol(analytic(src), grid)
+        except (ExprError, NotFiniteOnGrid) as exc:
             symbols[src] = exc
 
     cases = []
@@ -403,7 +412,7 @@ def hospital_ratio_check(phi: SelfMap, grid: DiskGrid) -> HospitalRatioReport:
     s = abs(complex(phi(0.0)))
     rows = tuple(
         (k, shell_max, 1.0 + hospital_slack(k, s))
-        for k, shell_max in shell_maxima(ratio, grid.shell_index, grid.max_shell)
+        for k, shell_max in shell_maxima(ratio, grid.segments)
     )
     max_excess = max(shell_max - allowed for _, shell_max, allowed in rows)
     return HospitalRatioReport(
@@ -419,44 +428,61 @@ def hospital_ratio_check(phi: SelfMap, grid: DiskGrid) -> HospitalRatioReport:
 # report emission
 
 
-def _render_json(obj, out: list[str], indent: int) -> None:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            out.append(f"{pad}  {json.dumps(str(key))}: ")
-            _render_json(value, out, indent + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(obj):
-            out.append(pad + "  ")
-            _render_json(value, out, indent + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, bool) or obj is None:
-        out.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format(obj, ".17g") if math.isfinite(obj) else json.dumps(obj))
-    else:
-        out.append(json.dumps(str(obj)))
+def _float_text(x: float) -> str:
+    return format(x, ".17g") if math.isfinite(x) else json.dumps(x)
+
+
+#: Text of each exact scalar type; subclasses and other types go to _other_text.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _other_text(obj) -> str:
+    """A subclass of int or float as its base type (``np.float64`` is a float); else ``str`` quoted."""
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    return encode_basestring_ascii(str(obj))
 
 
 def to_json(payload: dict) -> str:
     """Deterministic JSON with every finite real at 17 significant digits."""
-    out: list[str] = []
-    _render_json(payload, out, 0)
-    out.append("\n")
-    return "".join(out)
+    keys: dict[str, str] = {}  # each distinct key is encoded once per call
+    scalar = _SCALAR_TEXT.get
+
+    def text(obj, pad: str) -> str:
+        render = scalar(type(obj))
+        if render is not None:
+            return render(obj)
+        inner = pad + "  "
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            items = []
+            for key, value in obj.items():
+                if type(key) is not str:
+                    key_text = encode_basestring_ascii(str(key)) + ": "
+                elif key in keys:
+                    key_text = keys[key]
+                else:
+                    key_text = keys[key] = encode_basestring_ascii(key) + ": "
+                render = scalar(type(value))
+                items.append(key_text + (render(value) if render else text(value, inner)))
+            return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+        if isinstance(obj, (list, tuple)):
+            if not obj:
+                return "[]"
+            items = [render(v) if (render := scalar(type(v))) else text(v, inner) for v in obj]
+            return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+        return _other_text(obj)
+
+    return text(payload, "") + "\n"
 
 
 CSV_COLUMNS = (

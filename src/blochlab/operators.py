@@ -150,7 +150,14 @@ def _polish_disk_max(field, starts) -> SupEstimate | None:
         r2 = xy[0] * xy[0] + xy[1] * xy[1]
         if r2 >= 1.0 - 1e-12:
             return 1.0 + r2  # push back inside the open disk
-        return -field(complex(xy[0], xy[1]))
+        z = complex(xy[0], xy[1])
+        try:
+            return -field(z)
+        except (ZeroDivisionError, OverflowError):
+            # Python complex arithmetic raises at a pole; numpy's gives inf or
+            # nan there, which the finiteness filter below drops.
+            with np.errstate(all="ignore"):
+                return -field(np.complex128(z))
 
     best: SupEstimate | None = None
     for z0 in starts:

@@ -189,6 +189,13 @@ def test_classify_failed_hypothesis_exits_one(capsys):
         ("classify", "--thm", "T3.1", "--g", "z"),
         ("classify", "--thm", "T9.9", "--phi", "z/2", "--g", "z"),
         ("verify", "--suite", "identities", "--filter", "no_such_check"),
+        # poles and branch points on the grid (0.25 is the first grid point)
+        ("seminorm", "--f", "1/(z-0.25)", "--grid", "5,64"),
+        ("hinf", "--f", "exp(0.5*log(z-0.25))", "--grid", "5,64"),
+        ("criterion", "--kind", "Lg", "--g", "1/(z-0.25)", "--grid", "5,64"),
+        ("classify", "--thm", "T3.1", "--phi", "z/2", "--g", "1/(z-0.25)", "--grid", "5,64"),
+        ("commutator", "--kind", "J", "--phi", "z/2", "--g", "z", "--f", "1/(z-0.25)",
+         "--grid", "5,64"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):

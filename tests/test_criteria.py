@@ -14,11 +14,12 @@ from blochlab import (
     classify,
     criterion_value,
     evaluate_criterion,
+    hospital_ratio_check,
     little_bloch_membership,
     validate_self_map,
 )
 from blochlab.criteria import FieldSet
-from blochlab.diskgeom import SelfMap
+from blochlab.diskgeom import SelfMap, shell_for_modulus, shell_maxima, shell_segments
 
 
 # --------------------------------------------------------------------------
@@ -152,14 +153,30 @@ def _assert_same_reduction(report, expected):
     assert report.boundary_limsup_estimate == limsup
 
 
-# z/2 leaves every |phi| shell past the first empty; z^2/2 is not a SelfMap.
+class _GappedMap:
+    """Not analytic: sends grid shell ``k`` onto ``|phi|`` shell ``2k``, so odd ones stay empty."""
+
+    def __call__(self, z):
+        k = shell_for_modulus(np.abs(z), 64)
+        return (1.0 - 0.75 * 4.0 ** -k) * z / np.abs(z)
+
+    def deriv(self, z):
+        return np.ones_like(z)
+
+
+# z/2 leaves every |phi| shell past the first empty; z^2/2 is not a SelfMap;
+# the gapped map leaves |phi| shells 1, 3, 5 and 7 empty between nonempty ones.
 @pytest.mark.parametrize(
     "phi_src, validated",
-    [("z/2", True), ("mobius(0.5)", True), ("(z+0.3)/2", True), ("z^2/2", False)],
+    [("z/2", True), ("mobius(0.5)", True), ("(z+0.3)/2", True), ("z^2/2", False),
+     ("gapped", False)],
 )
 @pytest.mark.parametrize("bucket_by", ["phi", "z"])
 def test_field_set_matches_per_shell_mask_loop(grid8, phi_src, validated, bucket_by):
-    phi = validate_self_map(analytic(phi_src), grid8) if validated else analytic(phi_src)
+    if phi_src == "gapped":
+        phi = _GappedMap()
+    else:
+        phi = validate_self_map(analytic(phi_src), grid8) if validated else analytic(phi_src)
     g = analytic("log(2/(1-0.9*z))")
     fields = FieldSet(phi, g, grid8)
     for kind in CriterionKind:
@@ -167,6 +184,29 @@ def test_field_set_matches_per_shell_mask_loop(grid8, phi_src, validated, bucket
         expected = _mask_loop_reduction(values, phi, grid8, bucket_by)
         _assert_same_reduction(fields.report(kind, bucket_by), expected)
         _assert_same_reduction(evaluate_criterion(kind, phi, g, grid8, bucket_by), expected)
+
+    # a NaN in one |z| shell and an inf in another reach their shells' maxima
+    pts = grid8.points
+    values = np.linspace(0.0, 1.0, grid8.size)
+    values[np.flatnonzero(grid8.shell_index == 2)[5]] = np.nan
+    values[np.flatnonzero(grid8.shell_index == 6)[0]] = np.inf
+    if bucket_by == "phi":
+        moduli = np.abs(np.broadcast_to(np.asarray(phi(pts)), pts.shape))
+        segments = shell_segments(shell_for_modulus(moduli, grid8.max_shell), grid8.max_shell)
+    else:
+        segments = grid8.segments
+    expected = _mask_loop_reduction(values, phi, grid8, bucket_by)[0]
+    assert repr(shell_maxima(values, segments)) == repr(expected)
+    if bucket_by == "z":
+        assert np.isnan(dict(expected)[2]) and dict(expected)[6] == np.inf
+    elif phi_src == "gapped":
+        assert [k for k, _ in expected] == [0, 2, 4, 6, 8]
+
+    if validated and bucket_by == "z":
+        w = phi(pts)
+        ratio = np.log(2.0 / (1.0 - np.abs(w) ** 2)) / np.log(2.0 / (1.0 - np.abs(pts) ** 2))
+        rows = hospital_ratio_check(phi, grid8).rows
+        assert tuple((k, m) for k, m, _ in rows) == _mask_loop_reduction(ratio, phi, grid8, "z")[0]
 
 
 def test_hypothesis_fields_match_per_shell_mask_loop(grid8, self_map):

@@ -4,12 +4,15 @@ import collections
 import csv
 import io
 import json
+import math
 import re
 
+import numpy as np
 import pytest
 
 from blochlab import (
     AUTOMORPHISM_PANEL,
+    AnalyticFn,
     BLOCH_F_CORPUS,
     ExperimentSpec,
     G_CORPUS,
@@ -30,7 +33,7 @@ from blochlab import (
     to_json,
     validate_self_map,
 )
-from blochlab import criteria
+from blochlab import criteria, harness
 from blochlab.harness import CSV_COLUMNS
 
 
@@ -158,6 +161,17 @@ def test_run_keeps_case_errors_inline(small_report):
     assert good.verdict.conclusion.value == "Bounded"
 
 
+def test_run_records_symbol_not_finite_on_the_grid():
+    # 1/(z-0.25) has its pole on the first grid point; the other symbol still runs
+    spec = _spec(g_exprs=("z", "1/(z-0.25)"), theorem_ids=("T3.1", "T4.9"))
+    by_key = {c.key: c for c in run_classification(spec).cases}
+    bad = by_key[("T3.1", "z/2", "1/(z-0.25)")]
+    assert bad.verdict is None
+    assert bad.error.startswith("g: f(z) = ") and bad.error.endswith("z = (0.25+0j)")
+    assert by_key[("T4.9", "z/2", "1/(z-0.25)")].error == bad.error
+    assert by_key[("T3.1", "z/2", "z")].verdict.conclusion.value == "Bounded"
+
+
 def test_run_sorts_cases_deterministically(small_report):
     keys = [c.key for c in small_report.cases]
     assert keys == sorted(keys)
@@ -189,6 +203,29 @@ def test_json_renders_floats_at_full_precision():
     assert '"x": 0.10000000000000001' in text
     assert '"flag": true' in text
     assert '"nothing": null' in text
+
+
+def test_json_emitter_golden_bytes():
+    payload = {
+        "empty": {"d": {}, "l": []},
+        "tuple": (1, 2.5),
+        "flags": [True, False, None],
+        "int": -7,
+        3: "int key",
+        "floats": [0.1, -0.0, np.float64(0.1), math.nan, math.inf, -math.inf],
+        "text": 'say "hi" \u2013 \u03b6',
+        "other": [1 + 2j, np.int64(5)],
+    }
+    assert to_json(payload) == (
+        '{\n  "empty": {\n    "d": {},\n    "l": []\n  },\n'
+        '  "tuple": [\n    1,\n    2.5\n  ],\n'
+        '  "flags": [\n    true,\n    false,\n    null\n  ],\n'
+        '  "int": -7,\n  "3": "int key",\n'
+        '  "floats": [\n    0.10000000000000001,\n    -0,\n    0.10000000000000001,\n'
+        '    NaN,\n    Infinity,\n    -Infinity\n  ],\n'
+        '  "text": "say \\"hi\\" \\u2013 \\u03b6",\n'
+        '  "other": [\n    "(1+2j)",\n    "5"\n  ]\n}\n'
+    )
 
 
 def test_json_report_parses_back(small_report):
@@ -249,14 +286,26 @@ def test_rotation_average_flags_steep_symbol(default_grid):
 
 
 def test_run_samples_each_formula_at_most_once_per_pair(monkeypatch):
+    """Per pair, one grid evaluation of phi and of phi', at most two of g and of g'."""
     calls = collections.Counter()
-    original = criteria.criterion_value
+    pair = [None]
 
-    def counting(kind, phi, g, z):
-        calls[(phi.source if phi is not None else None, g.source)] += 1
-        return original(kind, phi, g, z)
+    def counting(method, label):
+        def wrapper(self, z):
+            if np.ndim(z) > 0:
+                calls[(pair[0], self.source, label)] += 1
+            return method(self, z)
 
-    monkeypatch.setattr(criteria, "criterion_value", counting)
+        return wrapper
+
+    class PairFields(criteria.FieldSet):
+        def __init__(self, phi, g, grid):
+            pair[0] = (phi.source, g.source)
+            super().__init__(phi, g, grid)
+
+    monkeypatch.setattr(AnalyticFn, "__call__", counting(AnalyticFn.__call__, "f"))
+    monkeypatch.setattr(AnalyticFn, "deriv", counting(AnalyticFn.deriv, "f'"))
+    monkeypatch.setattr(harness, "FieldSet", PairFields)
     spec = ExperimentSpec(
         phi_exprs=("mobius(0.5)", "-mobius(0.7)", "z/2"),
         g_exprs=("1", "z^2", "log(2/(1-0.999*z))", "1/(1-z)"),
@@ -265,10 +314,15 @@ def test_run_samples_each_formula_at_most_once_per_pair(monkeypatch):
     )
     report = run_classification(spec)
     monkeypatch.undo()
-    assert len(calls) == 12
-    assert max(calls.values()) <= 4
+    pairs = {key[0] for key in calls} - {None}
+    assert pairs == {(p, g) for p in spec.phi_exprs for g in spec.g_exprs}
+    for phi_src, g_src in pairs:
+        assert calls[((phi_src, g_src), phi_src, "f")] == 1
+        assert calls[((phi_src, g_src), phi_src, "f'")] == 1
+        assert calls[((phi_src, g_src), g_src, "f")] <= 2
+        assert calls[((phi_src, g_src), g_src, "f'")] <= 2
 
-    # sharing the fields changes no case: each matches a classify of its own
+    # sharing the samples changes no case: each matches a classify of its own
     grid = make_grid(6, 64)
     maps = {p: validate_self_map(analytic(p), grid) for p in spec.phi_exprs}
     for case in report.cases:

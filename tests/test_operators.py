@@ -157,6 +157,13 @@ def test_constant_has_zero_seminorm(grid6):
     assert float(bloch_seminorm(analytic("complex(0.25,-0.5)"), grid6)) == 0.0
 
 
+def test_bloch_seminorm_polish_survives_a_pole_on_the_grid(grid6):
+    # the grid max sits on the pole at 0.25, where the polish starts
+    with np.errstate(all="ignore"):
+        est = bloch_seminorm(analytic("1/(z-0.25)"), grid6)
+    assert est.value == np.inf and est.arg == 0.25
+
+
 def test_hinf_norm_of_identity_hugs_boundary(grid6):
     value = float(hinf_norm(analytic("z"), grid6))
     assert 0.999 <= value <= 1.0 + 1e-12
