@@ -5,7 +5,7 @@ invocation asserted holds, 1 when a computation ran but produced failures
 (failed verification checks, per-case sweep errors, a hypothesis check that
 rejects the symbol), and 2 for usage errors (bad flags, unparsable
 expressions, maps that are not disk self-maps, functions or derivatives that
-are not finite at a grid point, unreadable files).  All error text goes to
+are not finite at a grid point or at the origin, unreadable files).  All error text goes to
 stderr prefixed with ``blochlab: error:`` so callers can grep for it.
 
 An optional INI config file (``--config`` or the BLOCHLAB_CONFIG environment

@@ -45,6 +45,7 @@ from .diskgeom import (
     shell_maxima,
     shell_segments,
 )
+from .operators import PairSamples
 
 ONE_SIDED_NOTE = "sampled maxima are lower bounds of true suprema"
 
@@ -162,51 +163,12 @@ class Verdict:
 _SUP_NORM, _BLOCH = "|g|", "(1-|z|^2)|g'|"
 
 
-class _Samples:
-    """The primitives of one pair ``(phi, g)`` at the points ``z``, each taken on first use.
-
-    Every field is a formula over these samples, so ``phi``, ``phi'``,
-    ``g``, ``g'``, ``g o phi`` and ``g' o phi`` are each evaluated once.
-    """
-
-    def __init__(self, phi, g, z: np.ndarray):
-        self.phi, self.g, self.z = phi, g, z
-
-    @cached_property
-    def one_minus(self):
-        return 1.0 - np.abs(self.z) ** 2
-
-    @cached_property
-    def w(self):
-        return np.asarray(self.phi(self.z), dtype=complex)
-
-    @cached_property
-    def one_minus_w(self):
-        return 1.0 - np.abs(self.w) ** 2
-
-    @cached_property
-    def dphi(self):
-        return self.phi.deriv(self.z)
-
-    @cached_property
-    def g_z(self):
-        return self.g(self.z)
-
-    @cached_property
-    def dg_z(self):
-        return self.g.deriv(self.z)
-
-    @cached_property
-    def g_w(self):
-        return self.g(self.w)
-
-    @cached_property
-    def dg_w(self):
-        return self.g.deriv(self.w)
+class _Samples(PairSamples):
+    """The pair's primitive samples at the points ``z`` and the fields over them."""
 
     @cached_property
     def _kj(self):
-        return self.one_minus * np.abs(self.dg_w * self.dphi - self.dg_z)
+        return self.one_minus * np.abs(self.dg_jump)
 
     @cached_property
     def _bloch(self):
@@ -218,7 +180,7 @@ class _Samples:
             raise ValueError(f"criterion {kind.value} requires a self-map")
         if kind is CriterionKind.KI:
             # |phi#(z)| with phi#(z) = (1-|z|^2) / (1-|phi(z)|^2) * phi'(z)
-            return np.abs(self.one_minus / self.one_minus_w * self.dphi) * np.abs(self.g_w - self.g_z)
+            return np.abs(self.one_minus / self.one_minus_w * self.dphi) * np.abs(self.g_jump)
         if kind is CriterionKind.KJ:
             return self._kj
         if kind is CriterionKind.KJLOG:
@@ -244,7 +206,8 @@ class FieldSet(_Samples):
 
     The samples of ``phi`` and ``g`` are shared by every field, each field
     and each report is computed once, and the ``|phi(z)|`` shells are sorted
-    once.  Hold one set per pair and drop it before the next.
+    once.  Hold one set per pair and drop it before the next; pass it as
+    ``fields`` to ``commutator_seminorm`` to share it across test functions.
     """
 
     def __init__(self, phi, g, grid: DiskGrid):

@@ -22,10 +22,14 @@ DEFAULT_BASE_ANGULAR = 64
 
 
 class NotFiniteOnGrid(ValueError):
-    """A function or its derivative is not finite at a grid point; carries the point."""
+    """A function or its derivative is not finite at a grid point or the origin.
+
+    Carries the point and the value.
+    """
 
     def __init__(self, what: str, witness: complex, value: complex):
-        super().__init__(f"{what}(z) = {value} is not finite at the grid point z = {witness}")
+        place = "the origin" if witness == 0 else "the grid point"
+        super().__init__(f"{what}(z) = {value} is not finite at {place} z = {witness}")
         self.witness = witness
         self.value = value
 
@@ -210,11 +214,15 @@ def validate_self_map(fn: AnalyticFn, grid: DiskGrid) -> SelfMap:
 
 
 def validate_symbol(fn: AnalyticFn, grid: DiskGrid) -> AnalyticFn:
-    """Check that ``fn`` and ``fn'`` are finite at every grid point and return ``fn``.
+    """Check that ``fn`` and ``fn'`` are finite at the origin and every grid point; return ``fn``.
 
-    Raises :class:`NotFiniteOnGrid` with the first offending point, value first.
+    The origin is no grid point, but ``bloch_norm`` reads ``f(0)``: ``log(z)``
+    is finite on the whole grid and singular there.  The origin is evaluated
+    with the grid, through the array path, because Python complex division
+    raises at a pole where numpy gives inf.  Raises :class:`NotFiniteOnGrid`
+    with the first offending point (the origin first), value before derivative.
     """
-    pts = grid.points
+    pts = np.concatenate(([0j], grid.points))
     for what, evaluate_at in (("f", fn), ("f'", fn.deriv)):
         with np.errstate(all="ignore"):
             values = np.broadcast_to(np.asarray(evaluate_at(pts)), pts.shape)

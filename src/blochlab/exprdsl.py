@@ -575,12 +575,17 @@ class AnalyticFn:
 
     ``f(z)`` evaluates the function, ``f.deriv(z)`` its exact symbolic
     derivative; both accept scalars or numpy arrays.  ``source`` is the text
-    the function was parsed from (or a canonical rendering).
+    the function was parsed from, or a canonical rendering made on first read.
     """
 
     def __init__(self, expr: Expr, source: str | None = None):
         self.expr = expr
-        self.source = source if source is not None else print_expr(expr)
+        if source is not None:
+            self.source = source
+
+    @cached_property
+    def source(self) -> str:
+        return print_expr(self.expr)
 
     @cached_property
     def derivative(self) -> "AnalyticFn":

@@ -17,8 +17,9 @@ a subclass (``np.float64`` is a float) renders as its base type and any other
 value as its quoted ``str``.  Each string key is quoted once per call.  CSV
 output is reserved for sweep results, one row per (phi, g, theorem) case.
 
-A symbol whose value or derivative is not finite at a grid point is a per-case
-error of every case that uses it, as a map that leaves the disk is.
+A symbol whose value or derivative is not finite at a grid point or at the
+origin is a per-case error of every case that uses it, as a map that leaves
+the disk is.
 """
 
 from __future__ import annotations

@@ -23,12 +23,22 @@ circle just inside the boundary (radius ``1 - 2**-(max_shell+7)``), where the
 maximum modulus principle puts the sup for functions analytic up to the
 boundary.  ``commutator_seminorm`` and criterion suprema stay pure grid maxima
 so that grid refinement is exactly monotone.
+
+:class:`PairSamples` holds the grid samples of one pair ``(phi, g)``: ``phi``,
+``phi'``, ``g``, ``g'``, ``g o phi`` and ``g' o phi``, each taken on first use.
+``criteria.FieldSet`` extends it with the criterion fields.
+``commutator_seminorm(kind, phi, g, f, grid, fields=None)`` reads the pair's
+samples from ``fields`` when given one (a ``FieldSet`` or ``PairSamples`` of
+the same ``phi``, ``g`` and grid) and evaluates only ``f'(phi(z))`` (I) or
+``f(phi(z))`` (J) itself, so many test functions ``f`` share one sampling of
+the pair.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
@@ -120,6 +130,61 @@ def commutator_derivative(kind: OperatorKind, phi, g, f, z):
     if kind is OperatorKind.COMMUTATOR_J:
         return f(w) * (g.deriv(w) * phi.deriv(z) - g.deriv(z))
     raise ValueError(f"kind must be a commutator kind, got {kind}")
+
+
+class PairSamples:
+    """The primitives of one pair ``(phi, g)`` at the points ``z``, each taken on first use.
+
+    The criterion fields and the commutator derivatives are formulas over
+    these samples, so ``phi``, ``phi'``, ``g``, ``g'``, ``g o phi`` and
+    ``g' o phi`` are each evaluated once however many fields or test
+    functions read them.
+    """
+
+    def __init__(self, phi, g, z: np.ndarray):
+        self.phi, self.g, self.z = phi, g, z
+
+    @cached_property
+    def one_minus(self):
+        return 1.0 - np.abs(self.z) ** 2
+
+    @cached_property
+    def w(self):
+        return np.asarray(self.phi(self.z), dtype=complex)
+
+    @cached_property
+    def one_minus_w(self):
+        return 1.0 - np.abs(self.w) ** 2
+
+    @cached_property
+    def dphi(self):
+        return self.phi.deriv(self.z)
+
+    @cached_property
+    def g_z(self):
+        return self.g(self.z)
+
+    @cached_property
+    def dg_z(self):
+        return self.g.deriv(self.z)
+
+    @cached_property
+    def g_w(self):
+        return self.g(self.w)
+
+    @cached_property
+    def dg_w(self):
+        return self.g.deriv(self.w)
+
+    @cached_property
+    def g_jump(self):
+        """``g(phi(z)) - g(z)``, the I-type factor."""
+        return self.g_w - self.g_z
+
+    @cached_property
+    def dg_jump(self):
+        """``g'(phi(z)) phi'(z) - g'(z)``, the J-type factor."""
+        return self.dg_w * self.dphi - self.dg_z
 
 
 # --------------------------------------------------------------------------
@@ -217,9 +282,22 @@ def hinf_norm(f, grid: DiskGrid) -> SupEstimate:
     return max(cand, key=lambda s: s.value)
 
 
-def commutator_seminorm(kind: OperatorKind, phi, g, f, grid: DiskGrid) -> SupEstimate:
-    """Grid max of ``(1 - |z|^2) |d/dz commutator|`` (pure grid, no polish)."""
-    pts = grid.points
-    d = np.broadcast_to(np.asarray(commutator_derivative(kind, phi, g, f, pts)), pts.shape)
-    vals = (1.0 - np.abs(pts) ** 2) * np.abs(d)
-    return _grid_max(vals, pts)
+def commutator_seminorm(
+    kind: OperatorKind, phi, g, f, grid: DiskGrid, fields: PairSamples | None = None
+) -> SupEstimate:
+    """Grid max of ``(1 - |z|^2) |d/dz commutator|`` (pure grid, no polish).
+
+    ``fields`` holds the samples of ``(phi, g)`` on ``grid``; without it the
+    pair is sampled here.  Either way only ``f`` is evaluated per call.
+    """
+    s = PairSamples(phi, g, grid.points) if fields is None else fields
+    if s.phi is not phi or s.g is not g or s.z is not grid.points:
+        raise ValueError("fields were sampled for another (phi, g) pair or grid")
+    if kind is OperatorKind.COMMUTATOR_I:
+        d = s.dphi * f.deriv(s.w) * s.g_jump
+    elif kind is OperatorKind.COMMUTATOR_J:
+        d = f(s.w) * s.dg_jump
+    else:
+        raise ValueError(f"kind must be a commutator kind, got {kind}")
+    vals = s.one_minus * np.abs(np.broadcast_to(d, s.z.shape))
+    return _grid_max(vals, s.z)

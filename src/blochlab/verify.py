@@ -27,11 +27,12 @@ import numpy as np
 from .criteria import (
     Conclusion,
     CriterionKind,
+    FieldSet,
     Membership,
     THEOREMS,
     classify,
     criterion_value,
-    evaluate_criterion,
+    evaluate_criterion,  # noqa: F401  (bench/tests patch verify.evaluate_criterion)
     little_bloch_membership,
 )
 from .diskgeom import (
@@ -508,10 +509,13 @@ def _chain_bound_I():
         phi = _self_map(phi_src)
         for g_src in G_CORPUS:
             g = _fn(g_src)
-            sup_ki = evaluate_criterion(CriterionKind.KI, phi, g, grid).sup_value
+            fields = FieldSet(phi, g, grid)
+            sup_ki = fields.report(CriterionKind.KI, "phi").sup_value
             for f_src in BLOCH_F_CORPUS:
                 lhs = float(
-                    commutator_seminorm(OperatorKind.COMMUTATOR_I, phi, g, _fn(f_src), grid)
+                    commutator_seminorm(
+                        OperatorKind.COMMUTATOR_I, phi, g, _fn(f_src), grid, fields=fields
+                    )
                 )
                 rhs = sup_ki * _bloch(f_src) + CHAIN_TOL
                 margin = rhs - lhs
@@ -536,10 +540,13 @@ def _chain_bound_J():
         phi = _self_map(phi_src)
         for g_src in G_CORPUS:
             g = _fn(g_src)
-            sup_kj = evaluate_criterion(CriterionKind.KJ, phi, g, grid).sup_value
+            fields = FieldSet(phi, g, grid)
+            sup_kj = fields.report(CriterionKind.KJ, "phi").sup_value
             for f_src in HINF_F_CORPUS:
                 lhs = float(
-                    commutator_seminorm(OperatorKind.COMMUTATOR_J, phi, g, _fn(f_src), grid)
+                    commutator_seminorm(
+                        OperatorKind.COMMUTATOR_J, phi, g, _fn(f_src), grid, fields=fields
+                    )
                 )
                 rhs = sup_kj * _hinf(f_src) + CHAIN_TOL
                 margin = rhs - lhs
@@ -571,6 +578,7 @@ def _necessity_peak_lower_bound():
         witnesses = witnesses[::stride]
         for g_src in G_CORPUS:
             g = _fn(g_src)
+            fields = FieldSet(phi, g, grid)
             ki = np.broadcast_to(
                 np.asarray(criterion_value(CriterionKind.KI, phi, g, witnesses)),
                 witnesses.shape,
@@ -579,7 +587,9 @@ def _necessity_peak_lower_bound():
                 a = complex(phi(complex(w)))
                 peak = make_test_fn(PeakH(a))
                 lhs = float(
-                    commutator_seminorm(OperatorKind.COMMUTATOR_I, phi, g, peak, grid)
+                    commutator_seminorm(
+                        OperatorKind.COMMUTATOR_I, phi, g, peak, grid, fields=fields
+                    )
                 )
                 rhs = abs(a) * float(ki_w) - NECESSITY_TOL
                 margin = lhs - rhs
@@ -819,14 +829,17 @@ def _bounded_implies_chain():
         phi = _self_map(phi_src, 8)
         for g_src in G_CORPUS:
             g = _fn(g_src)
-            verdict = classify("T3.1", phi, g, grid)
+            fields = FieldSet(phi, g, grid)
+            verdict = classify("T3.1", phi, g, grid, fields=fields)
             if verdict.conclusion is not Conclusion.BOUNDED:
                 continue
             bounded_cases += 1
             sup_ki = _main_report(verdict, "T3.1").sup_value
             for f_src in BLOCH_F_CORPUS:
                 f = _fn(f_src)
-                lhs = float(commutator_seminorm(OperatorKind.COMMUTATOR_I, phi, g, f, grid))
+                lhs = float(
+                    commutator_seminorm(OperatorKind.COMMUTATOR_I, phi, g, f, grid, fields=fields)
+                )
                 margin = sup_ki * _bloch(f_src) + CHAIN_TOL - lhs
                 min_margin = min(min_margin, margin)
                 violations += margin < 0

@@ -196,12 +196,16 @@ def test_classify_failed_hypothesis_exits_one(capsys):
         ("classify", "--thm", "T3.1", "--phi", "z/2", "--g", "1/(z-0.25)", "--grid", "5,64"),
         ("commutator", "--kind", "J", "--phi", "z/2", "--g", "z", "--f", "1/(z-0.25)",
          "--grid", "5,64"),
+        # finite on the grid, but singular at the origin, where the Bloch norm reads f(0)
+        ("classify", "--thm", "T3.1", "--phi", "z/2", "--g", "log(z)", "--grid", "5,64"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert code == 2
     assert err.startswith("blochlab: error:")
+    if "log(z)" in argv:
+        assert "is not finite at the origin z = 0j" in err
 
 
 def test_unknown_flag_exits_two(capsys):

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blochlab import ExprError, ROUNDTRIP_CORPUS, analytic
+from blochlab import (
+    AnalyticFn,
+    ExprError,
+    PeakH,
+    ROUNDTRIP_CORPUS,
+    analytic,
+    exprdsl,
+    make_test_fn,
+)
 from blochlab.exprdsl import evaluate, parse, print_expr
 
 
@@ -133,6 +141,27 @@ def test_mobius_parameter_must_be_inside_disk():
 
 def test_analytic_keeps_original_source():
     assert analytic("z^2/2").source == "z^2/2"
+
+
+def test_source_is_rendered_only_when_read(monkeypatch):
+    rendered = []
+
+    def counting(e):
+        rendered.append(e)
+        return print_expr(e)
+
+    monkeypatch.setattr(exprdsl, "print_expr", counting)
+    f = AnalyticFn(parse("mobius(0.5)*z"))
+    peak = make_test_fn(PeakH(0.5 + 0.25j))
+    pts = _spiral(10, 0.9)
+    f(pts), f.deriv(pts), peak(pts), peak.deriv(pts)
+    assert rendered == []
+    assert f.source == print_expr(f.expr) and rendered == [f.expr]
+    assert repr(peak) == f"AnalyticFn({print_expr(peak.expr)!r})"
+    assert rendered == [f.expr, peak.expr]
+    f.source, repr(peak)  # rendered once, then cached
+    assert len(rendered) == 2
+    assert analytic("z^2/2").source == "z^2/2" and len(rendered) == 2
 
 
 def test_analytic_fn_accepts_scalars_and_arrays():

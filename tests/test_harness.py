@@ -162,13 +162,18 @@ def test_run_keeps_case_errors_inline(small_report):
 
 
 def test_run_records_symbol_not_finite_on_the_grid():
-    # 1/(z-0.25) has its pole on the first grid point; the other symbol still runs
-    spec = _spec(g_exprs=("z", "1/(z-0.25)"), theorem_ids=("T3.1", "T4.9"))
+    # 1/(z-0.25) has its pole on the first grid point and log(z) its branch
+    # point at the origin; the other symbol still runs
+    spec = _spec(g_exprs=("z", "1/(z-0.25)", "log(z)"), theorem_ids=("T3.1", "T4.9"))
     by_key = {c.key: c for c in run_classification(spec).cases}
     bad = by_key[("T3.1", "z/2", "1/(z-0.25)")]
     assert bad.verdict is None
     assert bad.error.startswith("g: f(z) = ") and bad.error.endswith("z = (0.25+0j)")
     assert by_key[("T4.9", "z/2", "1/(z-0.25)")].error == bad.error
+    log_bad = by_key[("T3.1", "z/2", "log(z)")]
+    assert log_bad.verdict is None
+    assert log_bad.error == "g: f(z) = (-inf+0j) is not finite at the origin z = 0j"
+    assert by_key[("T4.9", "z/2", "log(z)")].error == log_bad.error
     assert by_key[("T3.1", "z/2", "z")].verdict.conclusion.value == "Bounded"
 
 

@@ -1,9 +1,16 @@
 """Integral operators, commutators, and sampled norms."""
 
+import collections
+
 import numpy as np
 import pytest
 
 from blochlab import (
+    BLOCH_F_CORPUS,
+    G_CORPUS,
+    HINF_F_CORPUS,
+    TEN_MAP_PANEL,
+    AnalyticFn,
     OperatorKind,
     QuadratureError,
     SupEstimate,
@@ -17,7 +24,8 @@ from blochlab import (
     commutator_value,
     hinf_norm,
 )
-from blochlab.operators import _integrate_radial
+from blochlab.criteria import FieldSet
+from blochlab.operators import PairSamples, _integrate_radial
 
 POINTS = [0.3, -0.4 + 0.2j, 0.7j, 0.55 - 0.35j]
 
@@ -190,3 +198,65 @@ def test_commutator_seminorm_argmax_is_grid_point(grid6, self_map):
     )
     assert est.value > 0.0
     assert complex(est.arg) in set(map(complex, grid6.points))
+
+
+def test_shared_samples_give_the_same_seminorm(grid6, self_map, fn):
+    """One field set per pair, the pair sampled per call and the closed form agree exactly."""
+    pts = grid6.points
+    for phi_src in TEN_MAP_PANEL:
+        phi = self_map(phi_src)
+        for g_src in G_CORPUS:
+            g = fn(g_src)
+            fields = FieldSet(phi, g, grid6)
+            for kind, corpus in (
+                (OperatorKind.COMMUTATOR_I, BLOCH_F_CORPUS),
+                (OperatorKind.COMMUTATOR_J, HINF_F_CORPUS),
+            ):
+                for f_src in corpus:
+                    f = fn(f_src)
+                    shared = commutator_seminorm(kind, phi, g, f, grid6, fields=fields)
+                    alone = commutator_seminorm(kind, phi, g, f, grid6)
+                    d = commutator_derivative(kind, phi, g, f, pts)
+                    direct = (1.0 - np.abs(pts) ** 2) * np.abs(np.broadcast_to(d, pts.shape))
+                    j = int(np.argmax(direct))
+                    assert shared == alone == SupEstimate(float(direct[j]), complex(pts[j]))
+
+
+def test_shared_samples_evaluate_the_pair_once(monkeypatch, grid6, self_map):
+    """n test functions on one sample set: 1 phi, 1 phi', at most 2 g and 2 g', n f."""
+    calls = collections.Counter()
+
+    def counting(method, label):
+        def wrapper(self, z):
+            if np.ndim(z) > 0:
+                calls[(self, label)] += 1
+            return method(self, z)
+
+        return wrapper
+
+    phi, g = self_map("mobius(0.5)"), analytic("log(2/(1-0.5*z))")
+    f_i = [analytic(src) for src in BLOCH_F_CORPUS]
+    f_j = [analytic(src) for src in HINF_F_CORPUS]
+    monkeypatch.setattr(AnalyticFn, "__call__", counting(AnalyticFn.__call__, "f"))
+    monkeypatch.setattr(AnalyticFn, "deriv", counting(AnalyticFn.deriv, "f'"))
+    fields = PairSamples(phi, g, grid6.points)
+    for f in f_i:
+        commutator_seminorm(OperatorKind.COMMUTATOR_I, phi, g, f, grid6, fields=fields)
+    for f in f_j:
+        commutator_seminorm(OperatorKind.COMMUTATOR_J, phi, g, f, grid6, fields=fields)
+    monkeypatch.undo()
+    assert calls[(phi.fn, "f")] == 1 and calls[(phi.fn, "f'")] == 1
+    assert calls[(g, "f")] <= 2 and calls[(g, "f'")] <= 2
+    assert all(calls[(f, "f'")] == 1 and calls[(f, "f")] == 0 for f in f_i)
+    assert all(calls[(f, "f")] == 1 and calls[(f, "f'")] == 0 for f in f_j)
+    assert sum(n for (fn_, _), n in calls.items() if fn_ not in (phi.fn, g)) == 12
+
+
+def test_seminorm_rejects_samples_of_another_pair(grid6, self_map):
+    phi, g, f = self_map("z/2"), analytic("z"), analytic("z^2")
+    other = PairSamples(phi, analytic("z"), grid6.points)
+    with pytest.raises(ValueError, match="another"):
+        commutator_seminorm(OperatorKind.COMMUTATOR_I, phi, g, f, grid6, fields=other)
+    inner = PairSamples(phi, g, grid6.shells()[0])
+    with pytest.raises(ValueError, match="another"):
+        commutator_seminorm(OperatorKind.COMMUTATOR_J, phi, g, f, grid6, fields=inner)

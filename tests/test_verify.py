@@ -1,9 +1,30 @@
-"""The self-check registry: selection, execution, and result shape."""
+"""The self-check registry: selection, execution, result shape and pinned outputs.
+
+``data/verify_golden.json`` holds every check's name, suite, pass flag,
+detail text and ``repr(slack)``.  Regenerate it (only when a check is meant
+to change) with ``PYTHONPATH=src python tests/test_verify.py``.
+"""
+
+import json
+import pathlib
 
 import pytest
 
 from blochlab import available_checks, run_suite
 from blochlab.verify import SUITES
+
+GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "verify_golden.json"
+GOLDEN = {row["name"]: row for row in json.loads(GOLDEN_PATH.read_text())}
+
+
+def _golden_row(result) -> dict:
+    return {
+        "name": result.name,
+        "suite": result.suite,
+        "passed": result.passed,
+        "detail": result.detail,
+        "slack": None if result.slack is None else repr(result.slack),
+    }
 
 
 def test_registry_covers_three_suites():
@@ -35,11 +56,16 @@ def test_filter_matches_substring():
     assert names == [n for n in available_checks("identities") if "series." in n]
 
 
+def test_golden_lists_every_check_in_order():
+    assert list(GOLDEN) == available_checks()
+
+
 @pytest.mark.parametrize("name", available_checks())
 def test_every_check_passes(name):
     (result,) = run_suite("all", name_filter=name)
     assert result.name == name
     assert result.passed, result.detail
+    assert _golden_row(result) == GOLDEN[name]
 
 
 def test_unknown_suite_rejected():
@@ -50,3 +76,8 @@ def test_unknown_suite_rejected():
 def test_empty_selection_rejected():
     with pytest.raises(ValueError, match="no checks match"):
         run_suite("identities", name_filter="zzz_nothing")
+
+
+if __name__ == "__main__":
+    rows = [_golden_row(result) for result in run_suite("all")]
+    GOLDEN_PATH.write_text(json.dumps(rows, indent=1) + "\n")
