@@ -12,15 +12,16 @@ pairs parses identically)::
     compact_tol = 1e-2
 
 Resolution order: explicit path argument, then the ``BLOCHLAB_CONFIG``
-environment variable, then built-in defaults.  Unknown sections or keys are
-rejected rather than ignored.
+environment variable, then built-in defaults.  :func:`read_config` reads
+these sections for INI files and JSON sweep specs alike, with the defaults as
+the schema: unknown sections or keys are rejected rather than ignored.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .criteria import Thresholds
 from .diskgeom import DEFAULT_BASE_ANGULAR, DEFAULT_MAX_SHELL
@@ -44,12 +45,30 @@ class Config:
     thresholds: Thresholds = field(default_factory=Thresholds)
 
 
-DEFAULT_CONFIG = Config()
+def read_config(sections: dict[str, dict]) -> Config:
+    """Settings ``{section: {key: value}}`` over the defaults.
 
-_SCHEMA = {
-    "grid": {"max_shell": int, "base_angular": int},
-    "thresholds": {"divergence": float, "compact_tol": float},
-}
+    Each value is read from its text as its default's type, so ``5.7`` is no
+    ``max_shell``.  Unknown sections or keys and unreadable values raise
+    :class:`ConfigError` naming them.
+    """
+    defaults = vars(Config())
+    read = {}
+    for section, items in sections.items():
+        if section not in defaults:
+            raise ConfigError(f"unknown config section {section!r}")
+        if not isinstance(items, dict):
+            raise ConfigError(f"config section {section!r} must map keys to values, got {items!r}")
+        schema, values = vars(defaults[section]), {}
+        for key, raw in items.items():
+            if key not in schema:
+                raise ConfigError(f"unknown config key {section}.{key}")
+            try:
+                values[key] = type(schema[key])(str(raw))
+            except ValueError:
+                raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from None
+        read[section] = replace(defaults[section], **values)
+    return Config(**read)
 
 
 def load_config(path: str | None = None) -> Config:
@@ -57,23 +76,8 @@ def load_config(path: str | None = None) -> Config:
     if path is None:
         path = os.environ.get(ENV_VAR) or None
     if path is None:
-        return DEFAULT_CONFIG
+        return Config()
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"config file not found: {path}")
-    values: dict[str, dict] = {section: {} for section in _SCHEMA}
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown config key {section}.{key}")
-            try:
-                values[section][key] = _SCHEMA[section][key](raw)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
-    return Config(
-        grid=GridConfig(**values["grid"]),
-        thresholds=Thresholds(**values["thresholds"]),
-    )
+    return read_config({section: dict(parser.items(section)) for section in parser.sections()})

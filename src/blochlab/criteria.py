@@ -18,7 +18,8 @@ A :class:`FieldSet` samples ``phi``, ``phi'``, ``g``, ``g'``, ``g o phi`` and
 samples, and reduces each field over exponential boundary shells of the
 relevant limit variable — ``|phi(z)|`` for the phi-boundary criteria, ``|z|``
 otherwise, each shell one contiguous segment — estimating ``sup`` as the grid max and ``limsup`` as the max over the last
-three nonempty shells.  When the sampled sup of ``|phi|`` stays away from 1
+three nonempty shells.  When the sup of ``|phi|``, estimated from the pair's
+own samples (``diskgeom.sup_modulus_estimate``), stays below ``1 - 2**-K``,
 the limit set ``|phi(z)| -> 1`` is empty and limit conditions hold vacuously.
 
 :func:`classify` reduces reports to a :class:`Verdict` per named statement.
@@ -39,11 +40,11 @@ import numpy as np
 
 from .diskgeom import (
     DiskGrid,
-    SelfMap,
     ShellSegments,
     shell_for_modulus,
     shell_maxima,
     shell_segments,
+    sup_modulus_estimate,
 )
 from .operators import PairSamples
 
@@ -224,12 +225,12 @@ class FieldSet(_Samples):
         return self._values[key]
 
     @cached_property
-    def _phi_shells(self) -> tuple[ShellSegments, float]:
-        """``|phi(z)|`` shell segments and the sup of ``|phi|`` that decides vacuity."""
+    def _phi_shells(self) -> tuple[ShellSegments, bool]:
+        """``|phi(z)|`` shell segments, and whether ``|phi(z)| -> 1`` is out of reach on this grid."""
         moduli = np.abs(np.broadcast_to(self.w, self.z.shape))
-        sup = self.phi.sup_modulus_estimate if isinstance(self.phi, SelfMap) else float(moduli.max())
         max_shell = self.grid.max_shell
-        return shell_segments(shell_for_modulus(moduli, max_shell), max_shell), sup
+        vacuous = sup_modulus_estimate(moduli, self.grid) < 1.0 - 2.0 ** (-max_shell)
+        return shell_segments(shell_for_modulus(moduli, max_shell), max_shell), vacuous
 
     def report(self, kind: CriterionKind | str, bucket_by: str) -> CriterionReport:
         """The field reduced over shells of ``|phi(z)|`` (``"phi"``) or ``|z|`` (``"z"``)."""
@@ -237,10 +238,9 @@ class FieldSet(_Samples):
         if key in self._reports:
             return self._reports[key]
         values, grid = self.values(kind), self.grid
-        # the |z| -> 1 limit set is never empty, so only |phi| buckets carry a sup
-        segments, sup_modulus = self._phi_shells if bucket_by == "phi" else (grid.segments, None)
+        # the |z| -> 1 limit set is never empty; only |phi| buckets can be vacuous
+        segments, vacuous = self._phi_shells if bucket_by == "phi" else (grid.segments, False)
         shell_sups = shell_maxima(values, segments)
-        vacuous = sup_modulus is not None and sup_modulus < 1.0 - 2.0 ** (-grid.max_shell)
         j = int(np.argmax(values))
         self._reports[key] = CriterionReport(
             kind=kind,
@@ -286,11 +286,6 @@ def _sustained_growth(report: CriterionReport) -> bool:
     return d1 > floor and d2 > floor and d2 >= 0.9 * d1
 
 
-def _non_increasing_tail(report: CriterionReport) -> bool:
-    s = report.last_shell_sups(3)
-    return all(b <= a + 1e-12 for a, b in zip(s, s[1:]))
-
-
 def bounded_conclusion(report: CriterionReport, th: Thresholds) -> Conclusion:
     growth = _sustained_growth(report)
     if report.sup_value > th.divergence and growth:
@@ -306,7 +301,8 @@ def compact_conclusion(report: CriterionReport, th: Thresholds) -> Conclusion:
     tail = report.last_shell_sups(3)
     if tail and min(tail) >= th.compact_tol:
         return Conclusion.NOT_COMPACT_EVIDENCE
-    if report.boundary_limsup_estimate < th.compact_tol and _non_increasing_tail(report):
+    non_increasing = all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
+    if report.boundary_limsup_estimate < th.compact_tol and non_increasing:
         return Conclusion.COMPACT
     return Conclusion.INCONCLUSIVE
 
@@ -361,16 +357,15 @@ def little_bloch_membership(
     g, grid: DiskGrid, thresholds: Thresholds = DEFAULT_THRESHOLDS
 ) -> Membership:
     """Classify the trend of ``(1-|z|^2)|g'(z)|`` toward the boundary."""
-    return _membership_from_report(FieldSet(None, g, grid).report(_BLOCH, "z"), thresholds)
+    return _MEMBERSHIP[compact_conclusion(FieldSet(None, g, grid).report(_BLOCH, "z"), thresholds)]
 
 
-def _membership_from_report(report: CriterionReport, th: Thresholds) -> Membership:
-    tail = report.last_shell_sups(3)
-    if tail and min(tail) >= th.compact_tol:
-        return Membership.NOT_IN_B0_EVIDENCE
-    if tail and max(tail) < th.compact_tol and _non_increasing_tail(report):
-        return Membership.IN_B0
-    return Membership.INCONCLUSIVE
+#: Membership in B0 is the compactness tail rule read on the Bloch field.
+_MEMBERSHIP = {
+    Conclusion.COMPACT: Membership.IN_B0,
+    Conclusion.NOT_COMPACT_EVIDENCE: Membership.NOT_IN_B0_EVIDENCE,
+    Conclusion.INCONCLUSIVE: Membership.INCONCLUSIVE,
+}
 
 
 def _run_precheck(name: str, fields: FieldSet, th: Thresholds) -> CriterionReport:
@@ -402,7 +397,8 @@ def classify(
         ) from None
     if spec.needs_phi and phi is None:
         raise ValueError(f"{theorem_id} requires a self-map")
-    fields = fields or FieldSet(phi, g, grid)
+    fields = FieldSet(phi, g, grid) if fields is None else fields
+    fields.check_pair(phi, g, grid)
 
     notes = [ONE_SIDED_NOTE]
     evidence: list[CriterionReport] = []
@@ -412,7 +408,7 @@ def classify(
     if spec.mode == "membership":
         report = fields.report(_BLOCH, "z")
         evidence.append(report)
-        member = _membership_from_report(report, thresholds)
+        member = _MEMBERSHIP[compact_conclusion(report, thresholds)]
         if member is Membership.IN_B0:
             conclusion = Conclusion.COMPACT
             notes.append("symbol trends into the little Bloch space")

@@ -6,6 +6,8 @@ midpoint radius ``1 - 0.75 * 2**-k`` with ``base_angular * (k + 1)``
 equispaced angles.  Refining ``max_shell`` only appends shells, so a refined
 grid is a strict superset of the coarse one — sup estimates over the grid are
 monotone under refinement by construction.
+A :class:`DiskGrid` stores its points and per-shell angular counts and reads
+every other layout number from those counts.
 """
 
 from __future__ import annotations
@@ -95,24 +97,22 @@ def shell_maxima(values: np.ndarray, segments: ShellSegments):
 
 @dataclass(eq=False)
 class DiskGrid:
-    """Deterministic boundary-shell sample of the disk (shell-major order)."""
+    """Deterministic boundary-shell sample of the disk: ``angular_counts[k]`` points on shell ``k``, in order."""
 
     points: np.ndarray
-    shell_index: np.ndarray
-    max_shell: int
-    base_angular: int
+    angular_counts: tuple[int, ...]
 
     @property
     def size(self) -> int:
         return self.points.size
 
-    @cached_property
-    def angular_counts(self) -> tuple[int, ...]:
-        return tuple(self.base_angular * (k + 1) for k in range(self.max_shell + 1))
+    @property
+    def max_shell(self) -> int:
+        return len(self.angular_counts) - 1
 
-    @cached_property
-    def radii(self) -> tuple[float, ...]:
-        return tuple(shell_radius(k) for k in range(self.max_shell + 1))
+    @property
+    def base_angular(self) -> int:
+        return self.angular_counts[0]
 
     @cached_property
     def segments(self) -> ShellSegments:
@@ -128,25 +128,34 @@ class DiskGrid:
         return f"DiskGrid(max_shell={self.max_shell}, base_angular={self.base_angular}, size={self.size})"
 
 
-def make_grid(max_shell: int = DEFAULT_MAX_SHELL, base_angular: int = DEFAULT_BASE_ANGULAR) -> DiskGrid:
-    """Build the shell grid; ``max_shell >= 4`` and ``base_angular >= 64``."""
+def check_grid_range(max_shell: int, base_angular: int) -> tuple[int, int]:
+    """``(max_shell, base_angular)`` as ints; ``ValueError`` unless ``>= 4`` and ``>= 64``."""
     max_shell = int(max_shell)
     base_angular = int(base_angular)
     if max_shell < 4:
         raise ValueError(f"max_shell must be >= 4, got {max_shell}")
     if base_angular < 64:
         raise ValueError(f"base_angular must be >= 64, got {base_angular}")
-    pts, idx = [], []
-    for k in range(max_shell + 1):
-        m = base_angular * (k + 1)
-        theta = 2.0 * np.pi * np.arange(m) / m
-        pts.append(shell_radius(k) * np.exp(1j * theta))
-        idx.append(np.full(m, k, dtype=int))
-    points = np.concatenate(pts)
-    shell_index = np.concatenate(idx)
+    return max_shell, base_angular
+
+
+def make_grid(max_shell: int = DEFAULT_MAX_SHELL, base_angular: int = DEFAULT_BASE_ANGULAR) -> DiskGrid:
+    """Build the shell grid: shell ``k`` holds ``base_angular * (k + 1)`` angles."""
+    max_shell, base_angular = check_grid_range(max_shell, base_angular)
+    counts = tuple(base_angular * (k + 1) for k in range(max_shell + 1))
+    points = np.concatenate(
+        [shell_radius(k) * np.exp(1j * (2.0 * np.pi * np.arange(m) / m)) for k, m in enumerate(counts)]
+    )
     points.flags.writeable = False
-    shell_index.flags.writeable = False
-    return DiskGrid(points, shell_index, max_shell, base_angular)
+    return DiskGrid(points, counts)
+
+
+def sup_modulus_estimate(moduli: np.ndarray, grid: DiskGrid) -> float:
+    """Sampled max of ``|phi|`` on ``grid`` plus the shell margin ``2**-(max_shell+1)``, capped at 1.
+
+    Self-map validation and vacuity both read it on the grid in hand.
+    """
+    return min(1.0, float(moduli.max()) + 2.0 ** (-(grid.max_shell + 1)))
 
 
 # --------------------------------------------------------------------------
@@ -199,18 +208,16 @@ def _syntactic_automorphism(e: Expr) -> bool:
 def validate_self_map(fn: AnalyticFn, grid: DiskGrid) -> SelfMap:
     """Check ``|fn| < 1`` on the grid and package the map.
 
-    ``sup_modulus_estimate`` is the sampled max plus a shell-resolution margin
-    ``2**-(max_shell+1)``, capped at 1.  Raises :class:`NotASelfMap` with the
-    first offending grid point otherwise; a non-finite sample (NaN) offends.
+    ``sup_modulus_estimate`` is :func:`sup_modulus_estimate` on this grid.
+    Raises :class:`NotASelfMap` with the first offending grid point
+    otherwise; a non-finite sample (NaN) offends.
     """
     moduli = np.abs(np.broadcast_to(np.asarray(fn(grid.points)), grid.points.shape))
     bad = np.flatnonzero(~(moduli < 1.0))
     if bad.size:
         j = int(bad[0])
         raise NotASelfMap(complex(grid.points[j]), float(moduli[j]))
-    margin = 2.0 ** (-(grid.max_shell + 1))
-    est = min(1.0, float(moduli.max()) + margin)
-    return SelfMap(fn, est, _syntactic_automorphism(fn.expr))
+    return SelfMap(fn, sup_modulus_estimate(moduli, grid), _syntactic_automorphism(fn.expr))
 
 
 def validate_symbol(fn: AnalyticFn, grid: DiskGrid) -> AnalyticFn:

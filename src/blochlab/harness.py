@@ -34,6 +34,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from .config import read_config
 from .criteria import (
     DEFAULT_THRESHOLDS,
     CriterionKind,
@@ -57,6 +58,7 @@ from .diskgeom import (
     NotASelfMap,
     NotFiniteOnGrid,
     SelfMap,
+    check_grid_range,
     make_grid,
     shell_maxima,
     shell_radius,
@@ -150,42 +152,34 @@ class ExperimentSpec:
         unknown = [t for t in self.theorem_ids if t not in THEOREMS]
         if unknown:
             raise ValueError(f"unknown theorem ids: {unknown}")
-        if self.max_shell < 4 or self.base_angular < 64:
-            raise ValueError("grid parameters out of range (max_shell >= 4, base_angular >= 64)")
+        check_grid_range(self.max_shell, self.base_angular)
         if self.output not in ("json", "csv"):
             raise ValueError(f"output must be json or csv, got {self.output!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
-        """Build a spec from parsed JSON; a malformed spec raises ``ValueError``."""
+        """Build a spec from parsed JSON, ``grid`` and ``thresholds`` read as config sections.
+
+        A malformed spec or an unknown key at any level raises ``ValueError``.
+        """
         if not isinstance(data, dict):
             raise ValueError(f"spec must be a JSON object, got {type(data).__name__}")
+        for key in data:
+            if key not in ("phi", "g", "theorems", "grid", "thresholds", "output"):
+                raise ValueError(f"unknown spec key {key!r}")
         for key in ("phi", "g", "theorems"):
             if key not in data:
                 raise ValueError(f"spec is missing required key {key!r}")
             if not isinstance(data[key], list) or not all(isinstance(v, str) for v in data[key]):
                 raise ValueError(f"spec key {key!r} must be a list of strings")
-        for key in ("grid", "thresholds"):
-            if not isinstance(data.get(key, {}), dict):
-                raise ValueError(f"spec key {key!r} must be an object")
-
-        def number(section: str, key: str, cast, default):
-            value = data.get(section, {}).get(key, default)
-            try:
-                return cast(value)
-            except (TypeError, ValueError):
-                raise ValueError(f"bad value for spec key {section}.{key}: {value!r}") from None
-
+        config = read_config({key: data[key] for key in ("grid", "thresholds") if key in data})
         return cls(
             phi_exprs=tuple(data["phi"]),
             g_exprs=tuple(data["g"]),
             theorem_ids=tuple(data["theorems"]),
-            max_shell=number("grid", "max_shell", int, DEFAULT_MAX_SHELL),
-            base_angular=number("grid", "base_angular", int, DEFAULT_BASE_ANGULAR),
-            thresholds=Thresholds(
-                divergence=number("thresholds", "divergence", float, DEFAULT_THRESHOLDS.divergence),
-                compact_tol=number("thresholds", "compact_tol", float, DEFAULT_THRESHOLDS.compact_tol),
-            ),
+            max_shell=config.grid.max_shell,
+            base_angular=config.grid.base_angular,
+            thresholds=config.thresholds,
             output=data.get("output", "json"),
         )
 
@@ -279,15 +273,11 @@ def run_classification(spec: ExperimentSpec) -> SuiteReport:
                 except (PreconditionFailed, ValueError) as exc:
                     cases.append(CaseResult(theorem_id, phi_src, g_src, error=str(exc)))
     cases.sort(key=lambda c: c.key)
-    config = {
-        "grid": {"max_shell": spec.max_shell, "base_angular": spec.base_angular},
-        "thresholds": spec.thresholds.to_dict(),
-        "output": spec.output,
-    }
+    spec_dict = spec.to_dict()
     return SuiteReport(
         cases=tuple(cases),
         invariants=(),
-        config=config,
+        config={key: spec_dict[key] for key in ("grid", "thresholds", "output")},
         elapsed_seconds=time.perf_counter() - start,
     )
 

@@ -24,14 +24,10 @@ maximum modulus principle puts the sup for functions analytic up to the
 boundary.  ``commutator_seminorm`` and criterion suprema stay pure grid maxima
 so that grid refinement is exactly monotone.
 
-:class:`PairSamples` holds the grid samples of one pair ``(phi, g)``: ``phi``,
-``phi'``, ``g``, ``g'``, ``g o phi`` and ``g' o phi``, each taken on first use.
-``criteria.FieldSet`` extends it with the criterion fields.
-``commutator_seminorm(kind, phi, g, f, grid, fields=None)`` reads the pair's
-samples from ``fields`` when given one (a ``FieldSet`` or ``PairSamples`` of
-the same ``phi``, ``g`` and grid) and evaluates only ``f'(phi(z))`` (I) or
-``f(phi(z))`` (J) itself, so many test functions ``f`` share one sampling of
-the pair.
+:class:`PairSamples` holds the grid samples of one pair ``(phi, g)``, each
+taken on first use.  ``criteria.FieldSet`` extends it with the criterion
+fields; ``commutator_seminorm`` and ``criteria.classify`` read it when given
+one, after :meth:`PairSamples.check_pair` confirms it is this pair's on this grid.
 """
 
 from __future__ import annotations
@@ -67,7 +63,7 @@ class QuadratureError(RuntimeError):
         self.achieved = achieved
 
 
-def _integrate_radial(h, z, tol: float = QUAD_TOL, max_panels: int = QUAD_MAX_PANELS):
+def _integrate_radial(h, z):
     """``integral_0^z h(w) dw`` along the radial segment, elementwise in ``z``."""
     zs = np.asarray(z, dtype=complex)
     scalar = zs.ndim == 0
@@ -87,36 +83,36 @@ def _integrate_radial(h, z, tol: float = QUAD_TOL, max_panels: int = QUAD_MAX_PA
         m = 0.5 * (a + b)
         left, right = seg(a, m), seg(m, b)
         err = float(np.max(np.abs(whole - left - right)))
-        if err <= tol * (b - a):
+        if err <= QUAD_TOL * (b - a):
             total = total + left + right
             leaves += 2
-        elif leaves + 2 * (len(stack) + 2) > max_panels:
-            raise QuadratureError(err, max_panels)
+        elif leaves + 2 * (len(stack) + 2) > QUAD_MAX_PANELS:
+            raise QuadratureError(err, QUAD_MAX_PANELS)
         else:
             stack.append((m, b, right))
             stack.append((a, m, left))
     return complex(total[0]) if scalar else total
 
 
-def apply_Jg(g, f, z, tol: float = QUAD_TOL):
+def apply_Jg(g, f, z):
     """``(J_g f)(z)``; ``g`` and ``f`` are AnalyticFn-like, ``z`` scalar or array."""
-    return _integrate_radial(lambda w: f(w) * g.deriv(w), z, tol)
+    return _integrate_radial(lambda w: f(w) * g.deriv(w), z)
 
 
-def apply_Ig(g, f, z, tol: float = QUAD_TOL):
+def apply_Ig(g, f, z):
     """``(I_g f)(z)``."""
-    return _integrate_radial(lambda w: f.deriv(w) * g(w), z, tol)
+    return _integrate_radial(lambda w: f.deriv(w) * g(w), z)
 
 
-def commutator_value(kind: OperatorKind, phi, g, f, z, tol: float = QUAD_TOL):
+def commutator_value(kind: OperatorKind, phi, g, f, z):
     """``((C_phi T_g - T_g C_phi) f)(z)`` with ``T`` chosen by ``kind``."""
     w = phi(z)
     if kind is OperatorKind.COMMUTATOR_I:
-        first = apply_Ig(g, f, w, tol)
-        second = _integrate_radial(lambda u: f.deriv(phi(u)) * phi.deriv(u) * g(u), z, tol)
+        first = apply_Ig(g, f, w)
+        second = _integrate_radial(lambda u: f.deriv(phi(u)) * phi.deriv(u) * g(u), z)
     elif kind is OperatorKind.COMMUTATOR_J:
-        first = apply_Jg(g, f, w, tol)
-        second = _integrate_radial(lambda u: f(phi(u)) * g.deriv(u), z, tol)
+        first = apply_Jg(g, f, w)
+        second = _integrate_radial(lambda u: f(phi(u)) * g.deriv(u), z)
     else:
         raise ValueError(f"kind must be a commutator kind, got {kind}")
     return first - second
@@ -143,6 +139,11 @@ class PairSamples:
 
     def __init__(self, phi, g, z: np.ndarray):
         self.phi, self.g, self.z = phi, g, z
+
+    def check_pair(self, phi, g, grid: DiskGrid) -> None:
+        """``ValueError`` unless these are the samples of this very ``phi``, ``g`` and grid."""
+        if self.phi is not phi or self.g is not g or self.z is not grid.points:
+            raise ValueError("fields were sampled for another (phi, g) pair or grid")
 
     @cached_property
     def one_minus(self):
@@ -264,7 +265,7 @@ def hinf_norm(f, grid: DiskGrid) -> SupEstimate:
     base = _grid_max(vals, pts)
 
     r = 1.0 - 2.0 ** (-(grid.max_shell + 7))
-    n = 8 * grid.base_angular * (grid.max_shell + 1)
+    n = 8 * grid.angular_counts[-1]
     theta = 2.0 * np.pi * np.arange(n) / n
     circle = r * np.exp(1j * theta)
     cvals = np.abs(np.broadcast_to(np.asarray(f(circle)), circle.shape))
@@ -291,8 +292,7 @@ def commutator_seminorm(
     pair is sampled here.  Either way only ``f`` is evaluated per call.
     """
     s = PairSamples(phi, g, grid.points) if fields is None else fields
-    if s.phi is not phi or s.g is not g or s.z is not grid.points:
-        raise ValueError("fields were sampled for another (phi, g) pair or grid")
+    s.check_pair(phi, g, grid)
     if kind is OperatorKind.COMMUTATOR_I:
         d = s.dphi * f.deriv(s.w) * s.g_jump
     elif kind is OperatorKind.COMMUTATOR_J:

@@ -144,6 +144,10 @@ def test_sweep_flags_case_errors(capsys, tmp_path):
         {"phi": ["z/2"], "g": ["z"], "theorems": ["T3.1"], "grid": 5},
         {"phi": ["z/2"], "g": ["z"], "theorems": ["T3.1"], "thresholds": [1e3, 1e-2]},
         ["z/2"],
+        {"phi": ["z/2"], "g": ["z"], "theorems": ["T3.1"], "grid": {"maxshell": 5}},
+        {"phi": ["z/2"], "g": ["z"], "theorems": ["T3.1"], "threshold": {"compact_tol": 0.1}},
+        {"phi": ["z/2"], "g": ["z"], "theorems": ["T3.1"], "grid": {"max_shell": 5.7}},
+        {"phi": ["z/2"], "g": ["z"], "theorems": ["T3.1"], "outputs": "csv"},
     ],
 )
 def test_sweep_malformed_spec_is_usage_error(capsys, tmp_path, payload):

@@ -19,7 +19,7 @@ from blochlab import (
     validate_self_map,
 )
 from blochlab.criteria import FieldSet
-from blochlab.diskgeom import SelfMap, shell_for_modulus, shell_maxima, shell_segments
+from blochlab.diskgeom import shell_for_modulus, shell_maxima, shell_segments
 
 
 # --------------------------------------------------------------------------
@@ -130,7 +130,8 @@ def _mask_loop_reduction(values, phi, grid, bucket_by):
     pts = grid.points
     if bucket_by == "phi":
         moduli = np.abs(np.broadcast_to(np.asarray(phi(pts)), pts.shape))
-        sup_modulus = phi.sup_modulus_estimate if isinstance(phi, SelfMap) else float(moduli.max())
+        # one rule for raw and validated maps: sampled max plus 2**-(K+1), capped at 1
+        sup_modulus = min(1.0, float(moduli.max()) + 2.0 ** -(grid.max_shell + 1))
     else:
         moduli, sup_modulus = np.abs(pts), None
     m = np.minimum(moduli, 1.0 - np.finfo(float).tiny)
@@ -188,8 +189,9 @@ def test_field_set_matches_per_shell_mask_loop(grid8, phi_src, validated, bucket
     # a NaN in one |z| shell and an inf in another reach their shells' maxima
     pts = grid8.points
     values = np.linspace(0.0, 1.0, grid8.size)
-    values[np.flatnonzero(grid8.shell_index == 2)[5]] = np.nan
-    values[np.flatnonzero(grid8.shell_index == 6)[0]] = np.inf
+    shell_start = np.cumsum((0,) + grid8.angular_counts)
+    values[shell_start[2] + 5] = np.nan
+    values[shell_start[6]] = np.inf
     if bucket_by == "phi":
         moduli = np.abs(np.broadcast_to(np.asarray(phi(pts)), pts.shape))
         segments = shell_segments(shell_for_modulus(moduli, grid8.max_shell), grid8.max_shell)
@@ -266,6 +268,29 @@ def test_classify_vacuous_boundary_gives_compact(grid6, self_map):
     assert verdict.conclusion is Conclusion.COMPACT
     main = verdict.evidence[1]  # after the sup-norm hypothesis report
     assert main.vacuous_boundary
+
+
+def test_vacuity_is_read_on_the_grid_classified_on(grid6, default_grid):
+    # the rotation reaches |phi| -> 1 on every grid; its sup on K=6 is only
+    # 1 - 0.75 * 2**-6, which must not make the K=14 limit set look empty
+    src, g = "exp(0.5i)*z", analytic("log(2/(1-z))")
+    stale = validate_self_map(analytic(src), grid6)
+    fresh = validate_self_map(analytic(src), default_grid)
+    for theorem_id in ("T3.2", "T4.1b", "C3.3", "P4.7"):
+        verdicts = [classify(theorem_id, phi, g, default_grid) for phi in (stale, fresh, fresh.fn)]
+        assert verdicts[0].to_dict() == verdicts[1].to_dict() == verdicts[2].to_dict()
+        if theorem_id != "P4.7":
+            assert verdicts[0].conclusion is Conclusion.NOT_COMPACT_EVIDENCE
+            assert not any(r.vacuous_boundary for r in verdicts[0].evidence)
+
+
+def test_raw_and_validated_maps_share_one_vacuity_rule(default_grid):
+    # max |phi| = 0.99997 r_14 lies within the shell margin 2**-15 of 1 - 2**-14
+    raw, g = analytic("0.99997*z"), analytic("z")
+    validated = validate_self_map(raw, default_grid)
+    raw_verdict = classify("T3.2", raw, g, default_grid).to_dict()
+    assert raw_verdict == classify("T3.2", validated, g, default_grid).to_dict()
+    assert not any(r["vacuous_boundary"] for r in raw_verdict["evidence"])
 
 
 def test_classify_precheck_failure_raises(default_grid, self_map):

@@ -24,11 +24,13 @@ disk_points = st.complex_numbers(max_magnitude=0.95, allow_nan=False, allow_infi
 
 
 def test_grid_shape_and_order(grid6):
-    counts = [64 * (k + 1) for k in range(7)]
-    assert grid6.size == sum(counts)
-    assert grid6.angular_counts == tuple(counts)
-    # shell-major: shell indices are non-decreasing along the flat array
-    assert np.all(np.diff(grid6.shell_index) >= 0)
+    counts = tuple(64 * (k + 1) for k in range(7))
+    assert grid6.angular_counts == counts
+    assert (grid6.max_shell, grid6.base_angular, grid6.size) == (6, 64, sum(counts))
+    # shell-major: shell k is the k-th contiguous run of counts[k] points
+    assert np.array_equal(shell_for_modulus(np.abs(grid6.points), 6), np.repeat(np.arange(7), counts))
+    assert grid6.segments.order is None
+    assert grid6.segments.starts.tolist() == [sum(counts[:k]) for k in range(7)]
     for k, shell in enumerate(grid6.shells()):
         assert shell.size == counts[k]
         assert np.allclose(np.abs(shell), shell_radius(k), rtol=0, atol=1e-15)

@@ -127,6 +127,11 @@ _GOOD_SPEC = {"phi": ["z/2"], "g": ["z"], "theorems": ["T3.1"]}
         (dict(_GOOD_SPEC, thresholds=1e-2), "'thresholds'"),
         (dict(_GOOD_SPEC, grid={"max_shell": None}), "grid.max_shell"),
         (dict(_GOOD_SPEC, thresholds={"compact_tol": "small"}), "thresholds.compact_tol"),
+        # read as an INI file is: unknown keys and sections, and no int from 5.7
+        (dict(_GOOD_SPEC, grid={"maxshell": 5}), "grid.maxshell"),
+        (dict(_GOOD_SPEC, threshold={"compact_tol": 0.1}), "'threshold'"),
+        (dict(_GOOD_SPEC, grid={"max_shell": 5.7}), "grid.max_shell"),
+        (dict(_GOOD_SPEC, outputs="csv"), "'outputs'"),
     ],
 )
 def test_spec_from_dict_names_the_malformed_key(data, key):

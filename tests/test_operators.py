@@ -19,6 +19,7 @@ from blochlab import (
     apply_Jg,
     bloch_norm,
     bloch_seminorm,
+    classify,
     commutator_derivative,
     commutator_seminorm,
     commutator_value,
@@ -252,7 +253,7 @@ def test_shared_samples_evaluate_the_pair_once(monkeypatch, grid6, self_map):
     assert sum(n for (fn_, _), n in calls.items() if fn_ not in (phi.fn, g)) == 12
 
 
-def test_seminorm_rejects_samples_of_another_pair(grid6, self_map):
+def test_seminorm_rejects_samples_of_another_pair(grid5, grid6, self_map):
     phi, g, f = self_map("z/2"), analytic("z"), analytic("z^2")
     other = PairSamples(phi, analytic("z"), grid6.points)
     with pytest.raises(ValueError, match="another"):
@@ -260,3 +261,9 @@ def test_seminorm_rejects_samples_of_another_pair(grid6, self_map):
     inner = PairSamples(phi, g, grid6.shells()[0])
     with pytest.raises(ValueError, match="another"):
         commutator_seminorm(OperatorKind.COMMUTATOR_J, phi, g, f, grid6, fields=inner)
+    # classify reads the same check: another map's fields, or another grid's
+    g = analytic("log(2/(1-z))")
+    with pytest.raises(ValueError, match="another"):
+        classify("T3.2", phi, g, grid6, fields=FieldSet(self_map("exp(0.5i)*z"), g, grid6))
+    with pytest.raises(ValueError, match="another"):
+        classify("T3.2", phi, g, grid6, fields=FieldSet(phi, g, grid5))
