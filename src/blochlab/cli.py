@@ -102,7 +102,7 @@ def _print_report(report, as_json: bool) -> None:
     if as_json:
         sys.stdout.write(to_json(report.to_dict()))
         return
-    print(f"criterion {report.kind_label} (shells of |{report.bucket_by}|):")
+    print(f"criterion {report.kind.value} (shells of |{report.bucket_by}|):")
     print(f"  sup value            {report.sup_value:.17g}")
     print(f"  attained near z =    {_fmt_complex(report.arg_sup)}")
     print(f"  boundary limsup est. {report.boundary_limsup_estimate:.17g}")

@@ -11,7 +11,9 @@ holomorphic symbol::
 
 (``Lg`` and ``LgLogBoundedness`` share a formula: the first is read as a
 boundary *limit* condition, the second as a *sup* condition equivalent to
-``J_g`` being bounded on the Bloch space.)
+``J_g`` being bounded on the Bloch space.)  Two fields of the symbol alone
+are kinds too: ``|g|`` (the ``H^inf`` hypothesis of T3.2) and the Bloch field
+``(1-|z|^2)|g'|`` (the membership read by C4.3).
 
 A :class:`FieldSet` samples ``phi``, ``phi'``, ``g``, ``g'``, ``g o phi`` and
 ``g' o phi`` over the grid once per pair, computes every field from those
@@ -23,6 +25,9 @@ own samples (``diskgeom.sup_modulus_estimate``), stays below ``1 - 2**-K``,
 the limit set ``|phi(z)| -> 1`` is empty and limit conditions hold vacuously.
 
 :func:`classify` reduces reports to a :class:`Verdict` per named statement.
+:data:`THEOREMS` names every report a statement reads: its hypothesis check,
+if any, and its headline report ``(kind, bucket_by)``, which is
+:attr:`Verdict.main`.
 All sampled maxima are lower bounds of the true suprema, so verdicts are
 evidence, not proofs: divergence requires a witness beyond the divergence
 threshold *and* sustained shell growth; compactness requires the boundary
@@ -57,6 +62,8 @@ class CriterionKind(enum.Enum):
     KJLOG = "KJlog"
     LG = "Lg"
     LG_LOG_BOUNDEDNESS = "LgLogBoundedness"
+    SUP_NORM = "|g|"
+    BLOCH = "(1-|z|^2)|g'|"
 
 
 #: Kinds whose boundary limit runs over |phi(z)| -> 1 rather than |z| -> 1.
@@ -105,13 +112,11 @@ DEFAULT_THRESHOLDS = Thresholds()
 class CriterionReport:
     """A criterion field sampled over a grid, reduced shell by shell.
 
-    ``kind`` is a :class:`CriterionKind` for the named fields, or a plain
-    string label for auxiliary fields (hypothesis checks use ``"|g|"`` and
-    ``"(1-|z|^2)|g'|"``).  ``shell_sups`` lists (shell index, shell max) for
-    nonempty shells only, ordered by shell index.
+    ``shell_sups`` lists (shell index, shell max) for nonempty shells only,
+    ordered by shell index.
     """
 
-    kind: CriterionKind | str
+    kind: CriterionKind
     sup_value: float
     arg_sup: complex
     shell_sups: tuple[tuple[int, float], ...]
@@ -119,16 +124,12 @@ class CriterionReport:
     vacuous_boundary: bool
     bucket_by: str = "z"
 
-    @property
-    def kind_label(self) -> str:
-        return self.kind.value if isinstance(self.kind, CriterionKind) else self.kind
-
     def last_shell_sups(self, n: int = 3) -> tuple[float, ...]:
         return tuple(s for _, s in self.shell_sups[-n:])
 
     def to_dict(self) -> dict:
         return {
-            "kind": self.kind_label,
+            "kind": self.kind.value,
             "sup_value": self.sup_value,
             "arg_sup": [self.arg_sup.real, self.arg_sup.imag],
             "shell_sups": [[k, s] for k, s in self.shell_sups],
@@ -146,6 +147,12 @@ class Verdict:
     thresholds: Thresholds
     notes: tuple[str, ...] = field(default=(ONE_SIDED_NOTE,))
 
+    @property
+    def main(self) -> CriterionReport:
+        """The headline report: the evidence whose ``(kind, bucket_by)`` the statement names."""
+        spec = THEOREMS[self.theorem_id]
+        return next(r for r in self.evidence if (r.kind, r.bucket_by) == (spec.kind, spec.bucket_by))
+
     def to_dict(self) -> dict:
         return {
             "theorem_id": self.theorem_id,
@@ -160,10 +167,6 @@ class Verdict:
 # pointwise fields
 
 
-#: Fields of the symbol alone, read by the hypothesis checks and membership.
-_SUP_NORM, _BLOCH = "|g|", "(1-|z|^2)|g'|"
-
-
 class _Samples(PairSamples):
     """The pair's primitive samples at the points ``z`` and the fields over them."""
 
@@ -175,7 +178,7 @@ class _Samples(PairSamples):
     def _bloch(self):
         return self.one_minus * np.abs(self.dg_z)
 
-    def field(self, kind: CriterionKind | str):
+    def field(self, kind: CriterionKind):
         """The field ``kind`` at the points, from the samples (not broadcast)."""
         if kind in PHI_BOUNDARY_KINDS and self.phi is None:
             raise ValueError(f"criterion {kind.value} requires a self-map")
@@ -186,9 +189,9 @@ class _Samples(PairSamples):
             return self._kj
         if kind is CriterionKind.KJLOG:
             return self._kj * np.log(2.0 / self.one_minus_w)
-        if kind == _SUP_NORM:
+        if kind is CriterionKind.SUP_NORM:
             return np.abs(self.g_z)
-        if kind == _BLOCH:
+        if kind is CriterionKind.BLOCH:
             return self._bloch
         if kind in (CriterionKind.LG, CriterionKind.LG_LOG_BOUNDEDNESS):
             return self._bloch * np.log(2.0 / self.one_minus)
@@ -217,7 +220,7 @@ class FieldSet(_Samples):
         self._values: dict = {}
         self._reports: dict = {}
 
-    def values(self, kind: CriterionKind | str) -> np.ndarray:
+    def values(self, kind: CriterionKind) -> np.ndarray:
         key = CriterionKind.LG if kind is CriterionKind.LG_LOG_BOUNDEDNESS else kind
         if key not in self._values:
             out = np.asarray(self.field(key), dtype=float)
@@ -232,7 +235,7 @@ class FieldSet(_Samples):
         vacuous = sup_modulus_estimate(moduli, self.grid) < 1.0 - 2.0 ** (-max_shell)
         return shell_segments(shell_for_modulus(moduli, max_shell), max_shell), vacuous
 
-    def report(self, kind: CriterionKind | str, bucket_by: str) -> CriterionReport:
+    def report(self, kind: CriterionKind, bucket_by: str) -> CriterionReport:
         """The field reduced over shells of ``|phi(z)|`` (``"phi"``) or ``|z|`` (``"z"``)."""
         key = (kind, bucket_by)
         if key in self._reports:
@@ -313,43 +316,56 @@ def compact_conclusion(report: CriterionReport, th: Thresholds) -> Conclusion:
 
 @dataclass(frozen=True)
 class TheoremSpec:
-    """How one named statement reduces to criterion reports."""
+    """How one named statement reduces to criterion reports.
+
+    ``(kind, bucket_by)`` names the headline report; ``precheck`` names the
+    field of a hypothesis check, read as a sup on ``|z|`` shells.
+    """
 
     theorem_id: str
-    kind: CriterionKind | None
+    kind: CriterionKind
     mode: str  # "bounded" | "limit" | "bounded+limit" | "membership"
     bucket_by: str  # limit-variable shells: "phi" or "z"
-    needs_phi: bool
-    precheck: str | None  # None | "hinf" | "log_bloch"
+    precheck: CriterionKind | None
     summary: str
+
+    @property
+    def needs_phi(self) -> bool:
+        return self.kind in PHI_BOUNDARY_KINDS
 
 
 THEOREMS: dict[str, TheoremSpec] = {
     t.theorem_id: t
     for t in (
-        TheoremSpec("T3.1", CriterionKind.KI, "bounded", "phi", True, None,
+        TheoremSpec("T3.1", CriterionKind.KI, "bounded", "phi", None,
                     "commutator with the I-type operator bounded on Bloch"),
-        TheoremSpec("T3.2", CriterionKind.KI, "limit", "phi", True, "hinf",
+        TheoremSpec("T3.2", CriterionKind.KI, "limit", "phi", CriterionKind.SUP_NORM,
                     "essential commutation with the I-type operator on Bloch"),
-        TheoremSpec("C3.3", CriterionKind.KI, "limit", "phi", True, None,
+        TheoremSpec("C3.3", CriterionKind.KI, "limit", "phi", None,
                     "I-type commutator compact from H-infinity to Bloch"),
-        TheoremSpec("C3.4", CriterionKind.KI, "limit", "z", True, None,
+        TheoremSpec("C3.4", CriterionKind.KI, "limit", "z", None,
                     "I-type commutator into the little Bloch space"),
-        TheoremSpec("T4.1a", CriterionKind.KJ, "bounded", "phi", True, None,
+        TheoremSpec("T4.1a", CriterionKind.KJ, "bounded", "phi", None,
                     "J-type commutator bounded from H-infinity to Bloch"),
-        TheoremSpec("T4.1b", CriterionKind.KJ, "bounded+limit", "phi", True, None,
+        TheoremSpec("T4.1b", CriterionKind.KJ, "bounded+limit", "phi", None,
                     "J-type commutator compact from H-infinity to Bloch"),
-        TheoremSpec("C4.2", CriterionKind.KJ, "limit", "z", True, None,
+        TheoremSpec("C4.2", CriterionKind.KJ, "limit", "z", None,
                     "J-type commutator into the little Bloch space"),
-        TheoremSpec("C4.3", None, "membership", "z", False, None,
+        TheoremSpec("C4.3", CriterionKind.BLOCH, "membership", "z", None,
                     "little Bloch symbol commutes essentially with every map"),
-        TheoremSpec("P4.6", CriterionKind.KJLOG, "bounded", "phi", True, None,
+        TheoremSpec("P4.6", CriterionKind.KJLOG, "bounded", "phi", None,
                     "J-type commutator bounded on Bloch"),
-        TheoremSpec("P4.7", CriterionKind.KJLOG, "bounded+limit", "phi", True, None,
+        TheoremSpec("P4.7", CriterionKind.KJLOG, "bounded+limit", "phi", None,
                     "J-type commutator compact on Bloch"),
-        TheoremSpec("T4.9", CriterionKind.LG, "limit", "z", False, "log_bloch",
+        TheoremSpec("T4.9", CriterionKind.LG, "limit", "z", CriterionKind.LG_LOG_BOUNDEDNESS,
                     "J-type essential commutation for every self-map"),
     )
+}
+
+#: What a hypothesis check that shows divergence says, by its field.
+_PRECHECK_FAILURE = {
+    CriterionKind.SUP_NORM: "symbol is not sup-norm bounded",
+    CriterionKind.LG_LOG_BOUNDEDNESS: "J-type operator is not bounded on Bloch",
 }
 
 
@@ -357,7 +373,8 @@ def little_bloch_membership(
     g, grid: DiskGrid, thresholds: Thresholds = DEFAULT_THRESHOLDS
 ) -> Membership:
     """Classify the trend of ``(1-|z|^2)|g'(z)|`` toward the boundary."""
-    return _MEMBERSHIP[compact_conclusion(FieldSet(None, g, grid).report(_BLOCH, "z"), thresholds)]
+    report = FieldSet(None, g, grid).report(CriterionKind.BLOCH, "z")
+    return _MEMBERSHIP[compact_conclusion(report, thresholds)]
 
 
 #: Membership in B0 is the compactness tail rule read on the Bloch field.
@@ -366,18 +383,6 @@ _MEMBERSHIP = {
     Conclusion.NOT_COMPACT_EVIDENCE: Membership.NOT_IN_B0_EVIDENCE,
     Conclusion.INCONCLUSIVE: Membership.INCONCLUSIVE,
 }
-
-
-def _run_precheck(name: str, fields: FieldSet, th: Thresholds) -> CriterionReport:
-    if name == "hinf":
-        report = fields.report(_SUP_NORM, "z")
-        label = "symbol is not sup-norm bounded"
-    else:
-        report = fields.report(CriterionKind.LG_LOG_BOUNDEDNESS, "z")
-        label = "J-type operator is not bounded on Bloch"
-    if bounded_conclusion(report, th) is Conclusion.NOT_BOUNDED_EVIDENCE:
-        raise PreconditionFailed(f"hypothesis check failed: {label}", report)
-    return report
 
 
 def classify(
@@ -403,12 +408,17 @@ def classify(
     notes = [ONE_SIDED_NOTE]
     evidence: list[CriterionReport] = []
     if spec.precheck is not None:
-        evidence.append(_run_precheck(spec.precheck, fields, thresholds))
+        report = fields.report(spec.precheck, "z")
+        if bounded_conclusion(report, thresholds) is Conclusion.NOT_BOUNDED_EVIDENCE:
+            raise PreconditionFailed(
+                f"hypothesis check failed: {_PRECHECK_FAILURE[spec.precheck]}", report
+            )
+        evidence.append(report)
+    main = fields.report(spec.kind, spec.bucket_by)
+    evidence.append(main)
 
     if spec.mode == "membership":
-        report = fields.report(_BLOCH, "z")
-        evidence.append(report)
-        member = _MEMBERSHIP[compact_conclusion(report, thresholds)]
+        member = _MEMBERSHIP[compact_conclusion(main, thresholds)]
         if member is Membership.IN_B0:
             conclusion = Conclusion.COMPACT
             notes.append("symbol trends into the little Bloch space")
@@ -417,8 +427,6 @@ def classify(
             notes.append("sufficiency-only statement: membership " + member.value)
         return Verdict(theorem_id, conclusion, tuple(evidence), thresholds, tuple(notes))
 
-    main = fields.report(spec.kind, spec.bucket_by)
-    evidence.append(main)
     # Divergence of the sup happens toward |z| -> 1 (the field is continuous
     # on compact subsets), so growth is always detected on |z| shells even
     # when the limit variable is |phi(z)|.

@@ -12,6 +12,7 @@ every other layout number from those counts.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -128,10 +129,19 @@ class DiskGrid:
         return f"DiskGrid(max_shell={self.max_shell}, base_angular={self.base_angular}, size={self.size})"
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; ``ValueError`` naming it unless it is integral (``6``, ``6.0``)."""
+    if isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer()
+    ):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_grid_range(max_shell: int, base_angular: int) -> tuple[int, int]:
-    """``(max_shell, base_angular)`` as ints; ``ValueError`` unless ``>= 4`` and ``>= 64``."""
-    max_shell = int(max_shell)
-    base_angular = int(base_angular)
+    """``(max_shell, base_angular)`` as ints; ``ValueError`` unless integral, ``>= 4`` and ``>= 64``."""
+    max_shell = _integer("max_shell", max_shell)
+    base_angular = _integer("base_angular", base_angular)
     if max_shell < 4:
         raise ValueError(f"max_shell must be >= 4, got {max_shell}")
     if base_angular < 64:

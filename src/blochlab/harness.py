@@ -152,7 +152,9 @@ class ExperimentSpec:
         unknown = [t for t in self.theorem_ids if t not in THEOREMS]
         if unknown:
             raise ValueError(f"unknown theorem ids: {unknown}")
-        check_grid_range(self.max_shell, self.base_angular)
+        max_shell, base_angular = check_grid_range(self.max_shell, self.base_angular)
+        object.__setattr__(self, "max_shell", max_shell)
+        object.__setattr__(self, "base_angular", base_angular)
         if self.output not in ("json", "csv"):
             raise ValueError(f"output must be json or csv, got {self.output!r}")
 
@@ -329,10 +331,8 @@ def rotation_average_check(
     limsups = []
     witness_t: float | None = None
     witness_report: CriterionReport | None = None
-    for t in ROTATION_ANGLES:
-        rotation = validate_self_map(
-            analytic(f"exp({t!r}i)*z"), grid
-        )
+    for t, src in zip(ROTATION_ANGLES, ROTATION_PANEL):
+        rotation = validate_self_map(analytic(src), grid)
         report = evaluate_criterion(CriterionKind.KJ, rotation, g, grid)
         limsups.append((t, report.boundary_limsup_estimate))
         if witness_t is None and compact_conclusion(report, thresholds) is not Conclusion.COMPACT:
@@ -489,7 +489,7 @@ CSV_COLUMNS = (
 
 
 def to_csv(report: SuiteReport) -> str:
-    """One row per case: verdict headline plus the main criterion numbers."""
+    """One row per case: the conclusion and the numbers of the verdict's headline report."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -497,20 +497,16 @@ def to_csv(report: SuiteReport) -> str:
         if case.verdict is None:
             writer.writerow([case.theorem_id, case.phi, case.g, "", "", "", "", case.error])
             continue
-        main = case.verdict.evidence[-1] if case.verdict.evidence else None
-        for rep in case.verdict.evidence:
-            if isinstance(rep.kind, CriterionKind):
-                main = rep
-                break
+        main = case.verdict.main
         writer.writerow(
             [
                 case.theorem_id,
                 case.phi,
                 case.g,
                 case.verdict.conclusion.value,
-                format(main.sup_value, ".17g") if main else "",
-                format(main.boundary_limsup_estimate, ".17g") if main else "",
-                str(main.vacuous_boundary).lower() if main else "",
+                format(main.sup_value, ".17g"),
+                format(main.boundary_limsup_estimate, ".17g"),
+                str(main.vacuous_boundary).lower(),
                 "",
             ]
         )

@@ -29,7 +29,6 @@ from .criteria import (
     CriterionKind,
     FieldSet,
     Membership,
-    THEOREMS,
     classify,
     criterion_value,
     evaluate_criterion,  # noqa: F401  (bench/tests patch verify.evaluate_criterion)
@@ -247,14 +246,6 @@ def _identity_triples(count: int = 20) -> list[tuple[str, str, str]]:
         )
         for i in range(count)
     ]
-
-
-def _main_report(verdict, theorem_id: str):
-    spec = THEOREMS[theorem_id]
-    for report in verdict.evidence:
-        if report.kind == spec.kind and report.bucket_by == spec.bucket_by:
-            return report
-    raise LookupError(f"no main criterion report in verdict for {theorem_id}")
 
 
 # --------------------------------------------------------------------------
@@ -500,31 +491,41 @@ def _panel_composition():
 # bounds suite
 
 
-@_check("operators.chain_bound_I", "bounds")
-def _chain_bound_I():
-    grid = _grid()
+def _chain_margins(op, kind, f_corpus, norm, max_shell=DEFAULT_MAX_SHELL, keep=None):
+    """Check ``seminorm <= sup K * norm(f) + CHAIN_TOL`` on the panel pairs ``keep`` accepts.
+
+    ``K`` is the field ``kind`` on ``|phi(z)|`` shells; ``keep(phi, g, grid,
+    fields)`` selects pairs (all by default).  Returns the violations, the
+    min margin and the number of pairs checked.
+    """
+    grid = _grid(max_shell)
     min_margin = math.inf
-    violations = 0
+    violations = pairs = 0
     for phi_src in TEN_MAP_PANEL:
-        phi = _self_map(phi_src)
+        phi = _self_map(phi_src, max_shell)
         for g_src in G_CORPUS:
             g = _fn(g_src)
             fields = FieldSet(phi, g, grid)
-            sup_ki = fields.report(CriterionKind.KI, "phi").sup_value
-            for f_src in BLOCH_F_CORPUS:
-                lhs = float(
-                    commutator_seminorm(
-                        OperatorKind.COMMUTATOR_I, phi, g, _fn(f_src), grid, fields=fields
-                    )
-                )
-                rhs = sup_ki * _bloch(f_src) + CHAIN_TOL
-                margin = rhs - lhs
+            if keep is not None and not keep(phi, g, grid, fields):
+                continue
+            pairs += 1
+            sup = fields.report(kind, "phi").sup_value
+            for f_src in f_corpus:
+                lhs = float(commutator_seminorm(op, phi, g, _fn(f_src), grid, fields=fields))
+                margin = sup * norm(f_src) + CHAIN_TOL - lhs
                 min_margin = min(min_margin, margin)
                 violations += margin < 0
-    passed = violations == 0
+    return violations, min_margin, pairs
+
+
+@_check("operators.chain_bound_I", "bounds")
+def _chain_bound_I():
+    violations, min_margin, pairs = _chain_margins(
+        OperatorKind.COMMUTATOR_I, CriterionKind.KI, BLOCH_F_CORPUS, _bloch
+    )
     return (
-        passed,
-        f"{len(TEN_MAP_PANEL) * len(G_CORPUS) * len(BLOCH_F_CORPUS)} cases of "
+        violations == 0,
+        f"{pairs * len(BLOCH_F_CORPUS)} cases of "
         f"commutator seminorm <= sup K_I * Bloch seminorm + {CHAIN_TOL:g}: "
         f"{violations} violations, min margin {min_margin:.3e}",
         min_margin,
@@ -533,29 +534,12 @@ def _chain_bound_I():
 
 @_check("operators.chain_bound_J", "bounds")
 def _chain_bound_J():
-    grid = _grid()
-    min_margin = math.inf
-    violations = 0
-    for phi_src in TEN_MAP_PANEL:
-        phi = _self_map(phi_src)
-        for g_src in G_CORPUS:
-            g = _fn(g_src)
-            fields = FieldSet(phi, g, grid)
-            sup_kj = fields.report(CriterionKind.KJ, "phi").sup_value
-            for f_src in HINF_F_CORPUS:
-                lhs = float(
-                    commutator_seminorm(
-                        OperatorKind.COMMUTATOR_J, phi, g, _fn(f_src), grid, fields=fields
-                    )
-                )
-                rhs = sup_kj * _hinf(f_src) + CHAIN_TOL
-                margin = rhs - lhs
-                min_margin = min(min_margin, margin)
-                violations += margin < 0
-    passed = violations == 0
+    violations, min_margin, pairs = _chain_margins(
+        OperatorKind.COMMUTATOR_J, CriterionKind.KJ, HINF_F_CORPUS, _hinf
+    )
     return (
-        passed,
-        f"{len(TEN_MAP_PANEL) * len(G_CORPUS) * len(HINF_F_CORPUS)} cases of "
+        violations == 0,
+        f"{pairs * len(HINF_F_CORPUS)} cases of "
         f"commutator seminorm <= sup K_J * sup norm + {CHAIN_TOL:g}: "
         f"{violations} violations, min margin {min_margin:.3e}",
         min_margin,
@@ -796,7 +780,7 @@ def _grid_monotonicity():
         previous = None
         for k in (6, 8, 10, 12, 14):
             verdict = classify(theorem_id, _self_map(phi_src, k), g, _grid(k))
-            sup = _main_report(verdict, theorem_id).sup_value
+            sup = verdict.main.sup_value
             if previous is not None:
                 prev_sup, prev_conc = previous
                 if sup < prev_sup:
@@ -821,31 +805,14 @@ def _grid_monotonicity():
 
 @_check("criteria.bounded_implies_chain", "theorems")
 def _bounded_implies_chain():
-    grid = _grid(8)
-    min_margin = math.inf
-    bounded_cases = 0
-    violations = 0
-    for phi_src in TEN_MAP_PANEL:
-        phi = _self_map(phi_src, 8)
-        for g_src in G_CORPUS:
-            g = _fn(g_src)
-            fields = FieldSet(phi, g, grid)
-            verdict = classify("T3.1", phi, g, grid, fields=fields)
-            if verdict.conclusion is not Conclusion.BOUNDED:
-                continue
-            bounded_cases += 1
-            sup_ki = _main_report(verdict, "T3.1").sup_value
-            for f_src in BLOCH_F_CORPUS:
-                f = _fn(f_src)
-                lhs = float(
-                    commutator_seminorm(OperatorKind.COMMUTATOR_I, phi, g, f, grid, fields=fields)
-                )
-                margin = sup_ki * _bloch(f_src) + CHAIN_TOL - lhs
-                min_margin = min(min_margin, margin)
-                violations += margin < 0
-    passed = violations == 0 and bounded_cases > 0
+    def bounded(phi, g, grid, fields):
+        return classify("T3.1", phi, g, grid, fields=fields).conclusion is Conclusion.BOUNDED
+
+    violations, min_margin, bounded_cases = _chain_margins(
+        OperatorKind.COMMUTATOR_I, CriterionKind.KI, BLOCH_F_CORPUS, _bloch, 8, bounded
+    )
     return (
-        passed,
+        violations == 0 and bounded_cases > 0,
         f"{bounded_cases} panel pairs judged bounded; seminorm chain holds for "
         f"every corpus f with min margin {min_margin:.3e}",
         min_margin,

@@ -34,6 +34,14 @@ def test_every_traced_function_resolves():
     assert callable(verify.evaluate_criterion)
 
 
+def test_panel_sweep_reproduces_the_reference_bytes():
+    # every verdict, plus the JSON and CSV sha256 of the 990-case report
+    workloads = _load("workloads")
+    runner = workloads.PanelSweep(0, workloads.load_reference())
+    runner.setup()
+    assert runner.check(runner.iterate()) == (992, 0, [])
+
+
 @pytest.mark.parametrize("workload", ["panel_sweep", "dense_grid", "verify_all"])
 def test_workload_setup_runs(workload):
     workloads = _load("workloads")

@@ -216,7 +216,8 @@ def test_hypothesis_fields_match_per_shell_mask_loop(grid8, self_map):
     pts = grid8.points
     sup_norm = classify("T3.2", phi, g, grid8).evidence[0]
     bloch = classify("C4.3", None, g, grid8).evidence[0]
-    assert (sup_norm.kind_label, bloch.kind_label) == ("|g|", "(1-|z|^2)|g'|")
+    assert (sup_norm.kind, bloch.kind) == (CriterionKind.SUP_NORM, CriterionKind.BLOCH)
+    assert (sup_norm.kind.value, bloch.kind.value) == ("|g|", "(1-|z|^2)|g'|")
     _assert_same_reduction(sup_norm, _mask_loop_reduction(np.abs(g(pts)), None, grid8, "z"))
     bloch_values = (1.0 - np.abs(pts) ** 2) * np.abs(g.deriv(pts))
     _assert_same_reduction(bloch, _mask_loop_reduction(bloch_values, None, grid8, "z"))
@@ -235,8 +236,8 @@ def test_registry_names_eleven_statements():
     }
     assert not THEOREMS["C4.3"].needs_phi
     assert not THEOREMS["T4.9"].needs_phi
-    assert THEOREMS["T3.2"].precheck == "hinf"
-    assert THEOREMS["T4.9"].precheck == "log_bloch"
+    assert THEOREMS["T3.2"].precheck is CriterionKind.SUP_NORM
+    assert THEOREMS["T4.9"].precheck is CriterionKind.LG_LOG_BOUNDEDNESS
 
 
 def test_classify_rejects_unknown_statement(grid6, self_map):
@@ -298,7 +299,7 @@ def test_classify_precheck_failure_raises(default_grid, self_map):
     phi = self_map("mobius(0.5)", default_grid)
     with pytest.raises(PreconditionFailed) as excinfo:
         classify("T3.2", phi, analytic("1/(1-z)"), default_grid)
-    assert excinfo.value.report.kind_label == "|g|"
+    assert excinfo.value.report.kind.value == "|g|"
 
 
 def test_verdict_serializes(grid6, self_map):

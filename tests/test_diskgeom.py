@@ -63,6 +63,21 @@ def test_grid_parameter_validation():
         make_grid(6, 32)
 
 
+@pytest.mark.parametrize(
+    "max_shell, base_angular, bad",
+    [(5.7, 64, "max_shell"), (6, 64.9, "base_angular"), ("6", 64, "max_shell")],
+)
+def test_grid_rejects_values_that_are_not_integers(max_shell, base_angular, bad):
+    with pytest.raises(ValueError, match=f"{bad} must be an integer"):
+        make_grid(max_shell, base_angular)
+
+
+def test_grid_accepts_integral_values_of_other_types():
+    grid = make_grid(6.0, np.int64(64))
+    assert (grid.max_shell, grid.base_angular) == (6, 64)
+    assert type(grid.max_shell) is int and type(grid.base_angular) is int
+
+
 def test_shell_for_modulus_matches_radii():
     for k in range(10):
         assert shell_for_modulus(shell_radius(k), max_shell=10) == k

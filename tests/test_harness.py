@@ -82,6 +82,23 @@ def _spec(**overrides):
     return ExperimentSpec(**base)
 
 
+@pytest.mark.parametrize(
+    "overrides, bad",
+    [({"max_shell": 5.7}, "max_shell"), ({"base_angular": 64.9}, "base_angular"),
+     ({"max_shell": "6"}, "max_shell")],
+)
+def test_spec_rejects_grid_values_that_are_not_integers(overrides, bad):
+    with pytest.raises(ValueError, match=f"{bad} must be an integer"):
+        _spec(**overrides)
+
+
+def test_spec_stores_integral_grid_values_as_ints():
+    spec = _spec(max_shell=6.0, base_angular=np.int64(64))
+    assert type(spec.max_shell) is int and type(spec.base_angular) is int
+    assert spec.to_dict()["grid"] == {"max_shell": 6, "base_angular": 64}
+    assert run_classification(spec).config["grid"] == {"max_shell": 6, "base_angular": 64}
+
+
 def test_spec_roundtrips_through_dict():
     spec = _spec()
     assert ExperimentSpec.from_dict(spec.to_dict()) == spec
@@ -243,6 +260,27 @@ def test_json_report_parses_back(small_report):
     assert payload["schema"] == 1
     assert len(payload["cases"]) == 4
     assert payload["config"]["grid"]["max_shell"] == 5
+
+
+def test_csv_row_carries_the_statement_headline_report():
+    report = run_classification(ExperimentSpec(
+        phi_exprs=("mobius(0.5)", "z/2", "(z+0.3)/2"),
+        g_exprs=("log(2/(1-0.9*z))", "1-mobius(0.7)"),
+        theorem_ids=tuple(sorted(THEOREMS)),
+        max_shell=6,
+        base_angular=64,
+    ))
+    rows = list(csv.reader(io.StringIO(to_csv(report))))[1:]
+    assert len(rows) == len(report.cases) == 6 * len(THEOREMS)
+    for case, row in zip(report.cases, rows):
+        spec, main = THEOREMS[case.theorem_id], case.verdict.main
+        assert (main.kind, main.bucket_by) == (spec.kind, spec.bucket_by)
+        assert any(r is main for r in case.verdict.evidence)
+        assert row == [
+            case.theorem_id, case.phi, case.g, case.verdict.conclusion.value,
+            format(main.sup_value, ".17g"), format(main.boundary_limsup_estimate, ".17g"),
+            str(main.vacuous_boundary).lower(), "",
+        ]
 
 
 def test_csv_has_one_row_per_case(small_report):
