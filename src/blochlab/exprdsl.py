@@ -297,64 +297,27 @@ def parse(text: str) -> Expr:
 # evaluation
 
 
-@singledispatch
+_EVALUATE = {
+    Var: lambda e, z: z,
+    Const: lambda e, z: e.value,
+    Neg: lambda e, z: -evaluate(e.x, z),
+    Add: lambda e, z: evaluate(e.a, z) + evaluate(e.b, z),
+    Sub: lambda e, z: evaluate(e.a, z) - evaluate(e.b, z),
+    Mul: lambda e, z: evaluate(e.a, z) * evaluate(e.b, z),
+    Div: lambda e, z: evaluate(e.a, z) / evaluate(e.b, z),
+    Pow: lambda e, z: evaluate(e.base, z) ** e.n,
+    Exp: lambda e, z: np.exp(evaluate(e.x, z)),
+    Log: lambda e, z: np.log(evaluate(e.x, z)),
+    Mobius: lambda e, z: (e.a - z) / (1.0 - np.conj(e.a) * z),
+}
+
+
 def evaluate(e: Expr, z):
-    raise TypeError(f"unknown node {e!r}")
-
-
-@evaluate.register
-def _(e: Var, z):
-    return z
-
-
-@evaluate.register
-def _(e: Const, z):
-    return e.value
-
-
-@evaluate.register
-def _(e: Neg, z):
-    return -evaluate(e.x, z)
-
-
-@evaluate.register
-def _(e: Add, z):
-    return evaluate(e.a, z) + evaluate(e.b, z)
-
-
-@evaluate.register
-def _(e: Sub, z):
-    return evaluate(e.a, z) - evaluate(e.b, z)
-
-
-@evaluate.register
-def _(e: Mul, z):
-    return evaluate(e.a, z) * evaluate(e.b, z)
-
-
-@evaluate.register
-def _(e: Div, z):
-    return evaluate(e.a, z) / evaluate(e.b, z)
-
-
-@evaluate.register
-def _(e: Pow, z):
-    return evaluate(e.base, z) ** e.n
-
-
-@evaluate.register
-def _(e: Exp, z):
-    return np.exp(evaluate(e.x, z))
-
-
-@evaluate.register
-def _(e: Log, z):
-    return np.log(evaluate(e.x, z))
-
-
-@evaluate.register
-def _(e: Mobius, z):
-    return (e.a - z) / (1.0 - np.conj(e.a) * z)
+    """Value of ``e`` at ``z`` (scalar or array); one table lookup per node."""
+    rule = _EVALUATE.get(type(e))
+    if rule is None:
+        raise TypeError(f"unknown node {e!r}")
+    return rule(e, z)
 
 
 # --------------------------------------------------------------------------

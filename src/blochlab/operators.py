@@ -13,7 +13,8 @@ and through closed-form derivative identities (:func:`commutator_derivative`)::
     d/dz (C_phi J_g - J_g C_phi) f = f(phi(z)) ((g o phi)'(z) - g'(z))
 
 Integrals run along the radial segment [0, z] with adaptive bisection on
-16-point Gauss-Legendre panels (absolute tolerance 1e-12, at most 40 panels).
+16-point Gauss-Legendre panels (absolute tolerance 1e-12).  Each point of an
+array ``z`` is bisected on its own, and each has its own budget of 40 panels.
 
 Norm estimators are sampled maxima and therefore lower bounds of the true
 suprema.  ``bloch_seminorm`` additionally polishes the grid arg-max with a
@@ -64,33 +65,48 @@ class QuadratureError(RuntimeError):
 
 
 def _integrate_radial(h, z):
-    """``integral_0^z h(w) dw`` along the radial segment, elementwise in ``z``."""
+    """``integral_0^z h(w) dw`` along the radial segment, elementwise in ``z``.
+
+    A pending panel carries the indices of the points still open on it; only
+    those are sampled and bisected.  A point fails once the panels covering
+    it, accepted plus pending, would exceed ``QUAD_MAX_PANELS``.
+    """
     zs = np.asarray(z, dtype=complex)
     scalar = zs.ndim == 0
     zv = np.atleast_1d(zs)
 
-    def seg(a: float, b: float) -> np.ndarray:
+    def seg(a: float, b: float, idx: np.ndarray) -> np.ndarray:
         t = 0.5 * (a + b) + 0.5 * (b - a) * _GL_NODES
-        vals = np.asarray(h(t[:, None] * zv[None, :]), dtype=complex)
-        vals = np.broadcast_to(vals, (t.size, zv.size))
-        return 0.5 * (b - a) * (_GL_WEIGHTS @ vals) * zv
+        zi = zv[idx]
+        vals = np.asarray(h(t[:, None] * zi[None, :]), dtype=complex)
+        vals = np.broadcast_to(vals, (t.size, zi.size))
+        return 0.5 * (b - a) * (_GL_WEIGHTS @ vals) * zi
 
     total = np.zeros_like(zv)
-    stack = [(0.0, 1.0, seg(0.0, 1.0))]
-    leaves = 0
+    leaves = np.zeros(zv.size, dtype=int)
+    pending = np.ones(zv.size, dtype=int)
+    every = np.arange(zv.size)
+    stack = [(0.0, 1.0, every, seg(0.0, 1.0, every))]
     while stack:
-        a, b, whole = stack.pop()
+        a, b, idx, whole = stack.pop()
+        pending[idx] -= 1
         m = 0.5 * (a + b)
-        left, right = seg(a, m), seg(m, b)
-        err = float(np.max(np.abs(whole - left - right)))
-        if err <= QUAD_TOL * (b - a):
-            total = total + left + right
-            leaves += 2
-        elif leaves + 2 * (len(stack) + 2) > QUAD_MAX_PANELS:
-            raise QuadratureError(err, QUAD_MAX_PANELS)
-        else:
-            stack.append((m, b, right))
-            stack.append((a, m, left))
+        left, right = seg(a, m, idx), seg(m, b, idx)
+        err = np.abs(whole - left - right)
+        ok = err <= QUAD_TOL * (b - a)
+        done = idx[ok]
+        total[done] = total[done] + left[ok] + right[ok]
+        leaves[done] += 2
+        if ok.all():
+            continue
+        rest = ~ok
+        open_idx = idx[rest]
+        over = leaves[open_idx] + 2 * (pending[open_idx] + 2) > QUAD_MAX_PANELS
+        if over.any():
+            raise QuadratureError(float(np.max(err[rest][over])), QUAD_MAX_PANELS)
+        pending[open_idx] += 2
+        stack.append((m, b, open_idx, right[rest]))
+        stack.append((a, m, open_idx, left[rest]))
     return complex(total[0]) if scalar else total
 
 

@@ -154,15 +154,26 @@ def run_suite(suite: str = "all", name_filter: str | None = None) -> list[CheckR
 
 # --------------------------------------------------------------------------
 # shared fixtures
+#
+# ``_grid`` and ``_self_map`` pass every argument to their caches explicitly,
+# so ``_grid()`` and ``_grid(DEFAULT_MAX_SHELL)`` share one cache entry.
+
+
+def _grid(max_shell: int = DEFAULT_MAX_SHELL, base_angular: int = DEFAULT_BASE_ANGULAR):
+    return _grid_of(max_shell, base_angular)
 
 
 @lru_cache(maxsize=None)
-def _grid(max_shell: int = DEFAULT_MAX_SHELL, base_angular: int = DEFAULT_BASE_ANGULAR):
+def _grid_of(max_shell: int, base_angular: int):
     return make_grid(max_shell, base_angular)
 
 
-@lru_cache(maxsize=None)
 def _self_map(src: str, max_shell: int = DEFAULT_MAX_SHELL):
+    return _self_map_of(src, max_shell)
+
+
+@lru_cache(maxsize=None)
+def _self_map_of(src: str, max_shell: int):
     return validate_self_map(analytic(src), _grid(max_shell))
 
 
@@ -179,6 +190,10 @@ def _bloch(src: str) -> float:
 @lru_cache(maxsize=None)
 def _hinf(src: str) -> float:
     return float(hinf_norm(_fn(src), _grid()))
+
+
+# Every fixture cache; with all of them cleared, the next check runs as if alone.
+_FIXTURE_CACHES = (_grid_of, _self_map_of, _fn, _bloch, _hinf)
 
 
 def _spiral(count: int, max_radius: float) -> np.ndarray:
@@ -560,6 +575,10 @@ def _necessity_peak_lower_bound():
         witnesses = grid.points[shells == outer]
         stride = max(1, math.ceil(witnesses.size / 64))
         witnesses = witnesses[::stride]
+        peaks = []
+        for w in witnesses:
+            a = complex(phi(complex(w)))
+            peaks.append((a, make_test_fn(PeakH(a))))
         for g_src in G_CORPUS:
             g = _fn(g_src)
             fields = FieldSet(phi, g, grid)
@@ -567,9 +586,7 @@ def _necessity_peak_lower_bound():
                 np.asarray(criterion_value(CriterionKind.KI, phi, g, witnesses)),
                 witnesses.shape,
             )
-            for w, ki_w in zip(witnesses, ki):
-                a = complex(phi(complex(w)))
-                peak = make_test_fn(PeakH(a))
+            for (a, peak), ki_w in zip(peaks, ki):
                 lhs = float(
                     commutator_seminorm(
                         OperatorKind.COMMUTATOR_I, phi, g, peak, grid, fields=fields

@@ -1,5 +1,7 @@
 """Expression parsing, printing, evaluation, and symbolic differentiation."""
 
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,3 +170,47 @@ def test_analytic_fn_accepts_scalars_and_arrays():
     f = analytic("z^2")
     assert f(0.5) == 0.25
     assert np.array_equal(f(np.array([1j, 2j])), np.array([-1.0 + 0j, -4.0 + 0j]))
+
+
+# --------------------------------------------------------------------------
+# the evaluator's node table
+
+
+def _reference_value(e, z):
+    """Each node's operation and operand order, spelled out node by node."""
+    n = exprdsl
+    if isinstance(e, n.Var):
+        return z
+    if isinstance(e, n.Const):
+        return e.value
+    if isinstance(e, n.Neg):
+        return -_reference_value(e.x, z)
+    if isinstance(e, n.Pow):
+        return _reference_value(e.base, z) ** e.n
+    if isinstance(e, n.Exp):
+        return np.exp(_reference_value(e.x, z))
+    if isinstance(e, n.Log):
+        return np.log(_reference_value(e.x, z))
+    if isinstance(e, n.Mobius):
+        return (e.a - z) / (1.0 - np.conj(e.a) * z)
+    binary = {n.Add: operator.add, n.Sub: operator.sub, n.Mul: operator.mul}
+    binary[n.Div] = operator.truediv
+    return binary[type(e)](_reference_value(e.a, z), _reference_value(e.b, z))
+
+
+@pytest.mark.parametrize("source", ROUNDTRIP_CORPUS)
+def test_evaluate_keeps_each_node_operation_and_result_type(source):
+    # Python-complex scalars must stay Python complex where they were: the
+    # polish's ZeroDivisionError fallback relies on it
+    f = analytic(source)
+    for expr in (f.expr, f.derivative.expr):
+        for z in (complex(0.3, -0.2), _spiral(20, 0.9)):
+            got, want = evaluate(expr, z), _reference_value(expr, z)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want)
+
+
+def test_evaluate_rejects_what_is_not_a_node():
+    for thing in (object(), 3, "z", None, exprdsl.Expr()):
+        with pytest.raises(TypeError, match="unknown node"):
+            evaluate(thing, 0.5)

@@ -26,7 +26,7 @@ from blochlab import (
     hinf_norm,
 )
 from blochlab.criteria import FieldSet
-from blochlab.operators import PairSamples, _integrate_radial
+from blochlab.operators import QUAD_TOL, PairSamples, _integrate_radial
 
 POINTS = [0.3, -0.4 + 0.2j, 0.7j, 0.55 - 0.35j]
 
@@ -82,6 +82,59 @@ def test_quadrature_error_reports_achieved_tolerance():
     with pytest.raises(QuadratureError) as excinfo:
         _integrate_radial(lambda u: np.sin(1.0 / np.abs(u + 1e-300)), 0.5)
     assert excinfo.value.achieved > 0.0
+    assert "40 panels" in str(excinfo.value)
+
+
+def _counting_samples_on_imaginary_axis(h):
+    """Wrap ``h``; ``count[0]`` is the number of samples taken with real part 0."""
+    count = [0]
+
+    def wrapped(u):
+        count[0] += int(np.count_nonzero(u.real == 0.0))
+        return h(u)
+
+    return wrapped, count
+
+
+def test_smooth_point_is_not_refined_for_a_steep_one():
+    # 1/(1.001 - u) is steep near u = 1 on the real ray and smooth on the
+    # imaginary one; the smooth point's samples are the ones with real part 0
+    def h(u):
+        return 1.0 / (1.001 - u)
+
+    alone, count_alone = _counting_samples_on_imaginary_axis(h)
+    value_alone = _integrate_radial(alone, 0.3j)
+    batched, count_batched = _counting_samples_on_imaginary_axis(h)
+    values = _integrate_radial(batched, np.array([0.3j, 0.999]))
+    assert count_batched[0] <= count_alone[0]
+    assert abs(values[0] - value_alone) <= 1e-15
+    assert values[1] == pytest.approx(np.log(1.001 / 0.002), abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "g_src, f_src",
+    [("log(2/(1-0.999*z))", "mobius(0.5)"), ("z^3-z+0.5", "exp(z)"), ("mobius(0.3i)", "z^2")],
+)
+def test_batched_points_match_each_point_alone(g_src, f_src):
+    # not bit-for-bit: the Gauss-Legendre mat-vec rounds differently per batch width
+    g, f = analytic(g_src), analytic(f_src)
+    radii = np.linspace(0.02, 0.95, 60)
+    pts = radii * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 60, endpoint=False))
+    for h in (lambda u: f(u) * g.deriv(u), lambda u: f.deriv(u) * g(u)):
+        batch = _integrate_radial(h, pts)
+        alone = np.array([_integrate_radial(h, complex(p)) for p in pts])
+        assert np.max(np.abs(batch - alone)) <= 1e-15
+
+
+def test_one_failing_point_fails_the_batch():
+    # the oscillation of sin(1/|u|), moved to 0.25: only the point 0.5 crosses it
+    def h(u):
+        return np.sin(1.0 / np.abs(u - 0.25 + 1e-300))
+
+    assert abs(_integrate_radial(h, 0.5j)) > 0.0
+    with pytest.raises(QuadratureError) as excinfo:
+        _integrate_radial(h, np.array([0.5j, 0.5, 0.3 - 0.4j]))
+    assert excinfo.value.achieved > QUAD_TOL
     assert "40 panels" in str(excinfo.value)
 
 

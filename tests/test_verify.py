@@ -10,7 +10,8 @@ import pathlib
 
 import pytest
 
-from blochlab import available_checks, run_suite
+from blochlab import available_checks, run_suite, verify
+from blochlab.diskgeom import DEFAULT_MAX_SHELL
 from blochlab.verify import SUITES
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "verify_golden.json"
@@ -62,10 +63,21 @@ def test_golden_lists_every_check_in_order():
 
 @pytest.mark.parametrize("name", available_checks())
 def test_every_check_passes(name):
+    # empty fixture caches: each golden row holds for its check run alone
+    for cache in verify._FIXTURE_CACHES:
+        cache.cache_clear()
     (result,) = run_suite("all", name_filter=name)
     assert result.name == name
     assert result.passed, result.detail
     assert _golden_row(result) == GOLDEN[name]
+
+
+def test_fixture_caches_fill_in_default_arguments():
+    assert verify._grid() is verify._grid(DEFAULT_MAX_SHELL)
+    assert verify._grid(6) is verify._grid(max_shell=6, base_angular=64)
+    assert verify._self_map("z/2") is verify._self_map("z/2", DEFAULT_MAX_SHELL)
+    assert verify._self_map("z/2", 6) is verify._self_map("z/2", max_shell=6)
+    assert verify._self_map("z/2", 6) is not verify._self_map("z/2")
 
 
 def test_unknown_suite_rejected():
