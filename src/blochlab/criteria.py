@@ -179,7 +179,7 @@ class _Samples(PairSamples):
         return self.one_minus * np.abs(self.dg_z)
 
     def field(self, kind: CriterionKind):
-        """The field ``kind`` at the points, from the samples (not broadcast)."""
+        """The field ``kind`` at the points, from the samples."""
         if kind in PHI_BOUNDARY_KINDS and self.phi is None:
             raise ValueError(f"criterion {kind.value} requires a self-map")
         if kind is CriterionKind.KI:
@@ -200,8 +200,7 @@ class _Samples(PairSamples):
 
 def criterion_value(kind: CriterionKind, phi, g, z):
     """Pointwise criterion value; vectorized over ``z`` arrays."""
-    zs = np.asarray(z, dtype=complex)
-    out = np.broadcast_to(np.asarray(_Samples(phi, g, zs).field(kind), dtype=float), zs.shape)
+    out = _Samples(phi, g, np.asarray(z, dtype=complex)).field(kind)
     return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
@@ -223,14 +222,13 @@ class FieldSet(_Samples):
     def values(self, kind: CriterionKind) -> np.ndarray:
         key = CriterionKind.LG if kind is CriterionKind.LG_LOG_BOUNDEDNESS else kind
         if key not in self._values:
-            out = np.asarray(self.field(key), dtype=float)
-            self._values[key] = np.broadcast_to(out, self.z.shape)
+            self._values[key] = self.field(key)
         return self._values[key]
 
     @cached_property
     def _phi_shells(self) -> tuple[ShellSegments, bool]:
         """``|phi(z)|`` shell segments, and whether ``|phi(z)| -> 1`` is out of reach on this grid."""
-        moduli = np.abs(np.broadcast_to(self.w, self.z.shape))
+        moduli = np.abs(self.w)
         max_shell = self.grid.max_shell
         vacuous = sup_modulus_estimate(moduli, self.grid) < 1.0 - 2.0 ** (-max_shell)
         return shell_segments(shell_for_modulus(moduli, max_shell), max_shell), vacuous

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exprdsl import AnalyticFn, Expr, Mobius, Mul, Neg, Var, _depends_on_z, evaluate
+from .exprdsl import AnalyticFn, Expr, Mobius, Mul, Neg, Var
 
 DEFAULT_MAX_SHELL = 14
 DEFAULT_BASE_ANGULAR = 64
@@ -208,8 +208,8 @@ def _syntactic_automorphism(e: Expr) -> bool:
         return _syntactic_automorphism(e.x)
     if isinstance(e, Mul):
         for c, rest in ((e.a, e.b), (e.b, e.a)):
-            if not _depends_on_z(c):
-                lam = complex(evaluate(c, 0.0))
+            if not c.depends_on_z():
+                lam = complex(c.evaluate(0.0))
                 if abs(abs(lam) - 1.0) <= 1e-12:
                     return _syntactic_automorphism(rest)
     return False
@@ -222,7 +222,7 @@ def validate_self_map(fn: AnalyticFn, grid: DiskGrid) -> SelfMap:
     Raises :class:`NotASelfMap` with the first offending grid point
     otherwise; a non-finite sample (NaN) offends.
     """
-    moduli = np.abs(np.broadcast_to(np.asarray(fn(grid.points)), grid.points.shape))
+    moduli = np.abs(fn(grid.points))
     bad = np.flatnonzero(~(moduli < 1.0))
     if bad.size:
         j = int(bad[0])
@@ -242,7 +242,7 @@ def validate_symbol(fn: AnalyticFn, grid: DiskGrid) -> AnalyticFn:
     pts = np.concatenate(([0j], grid.points))
     for what, evaluate_at in (("f", fn), ("f'", fn.deriv)):
         with np.errstate(all="ignore"):
-            values = np.broadcast_to(np.asarray(evaluate_at(pts)), pts.shape)
+            values = evaluate_at(pts)
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             j = int(bad[0])

@@ -14,17 +14,24 @@ with ``i`` is an imaginary literal, so ``1+2i`` works, as does
 involution ``(a - z) / (1 - conj(a) z)``; its parameter must be a constant
 with ``|a| < 1`` (otherwise the pole would not stay outside the closed disk).
 
-Expressions evaluate pointwise on scalars or numpy arrays, and differentiate
-symbolically.  ``parse(print_expr(e))`` evaluates identically to ``e`` — the
-printer parenthesizes enough to reproduce the exact tree shape (modulo
-negative literals folding through an exact unary minus).
+Each node class carries its own operations: ``evaluate(z)`` (pointwise, on
+scalars or numpy arrays), ``differentiate()`` (symbolic, with light constant
+folding) and ``render()``; ``depends_on_z()`` walks a node's operands.
+``parse(print_expr(e))`` evaluates identically to ``e`` — the printer
+parenthesizes enough to reproduce the exact tree shape (modulo negative
+literals folding through an exact unary minus).
+
+A constant tree evaluates to one scalar whatever ``z`` is, and
+:func:`evaluate` returns it as is.  An :class:`AnalyticFn` sample at an
+array always has that array's shape; at a Python ``complex`` it keeps the
+tree's own scalar type.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, singledispatch
+from functools import cached_property
 
 import numpy as np
 
@@ -40,27 +47,69 @@ class ExprError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# nodes
+# nodes: each carries its value, its derivative and its rendering
 
 
 @dataclass(frozen=True)
 class Expr:
-    pass
+    """An expression node; a subclass defines ``evaluate``, ``differentiate`` and ``render``."""
+
+    def depends_on_z(self) -> bool:
+        return any(isinstance(v, Expr) and v.depends_on_z() for v in vars(self).values())
+
+    def evaluate(self, z):
+        raise TypeError(f"unknown node {self!r}")
+
+    def differentiate(self) -> Expr:
+        raise TypeError(f"unknown node {self!r}")
+
+    def render(self) -> tuple[str, int]:
+        """The node's text and its precedence level."""
+        raise TypeError(f"unknown node {self!r}")
 
 
 @dataclass(frozen=True)
 class Var(Expr):
-    pass
+    def depends_on_z(self) -> bool:
+        return True
+
+    def evaluate(self, z):
+        return z
+
+    def differentiate(self) -> Expr:
+        return Const(1.0)
+
+    def render(self):
+        return "z", _LEVEL_ATOM
 
 
 @dataclass(frozen=True)
 class Const(Expr):
     value: complex
 
+    def evaluate(self, z):
+        return self.value
+
+    def differentiate(self) -> Expr:
+        return Const(0.0)
+
+    def render(self):
+        return _const_text(self.value)
+
 
 @dataclass(frozen=True)
 class Neg(Expr):
     x: Expr
+
+    def evaluate(self, z):
+        return -self.x.evaluate(z)
+
+    def differentiate(self) -> Expr:
+        d = self.x.differentiate()
+        return Const(0.0) if _is_const(d, 0) else Neg(d)
+
+    def render(self):
+        return "-" + _paren(self.x, _LEVEL_NEG), _LEVEL_NEG
 
 
 @dataclass(frozen=True)
@@ -68,11 +117,29 @@ class Add(Expr):
     a: Expr
     b: Expr
 
+    def evaluate(self, z):
+        return self.a.evaluate(z) + self.b.evaluate(z)
+
+    def differentiate(self) -> Expr:
+        return _add(self.a.differentiate(), self.b.differentiate())
+
+    def render(self):
+        return _paren(self.a, _LEVEL_ADD) + "+" + _paren(self.b, _LEVEL_ADD + 1), _LEVEL_ADD
+
 
 @dataclass(frozen=True)
 class Sub(Expr):
     a: Expr
     b: Expr
+
+    def evaluate(self, z):
+        return self.a.evaluate(z) - self.b.evaluate(z)
+
+    def differentiate(self) -> Expr:
+        return _sub(self.a.differentiate(), self.b.differentiate())
+
+    def render(self):
+        return _paren(self.a, _LEVEL_ADD) + "-" + _paren(self.b, _LEVEL_ADD + 1), _LEVEL_ADD
 
 
 @dataclass(frozen=True)
@@ -80,11 +147,31 @@ class Mul(Expr):
     a: Expr
     b: Expr
 
+    def evaluate(self, z):
+        return self.a.evaluate(z) * self.b.evaluate(z)
+
+    def differentiate(self) -> Expr:
+        return _add(_mul(self.a.differentiate(), self.b), _mul(self.a, self.b.differentiate()))
+
+    def render(self):
+        return _paren(self.a, _LEVEL_MUL) + "*" + _paren(self.b, _LEVEL_MUL + 1), _LEVEL_MUL
+
 
 @dataclass(frozen=True)
 class Div(Expr):
     a: Expr
     b: Expr
+
+    def evaluate(self, z):
+        return self.a.evaluate(z) / self.b.evaluate(z)
+
+    def differentiate(self) -> Expr:
+        # (a'b - ab') / b^2
+        num = _sub(_mul(self.a.differentiate(), self.b), _mul(self.a, self.b.differentiate()))
+        return _div(num, _pow(self.b, 2))
+
+    def render(self):
+        return _paren(self.a, _LEVEL_MUL) + "/" + _paren(self.b, _LEVEL_MUL + 1), _LEVEL_MUL
 
 
 @dataclass(frozen=True)
@@ -92,20 +179,140 @@ class Pow(Expr):
     base: Expr
     n: int
 
+    def evaluate(self, z):
+        return self.base.evaluate(z) ** self.n
+
+    def differentiate(self) -> Expr:
+        if self.n == 0:
+            return Const(0.0)
+        inner = self.base.differentiate()
+        return _mul(Const(float(self.n)), _mul(_pow(self.base, self.n - 1), inner))
+
+    def render(self):
+        return _paren(self.base, _LEVEL_ATOM) + "^" + str(self.n), _LEVEL_POW
+
 
 @dataclass(frozen=True)
 class Exp(Expr):
     x: Expr
+
+    def evaluate(self, z):
+        return np.exp(self.x.evaluate(z))
+
+    def differentiate(self) -> Expr:
+        return _mul(Exp(self.x), self.x.differentiate())
+
+    def render(self):
+        return "exp(" + self.x.render()[0] + ")", _LEVEL_ATOM
 
 
 @dataclass(frozen=True)
 class Log(Expr):
     x: Expr
 
+    def evaluate(self, z):
+        return np.log(self.x.evaluate(z))
+
+    def differentiate(self) -> Expr:
+        return _div(self.x.differentiate(), self.x)
+
+    def render(self):
+        return "log(" + self.x.render()[0] + ")", _LEVEL_ATOM
+
 
 @dataclass(frozen=True)
 class Mobius(Expr):
     a: complex
+
+    def depends_on_z(self) -> bool:
+        return True
+
+    def evaluate(self, z):
+        return (self.a - z) / (1.0 - np.conj(self.a) * z)
+
+    def differentiate(self) -> Expr:
+        # d/dz (a-z)/(1-conj(a) z) = -(1-|a|^2) / (1-conj(a) z)^2
+        scale = -(1.0 - abs(self.a) ** 2)
+        denom = _sub(Const(1.0), _mul(Const(complex(self.a).conjugate()), Var()))
+        return _div(Const(complex(scale)), _pow(denom, 2))
+
+    def render(self):
+        return "mobius(" + _const_text(self.a)[0] + ")", _LEVEL_ATOM
+
+
+# --------------------------------------------------------------------------
+# differentiation helpers (light constant folding keeps derivative trees small)
+
+
+def _is_const(e: Expr, v: complex) -> bool:
+    return isinstance(e, Const) and e.value == v
+
+
+def _add(a: Expr, b: Expr) -> Expr:
+    if _is_const(a, 0):
+        return b
+    if _is_const(b, 0):
+        return a
+    return Add(a, b)
+
+
+def _sub(a: Expr, b: Expr) -> Expr:
+    if _is_const(b, 0):
+        return a
+    if _is_const(a, 0):
+        return Neg(b)
+    return Sub(a, b)
+
+
+def _mul(a: Expr, b: Expr) -> Expr:
+    if _is_const(a, 0) or _is_const(b, 0):
+        return Const(0.0)
+    if _is_const(a, 1):
+        return b
+    if _is_const(b, 1):
+        return a
+    return Mul(a, b)
+
+
+def _div(a: Expr, b: Expr) -> Expr:
+    if _is_const(a, 0):
+        return Const(0.0)
+    if _is_const(b, 1):
+        return a
+    return Div(a, b)
+
+
+def _pow(base: Expr, n: int) -> Expr:
+    if n == 0:
+        return Const(1.0)
+    if n == 1:
+        return base
+    return Pow(base, n)
+
+
+# --------------------------------------------------------------------------
+# printing helpers
+
+_LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
+
+
+def _float_text(x: float) -> str:
+    return repr(float(x))
+
+
+def _const_text(c: complex) -> tuple[str, int]:
+    if c.imag == 0.0:
+        t = _float_text(c.real)
+    elif c.real == 0.0:
+        t = _float_text(c.imag) + "i"
+    else:
+        return f"complex({_float_text(c.real)},{_float_text(c.imag)})", _LEVEL_ATOM
+    return t, (_LEVEL_NEG if t.startswith("-") else _LEVEL_ATOM)
+
+
+def _paren(child: Expr, need: int) -> str:
+    text, level = child.render()
+    return f"({text})" if level < need else text
 
 
 # --------------------------------------------------------------------------
@@ -267,25 +474,9 @@ class _Parser:
         return Mobius(a)
 
     def constant(self, e: Expr, pos: int) -> complex:
-        if _depends_on_z(e):
+        if e.depends_on_z():
             raise ExprError("parameter must be a constant expression", pos)
-        return complex(evaluate(e, 0.0))
-
-
-def _depends_on_z(e: Expr) -> bool:
-    if isinstance(e, Var):
-        return True
-    if isinstance(e, (Const, Mobius)):
-        return isinstance(e, Mobius)  # mobius is a function of z
-    if isinstance(e, Neg):
-        return _depends_on_z(e.x)
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return _depends_on_z(e.a) or _depends_on_z(e.b)
-    if isinstance(e, Pow):
-        return _depends_on_z(e.base)
-    if isinstance(e, (Exp, Log)):
-        return _depends_on_z(e.x)
-    raise TypeError(f"unknown node {e!r}")
+        return complex(e.evaluate(0.0))
 
 
 def parse(text: str) -> Expr:
@@ -294,239 +485,21 @@ def parse(text: str) -> Expr:
 
 
 # --------------------------------------------------------------------------
-# evaluation
-
-
-_EVALUATE = {
-    Var: lambda e, z: z,
-    Const: lambda e, z: e.value,
-    Neg: lambda e, z: -evaluate(e.x, z),
-    Add: lambda e, z: evaluate(e.a, z) + evaluate(e.b, z),
-    Sub: lambda e, z: evaluate(e.a, z) - evaluate(e.b, z),
-    Mul: lambda e, z: evaluate(e.a, z) * evaluate(e.b, z),
-    Div: lambda e, z: evaluate(e.a, z) / evaluate(e.b, z),
-    Pow: lambda e, z: evaluate(e.base, z) ** e.n,
-    Exp: lambda e, z: np.exp(evaluate(e.x, z)),
-    Log: lambda e, z: np.log(evaluate(e.x, z)),
-    Mobius: lambda e, z: (e.a - z) / (1.0 - np.conj(e.a) * z),
-}
+# entry points
 
 
 def evaluate(e: Expr, z):
-    """Value of ``e`` at ``z`` (scalar or array); one table lookup per node."""
-    rule = _EVALUATE.get(type(e))
-    if rule is None:
+    """Value of ``e`` at ``z`` (scalar or array); a constant's value stays a scalar."""
+    if not isinstance(e, Expr):
         raise TypeError(f"unknown node {e!r}")
-    return rule(e, z)
-
-
-# --------------------------------------------------------------------------
-# differentiation (with light constant folding to keep trees small)
-
-
-def _is_const(e: Expr, v: complex) -> bool:
-    return isinstance(e, Const) and e.value == v
-
-
-def _add(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0):
-        return b
-    if _is_const(b, 0):
-        return a
-    return Add(a, b)
-
-
-def _sub(a: Expr, b: Expr) -> Expr:
-    if _is_const(b, 0):
-        return a
-    if _is_const(a, 0):
-        return Neg(b)
-    return Sub(a, b)
-
-
-def _mul(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0) or _is_const(b, 0):
-        return Const(0.0)
-    if _is_const(a, 1):
-        return b
-    if _is_const(b, 1):
-        return a
-    return Mul(a, b)
-
-
-def _div(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0):
-        return Const(0.0)
-    if _is_const(b, 1):
-        return a
-    return Div(a, b)
-
-
-def _pow(base: Expr, n: int) -> Expr:
-    if n == 0:
-        return Const(1.0)
-    if n == 1:
-        return base
-    return Pow(base, n)
-
-
-@singledispatch
-def differentiate(e: Expr) -> Expr:
-    raise TypeError(f"unknown node {e!r}")
-
-
-@differentiate.register
-def _(e: Var) -> Expr:
-    return Const(1.0)
-
-
-@differentiate.register
-def _(e: Const) -> Expr:
-    return Const(0.0)
-
-
-@differentiate.register
-def _(e: Neg) -> Expr:
-    d = differentiate(e.x)
-    return Const(0.0) if _is_const(d, 0) else Neg(d)
-
-
-@differentiate.register
-def _(e: Add) -> Expr:
-    return _add(differentiate(e.a), differentiate(e.b))
-
-
-@differentiate.register
-def _(e: Sub) -> Expr:
-    return _sub(differentiate(e.a), differentiate(e.b))
-
-
-@differentiate.register
-def _(e: Mul) -> Expr:
-    return _add(_mul(differentiate(e.a), e.b), _mul(e.a, differentiate(e.b)))
-
-
-@differentiate.register
-def _(e: Div) -> Expr:
-    # (a'b - ab') / b^2
-    num = _sub(_mul(differentiate(e.a), e.b), _mul(e.a, differentiate(e.b)))
-    return _div(num, _pow(e.b, 2))
-
-
-@differentiate.register
-def _(e: Pow) -> Expr:
-    if e.n == 0:
-        return Const(0.0)
-    inner = differentiate(e.base)
-    return _mul(Const(float(e.n)), _mul(_pow(e.base, e.n - 1), inner))
-
-
-@differentiate.register
-def _(e: Exp) -> Expr:
-    return _mul(Exp(e.x), differentiate(e.x))
-
-
-@differentiate.register
-def _(e: Log) -> Expr:
-    return _div(differentiate(e.x), e.x)
-
-
-@differentiate.register
-def _(e: Mobius) -> Expr:
-    # d/dz (a-z)/(1-conj(a) z) = -(1-|a|^2) / (1-conj(a) z)^2
-    scale = -(1.0 - abs(e.a) ** 2)
-    denom = _sub(Const(1.0), _mul(Const(complex(e.a).conjugate()), Var()))
-    return _div(Const(complex(scale)), _pow(denom, 2))
-
-
-# --------------------------------------------------------------------------
-# printing
-
-_LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
-
-
-def _float_text(x: float) -> str:
-    return repr(float(x))
-
-
-def _const_text(c: complex) -> tuple[str, int]:
-    if c.imag == 0.0:
-        t = _float_text(c.real)
-    elif c.real == 0.0:
-        t = _float_text(c.imag) + "i"
-    else:
-        return f"complex({_float_text(c.real)},{_float_text(c.imag)})", _LEVEL_ATOM
-    return t, (_LEVEL_NEG if t.startswith("-") else _LEVEL_ATOM)
-
-
-def _paren(child: Expr, need: int) -> str:
-    text, level = _render(child)
-    return f"({text})" if level < need else text
-
-
-@singledispatch
-def _render(e: Expr) -> tuple[str, int]:
-    raise TypeError(f"unknown node {e!r}")
-
-
-@_render.register
-def _(e: Var):
-    return "z", _LEVEL_ATOM
-
-
-@_render.register
-def _(e: Const):
-    return _const_text(e.value)
-
-
-@_render.register
-def _(e: Neg):
-    return "-" + _paren(e.x, _LEVEL_NEG), _LEVEL_NEG
-
-
-@_render.register
-def _(e: Add):
-    return _paren(e.a, _LEVEL_ADD) + "+" + _paren(e.b, _LEVEL_ADD + 1), _LEVEL_ADD
-
-
-@_render.register
-def _(e: Sub):
-    return _paren(e.a, _LEVEL_ADD) + "-" + _paren(e.b, _LEVEL_ADD + 1), _LEVEL_ADD
-
-
-@_render.register
-def _(e: Mul):
-    return _paren(e.a, _LEVEL_MUL) + "*" + _paren(e.b, _LEVEL_MUL + 1), _LEVEL_MUL
-
-
-@_render.register
-def _(e: Div):
-    return _paren(e.a, _LEVEL_MUL) + "/" + _paren(e.b, _LEVEL_MUL + 1), _LEVEL_MUL
-
-
-@_render.register
-def _(e: Pow):
-    return _paren(e.base, _LEVEL_ATOM) + "^" + str(e.n), _LEVEL_POW
-
-
-@_render.register
-def _(e: Exp):
-    return "exp(" + _render(e.x)[0] + ")", _LEVEL_ATOM
-
-
-@_render.register
-def _(e: Log):
-    return "log(" + _render(e.x)[0] + ")", _LEVEL_ATOM
-
-
-@_render.register
-def _(e: Mobius):
-    return "mobius(" + _const_text(e.a)[0] + ")", _LEVEL_ATOM
+    return e.evaluate(z)
 
 
 def print_expr(e: Expr) -> str:
     """Render ``e`` as parseable text; round-trips at the value level."""
-    return _render(e)[0]
+    if not isinstance(e, Expr):
+        raise TypeError(f"unknown node {e!r}")
+    return e.render()[0]
 
 
 # --------------------------------------------------------------------------
@@ -537,8 +510,12 @@ class AnalyticFn:
     """Holomorphic function backed by an expression tree.
 
     ``f(z)`` evaluates the function, ``f.deriv(z)`` its exact symbolic
-    derivative; both accept scalars or numpy arrays.  ``source`` is the text
-    the function was parsed from, or a canonical rendering made on first read.
+    derivative; both accept scalars or numpy arrays.  A sample at an array
+    has that array's shape, even where the expression is constant (then it
+    is a read-only broadcast view).  A sample at a Python ``complex`` keeps
+    the tree's scalar type, so Python complex division still raises at a
+    pole.  ``source`` is the text the function was parsed from, or a
+    canonical rendering made on first read.
     """
 
     def __init__(self, expr: Expr, source: str | None = None):
@@ -552,16 +529,23 @@ class AnalyticFn:
 
     @cached_property
     def derivative(self) -> "AnalyticFn":
-        return AnalyticFn(differentiate(self.expr))
+        return AnalyticFn(self.expr.differentiate())
 
     def __call__(self, z):
-        return evaluate(self.expr, z)
+        return _shaped(self.expr.evaluate(z), z)
 
     def deriv(self, z):
-        return evaluate(self.derivative.expr, z)
+        return _shaped(self.derivative.expr.evaluate(z), z)
 
     def __repr__(self) -> str:
         return f"AnalyticFn({self.source!r})"
+
+
+def _shaped(value, z):
+    # a constant tree yields one scalar whatever z is
+    if isinstance(z, np.ndarray) and np.shape(value) != z.shape:
+        return np.broadcast_to(value, z.shape)
+    return value
 
 
 def analytic(text: str) -> AnalyticFn:

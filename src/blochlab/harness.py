@@ -347,12 +347,12 @@ def rotation_average_check(
     avg = np.zeros(pts.shape, dtype=float)
     for k in range(16):
         w = complex(np.exp(2j * math.pi * k / 16))
-        avg += one_minus * np.abs(np.broadcast_to(np.asarray(g.deriv(w * pts) * w - dg), pts.shape))
+        avg += one_minus * np.abs(g.deriv(w * pts) * w - dg)
     avg /= 16.0
     aliased = np.zeros(pts.shape, dtype=complex)
     for n in range(16, series.degree_bound + 1, 16):
         aliased += n * series.coeffs[n] * pts ** (n - 1)
-    rhs = one_minus * np.abs(aliased - np.broadcast_to(np.asarray(dg), pts.shape))
+    rhs = one_minus * np.abs(aliased - dg)
     defect = float(np.max(rhs - avg))
 
     return RotationAverageOutcome(
@@ -396,7 +396,7 @@ def hospital_slack(k: int, phi0_modulus: float) -> float:
 
 def hospital_ratio_check(phi: SelfMap, grid: DiskGrid) -> HospitalRatioReport:
     pts = grid.points
-    w = np.broadcast_to(np.asarray(phi(pts)), pts.shape)
+    w = phi(pts)
     num = np.log(2.0 / (1.0 - np.abs(w) ** 2))
     den = np.log(2.0 / (1.0 - np.abs(pts) ** 2))
     ratio = num / den

@@ -136,24 +136,27 @@ def commutator_value(kind: OperatorKind, phi, g, f, z):
 
 def commutator_derivative(kind: OperatorKind, phi, g, f, z):
     """Closed-form derivative of the commutator (no quadrature)."""
-    w = phi(z)
+    return _commutator_derivative(kind, PairSamples(phi, g, z), f)
+
+
+def _commutator_derivative(kind: OperatorKind, s: PairSamples, f):
     if kind is OperatorKind.COMMUTATOR_I:
-        return phi.deriv(z) * f.deriv(w) * (g(w) - g(z))
+        return s.dphi * f.deriv(s.w) * s.g_jump
     if kind is OperatorKind.COMMUTATOR_J:
-        return f(w) * (g.deriv(w) * phi.deriv(z) - g.deriv(z))
+        return f(s.w) * s.dg_jump
     raise ValueError(f"kind must be a commutator kind, got {kind}")
 
 
 class PairSamples:
-    """The primitives of one pair ``(phi, g)`` at the points ``z``, each taken on first use.
+    """The primitives of one pair ``(phi, g)`` at ``z``, each taken on first use.
 
-    The criterion fields and the commutator derivatives are formulas over
-    these samples, so ``phi``, ``phi'``, ``g``, ``g'``, ``g o phi`` and
-    ``g' o phi`` are each evaluated once however many fields or test
-    functions read them.
+    ``z`` is one point or an array of points.  The criterion fields and the
+    commutator derivatives are formulas over these samples, so ``phi``,
+    ``phi'``, ``g``, ``g'``, ``g o phi`` and ``g' o phi`` are each evaluated
+    once however many fields or test functions read them.
     """
 
-    def __init__(self, phi, g, z: np.ndarray):
+    def __init__(self, phi, g, z):
         self.phi, self.g, self.z = phi, g, z
 
     def check_pair(self, phi, g, grid: DiskGrid) -> None:
@@ -167,7 +170,7 @@ class PairSamples:
 
     @cached_property
     def w(self):
-        return np.asarray(self.phi(self.z), dtype=complex)
+        return self.phi(self.z)
 
     @cached_property
     def one_minus_w(self):
@@ -258,7 +261,7 @@ def _polish_disk_max(field, starts) -> SupEstimate | None:
 def bloch_seminorm(f, grid: DiskGrid) -> SupEstimate:
     """``sup (1 - |z|^2) |f'(z)|``: grid max plus local polish (lower bound)."""
     pts = grid.points
-    vals = (1.0 - np.abs(pts) ** 2) * np.abs(np.broadcast_to(f.deriv(pts), pts.shape))
+    vals = (1.0 - np.abs(pts) ** 2) * np.abs(f.deriv(pts))
     base = _grid_max(vals, pts)
     order = np.argsort(vals, kind="stable")[::-1][:4]
     polished = _polish_disk_max(
@@ -277,14 +280,14 @@ def bloch_norm(f, grid: DiskGrid) -> float:
 def hinf_norm(f, grid: DiskGrid) -> SupEstimate:
     """Sampled sup norm over the grid and a dense near-boundary circle."""
     pts = grid.points
-    vals = np.abs(np.broadcast_to(np.asarray(f(pts)), pts.shape))
+    vals = np.abs(f(pts))
     base = _grid_max(vals, pts)
 
     r = 1.0 - 2.0 ** (-(grid.max_shell + 7))
     n = 8 * grid.angular_counts[-1]
     theta = 2.0 * np.pi * np.arange(n) / n
     circle = r * np.exp(1j * theta)
-    cvals = np.abs(np.broadcast_to(np.asarray(f(circle)), circle.shape))
+    cvals = np.abs(f(circle))
     j = int(np.argmax(cvals))
     span = 2.0 * np.pi / n
     res = minimize_scalar(
@@ -309,11 +312,5 @@ def commutator_seminorm(
     """
     s = PairSamples(phi, g, grid.points) if fields is None else fields
     s.check_pair(phi, g, grid)
-    if kind is OperatorKind.COMMUTATOR_I:
-        d = s.dphi * f.deriv(s.w) * s.g_jump
-    elif kind is OperatorKind.COMMUTATOR_J:
-        d = f(s.w) * s.dg_jump
-    else:
-        raise ValueError(f"kind must be a commutator kind, got {kind}")
-    vals = s.one_minus * np.abs(np.broadcast_to(d, s.z.shape))
+    vals = s.one_minus * np.abs(_commutator_derivative(kind, s, f))
     return _grid_max(vals, s.z)

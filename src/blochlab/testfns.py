@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce, singledispatch
+from functools import reduce
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .exprdsl import (
     AnalyticFn,
     Const,
     Div,
+    Expr,
     Log,
     Mobius,
     Mul,
@@ -39,39 +40,6 @@ from .exprdsl import (
 )
 
 
-@dataclass(frozen=True)
-class MobiusAlpha:
-    a: complex
-
-
-@dataclass(frozen=True)
-class PeakH:
-    a: complex
-
-
-@dataclass(frozen=True)
-class ProductF:
-    a: complex
-
-
-@dataclass(frozen=True)
-class OneMinusMobius:
-    a: complex
-
-
-@dataclass(frozen=True)
-class LogFw:
-    w: complex
-
-
-@dataclass(frozen=True)
-class Rotation:
-    t: float
-
-
-TestFamily = MobiusAlpha | PeakH | ProductF | OneMinusMobius | LogFw | Rotation
-
-
 def _check_disk_param(value: complex, name: str) -> complex:
     value = complex(value)
     if abs(value) >= 1.0:
@@ -79,54 +47,74 @@ def _check_disk_param(value: complex, name: str) -> complex:
     return value
 
 
-def _peak_expr(a: complex):
+def _peak_expr(a: complex) -> Expr:
     return Div(
         Const(1.0 - abs(a) ** 2),
         Sub(Const(1.0), Mul(Const(a.conjugate()), Var())),
     )
 
 
-@singledispatch
+@dataclass(frozen=True)
+class MobiusAlpha:
+    a: complex
+
+    def expr(self) -> Expr:
+        return Mobius(_check_disk_param(self.a, "a"))
+
+
+@dataclass(frozen=True)
+class PeakH:
+    a: complex
+
+    def expr(self) -> Expr:
+        return _peak_expr(_check_disk_param(self.a, "a"))
+
+
+@dataclass(frozen=True)
+class ProductF:
+    a: complex
+
+    def expr(self) -> Expr:
+        a = _check_disk_param(self.a, "a")
+        return Mul(_peak_expr(a), Mobius(a))
+
+
+@dataclass(frozen=True)
+class OneMinusMobius:
+    a: complex
+
+    def expr(self) -> Expr:
+        return Sub(Const(1.0), Mobius(_check_disk_param(self.a, "a")))
+
+
+@dataclass(frozen=True)
+class LogFw:
+    w: complex
+
+    def expr(self) -> Expr:
+        w = _check_disk_param(self.w, "w")
+        return Log(Div(Const(2.0), Sub(Const(1.0), Mul(Const(w.conjugate()), Var()))))
+
+
+@dataclass(frozen=True)
+class Rotation:
+    t: float
+
+    def expr(self) -> Expr:
+        t = float(self.t)
+        if not 0.0 <= t < 2.0 * math.pi:
+            raise ValueError(f"rotation angle must lie in [0, 2*pi), got {t}")
+        return Mul(Const(complex(math.cos(t), math.sin(t))), Var())
+
+
+TestFamily = MobiusAlpha | PeakH | ProductF | OneMinusMobius | LogFw | Rotation
+
+
 def make_test_fn(family: TestFamily) -> AnalyticFn:
     """Materialize one family member as an :class:`AnalyticFn`."""
-    raise TypeError(f"unknown test family {family!r}")
-
-
-@make_test_fn.register
-def _(family: MobiusAlpha) -> AnalyticFn:
-    return AnalyticFn(Mobius(_check_disk_param(family.a, "a")))
-
-
-@make_test_fn.register
-def _(family: PeakH) -> AnalyticFn:
-    return AnalyticFn(_peak_expr(_check_disk_param(family.a, "a")))
-
-
-@make_test_fn.register
-def _(family: ProductF) -> AnalyticFn:
-    a = _check_disk_param(family.a, "a")
-    return AnalyticFn(Mul(_peak_expr(a), Mobius(a)))
-
-
-@make_test_fn.register
-def _(family: OneMinusMobius) -> AnalyticFn:
-    return AnalyticFn(Sub(Const(1.0), Mobius(_check_disk_param(family.a, "a"))))
-
-
-@make_test_fn.register
-def _(family: LogFw) -> AnalyticFn:
-    w = _check_disk_param(family.w, "w")
-    return AnalyticFn(
-        Log(Div(Const(2.0), Sub(Const(1.0), Mul(Const(w.conjugate()), Var()))))
-    )
-
-
-@make_test_fn.register
-def _(family: Rotation) -> AnalyticFn:
-    t = float(family.t)
-    if not 0.0 <= t < 2.0 * math.pi:
-        raise ValueError(f"rotation angle must lie in [0, 2*pi), got {t}")
-    return AnalyticFn(Mul(Const(complex(math.cos(t), math.sin(t))), Var()))
+    if not isinstance(family, TestFamily):
+        raise TypeError(f"unknown test family {family!r}")
+    return AnalyticFn(family.expr())
 
 
 # --------------------------------------------------------------------------
@@ -169,7 +157,7 @@ class InterpolationFamily:
         zs = np.asarray(z, dtype=complex)
         total = np.zeros(zs.shape, dtype=float)
         for h in self.peaks:
-            total += np.abs(np.broadcast_to(np.asarray(h(zs)), zs.shape))
+            total += np.abs(h(zs))
         return total
 
 

@@ -43,7 +43,7 @@ from .diskgeom import (
     shell_for_modulus,
     validate_self_map,
 )
-from .exprdsl import AnalyticFn, _depends_on_z, analytic, evaluate, parse, print_expr
+from .exprdsl import AnalyticFn, analytic, evaluate, parse, print_expr
 from .exprdsl import ROUNDTRIP_CORPUS
 from .harness import (
     AUTOMORPHISM_PANEL,
@@ -342,9 +342,7 @@ def _exprdsl_roundtrip():
     for src in ROUNDTRIP_CORPUS:
         e = parse(src)
         e2 = parse(print_expr(e))
-        a = np.asarray(evaluate(e, pts))
-        b = np.asarray(evaluate(e2, pts))
-        if not np.array_equal(np.broadcast_to(a, pts.shape), np.broadcast_to(b, pts.shape)):
+        if not np.array_equal(evaluate(e, pts), evaluate(e2, pts)):
             return False, f"round-trip of {src!r} changed values"
     return (
         True,
@@ -360,9 +358,9 @@ def _exprdsl_derivative_fd():
     worst = 0.0
     for src in ROUNDTRIP_CORPUS:
         fn = AnalyticFn(parse(src))
-        fd = (np.asarray(fn(pts + h)) - np.asarray(fn(pts - h))) / (2 * h)
-        cd = np.broadcast_to(np.asarray(fn.deriv(pts)), pts.shape)
-        rel = np.abs(np.broadcast_to(fd, pts.shape) - cd) / (1.0 + np.abs(cd))
+        fd = (fn(pts + h) - fn(pts - h)) / (2 * h)
+        cd = fn.deriv(pts)
+        rel = np.abs(fd - cd) / (1.0 + np.abs(cd))
         worst = max(worst, float(rel.max()))
     passed = worst < FD_RTOL
     return (
@@ -389,9 +387,7 @@ def _commutator_derivative_identity():
             plus = np.asarray(commutator_value(kind, phi, g, f, pts + h))
             minus = np.asarray(commutator_value(kind, phi, g, f, pts - h))
             fd = (plus - minus) / (2 * h)
-            cd = np.broadcast_to(
-                np.asarray(commutator_derivative(kind, phi, g, f, pts)), pts.shape
-            )
+            cd = commutator_derivative(kind, phi, g, f, pts)
             rel = np.abs(fd - cd) / (1.0 + np.abs(cd))
             worst = max(worst, float(rel.max()))
     passed = worst < FD_RTOL and pts.size == 1000
@@ -414,10 +410,10 @@ def _commutator_linearity():
     for phi_src, g_src in (("mobius(0.5)", "log(2/(1-0.9*z))"), ("z/2", "z^2")):
         phi, g = _self_map(phi_src), _fn(g_src)
         for kind in (OperatorKind.COMMUTATOR_I, OperatorKind.COMMUTATOR_J):
-            lhs = np.asarray(commutator_derivative(kind, phi, g, combo, pts))
-            rhs = alpha * np.asarray(
-                commutator_derivative(kind, phi, g, f1, pts)
-            ) + np.asarray(commutator_derivative(kind, phi, g, f2, pts))
+            lhs = commutator_derivative(kind, phi, g, combo, pts)
+            rhs = alpha * commutator_derivative(
+                kind, phi, g, f1, pts
+            ) + commutator_derivative(kind, phi, g, f2, pts)
             rel = np.abs(lhs - rhs) / (1.0 + np.abs(rhs))
             worst = max(worst, float(np.max(rel)))
     passed = worst < 1e-12
@@ -569,7 +565,7 @@ def _necessity_peak_lower_bound():
     checked = 0
     for phi_src in TEN_MAP_PANEL:
         phi = _self_map(phi_src, 5)
-        moduli = np.abs(np.broadcast_to(np.asarray(phi(grid.points)), grid.points.shape))
+        moduli = np.abs(phi(grid.points))
         shells = shell_for_modulus(moduli, grid.max_shell)
         outer = int(shells.max())
         witnesses = grid.points[shells == outer]
@@ -582,10 +578,7 @@ def _necessity_peak_lower_bound():
         for g_src in G_CORPUS:
             g = _fn(g_src)
             fields = FieldSet(phi, g, grid)
-            ki = np.broadcast_to(
-                np.asarray(criterion_value(CriterionKind.KI, phi, g, witnesses)),
-                witnesses.shape,
-            )
+            ki = criterion_value(CriterionKind.KI, phi, g, witnesses)
             for (a, peak), ki_w in zip(peaks, ki):
                 lhs = float(
                     commutator_seminorm(
@@ -763,7 +756,7 @@ def _modulus_bound_panel():
     sources = list(TEN_MAP_PANEL) + _random_self_map_sources(100, rng)
     for src in sources:
         phi = _self_map(src)
-        actual = np.abs(np.broadcast_to(np.asarray(phi(grid.points)), grid.points.shape))
+        actual = np.abs(phi(grid.points))
         bound = schwarz_pick_modulus_bound(phi, grid.points)
         worst = max(worst, float(np.max(actual - bound)))
     passed = worst <= 1e-12
@@ -840,7 +833,7 @@ def _bounded_implies_chain():
 def _rigidity_nonconstant_g():
     grid = _grid()
     problems = []
-    constant = [src for src in G_CORPUS if not _depends_on_z(_fn(src).expr)]
+    constant = [src for src in G_CORPUS if not _fn(src).expr.depends_on_z()]
     if len(constant) != 2 or len(G_CORPUS) != 9:
         problems.append(f"corpus has {len(constant)} constant of {len(G_CORPUS)} g, "
                         "expected 2 of 9")

@@ -173,7 +173,7 @@ def test_analytic_fn_accepts_scalars_and_arrays():
 
 
 # --------------------------------------------------------------------------
-# the evaluator's node table
+# each node's operations
 
 
 def _reference_value(e, z):
@@ -214,3 +214,23 @@ def test_evaluate_rejects_what_is_not_a_node():
     for thing in (object(), 3, "z", None, exprdsl.Expr()):
         with pytest.raises(TypeError, match="unknown node"):
             evaluate(thing, 0.5)
+        with pytest.raises(TypeError, match="unknown node"):
+            print_expr(thing)
+
+
+# --------------------------------------------------------------------------
+# sample shapes
+
+
+@pytest.mark.parametrize("source", ROUNDTRIP_CORPUS + ("1", "complex(0.25,-0.5)"))
+def test_a_sample_has_its_input_shape(source):
+    # constants ("1", "2.5", "i", ...) and constant derivatives ("2*z") included
+    f = analytic(source)
+    for sample, expr in ((f, f.expr), (f.deriv, f.derivative.expr)):
+        for z in (_spiral(20, 0.9), _spiral(16 * 5, 0.9).reshape(16, 5)):
+            got = sample(z)
+            assert got.shape == z.shape
+            assert np.array_equal(got, np.broadcast_to(evaluate(expr, z), z.shape))
+        z = complex(0.3, -0.2)
+        got, want = sample(z), evaluate(expr, z)
+        assert type(got) is type(want) and got == want

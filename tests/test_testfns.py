@@ -82,6 +82,12 @@ def test_rotation_angle_range_is_enforced():
         make_test_fn(Rotation(2.0 * math.pi))
 
 
+def test_only_a_family_makes_a_test_fn():
+    for thing in (0.5, "mobius(0.5)", None):
+        with pytest.raises(TypeError, match="unknown test family"):
+            make_test_fn(thing)
+
+
 # --------------------------------------------------------------------------
 # norms of the families
 
