@@ -123,6 +123,8 @@ def apply_Ig(g, f, z):
 def commutator_value(kind: OperatorKind, phi, g, f, z):
     """``((C_phi T_g - T_g C_phi) f)(z)`` with ``T`` chosen by ``kind``."""
     w = phi(z)
+    if isinstance(w, np.ndarray) and not any(w.strides):
+        w = w.flat[0]  # a constant phi's sample is one broadcast point: integrate it once
     if kind is OperatorKind.COMMUTATOR_I:
         first = apply_Ig(g, f, w)
         second = _integrate_radial(lambda u: f.deriv(phi(u)) * phi.deriv(u) * g(u), z)

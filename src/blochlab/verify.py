@@ -13,12 +13,17 @@ Checks are grouped into three suites:
   little-Bloch sufficiency, rotation necessity, boundary log-ratio behaviour.
 
 All randomness is drawn from a fixed seed, so every run of a check sees the
-same maps and points.
+same maps and points.  Checks share state only through the fixture caches
+in ``_FIXTURE_CACHES``, so :func:`run_suite` runs them in forked worker
+processes across the usable CPUs and its results equal a serial run's;
+``taskset -c 0 blochlab verify`` runs them in-process.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -133,7 +138,14 @@ def available_checks(suite: str = "all") -> list[str]:
 
 
 def run_suite(suite: str = "all", name_filter: str | None = None) -> list[CheckResult]:
-    """Run the selected suite; per-check exceptions become failed results."""
+    """Run the selected suite; per-check exceptions become failed results.
+
+    With at least two checks, two usable CPUs and no other thread in this
+    process, the checks run in forked worker processes, at most one per
+    usable CPU; otherwise they run here.  Either way the results come back
+    in registry order and equal a serial run's.  A worker that dies raises
+    ``BrokenProcessPool``.
+    """
     if suite not in SUITES and suite != "all":
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
     names = available_checks(suite)
@@ -141,15 +153,26 @@ def run_suite(suite: str = "all", name_filter: str | None = None) -> list[CheckR
         names = [n for n in names if name_filter in n]
     if not names:
         raise ValueError(f"no checks match suite={suite!r} filter={name_filter!r}")
-    results = []
-    for name in names:
-        check_suite, fn = _REGISTRY[name]
-        try:
-            passed, detail, *slack = fn()
-        except Exception as exc:  # honest red: a crash is a failure, not a skip
-            passed, detail, slack = False, f"raised {type(exc).__name__}: {exc}", ()
-        results.append(CheckResult(name, check_suite, passed, detail, *slack))
-    return results
+    workers = min(len(names), len(os.sched_getaffinity(0)))
+    # a thread of the caller may hold a lock that a forked worker would never see released
+    if workers < 2 or threading.active_count() > 1:
+        return list(map(_run_check, names))
+    # imported here, so that only a pooled run pays for it (~0.5 MB and ~6 ms)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # a forked worker inherits the imported modules and the registry
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(_run_check, names))
+
+
+def _run_check(name: str) -> CheckResult:
+    check_suite, fn = _REGISTRY[name]
+    try:
+        passed, detail, *slack = fn()
+    except Exception as exc:  # honest red: a crash is a failure, not a skip
+        passed, detail, slack = False, f"raised {type(exc).__name__}: {exc}", ()
+    return CheckResult(name, check_suite, passed, detail, *slack)
 
 
 # --------------------------------------------------------------------------

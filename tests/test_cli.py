@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from blochlab import available_checks
 from blochlab.cli import main
 
 SMALL = ["--grid", "5,64"]
@@ -86,6 +87,16 @@ def test_verify_single_check(capsys):
     assert code == 0
     assert out.startswith("PASS  [identities] series.ring_ops_exact:")
     assert out.rstrip().endswith("1/1 checks passed")
+
+
+def test_verify_suite_prints_every_check_in_registry_order(capsys):
+    code, out, err = _run(capsys, "verify", "--suite", "identities")
+    names = available_checks("identities")
+    lines = out.splitlines()
+    assert code == 0 and len(names) == 10
+    assert [line.split()[2].rstrip(":") for line in lines[:-1]] == names
+    assert all(line.startswith("PASS  [identities] ") for line in lines[:-1])
+    assert lines[-1] == "10/10 checks passed"
 
 
 # --------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from blochlab import (
     commutator_seminorm,
     commutator_value,
     hinf_norm,
+    make_grid,
 )
 from blochlab.criteria import FieldSet
 from blochlab.operators import QUAD_TOL, PairSamples, _integrate_radial
@@ -162,6 +163,38 @@ def test_commutator_value_differentiates_to_closed_form(kind, self_map):
         ) / (2 * h)
         cd = commutator_derivative(kind, phi, g, f, z)
         assert abs(fd - cd) / (1.0 + abs(cd)) < 1e-6
+
+
+class _CountingAwayFrom:
+    """Wrap ``f``; ``count`` is the number of samples of ``f`` or ``f'`` away from ``point``."""
+
+    def __init__(self, f, point: complex):
+        self.f, self.point, self.count = f, point, 0
+
+    def _sampled(self, u):
+        self.count += int(np.count_nonzero(np.asarray(u) != self.point))
+        return u
+
+    def __call__(self, u):
+        return self.f(self._sampled(u))
+
+    def deriv(self, u):
+        return self.f.deriv(self._sampled(u))
+
+
+@pytest.mark.parametrize("kind", [OperatorKind.COMMUTATOR_I, OperatorKind.COMMUTATOR_J])
+def test_constant_map_integrates_its_one_point_once(kind):
+    # phi(z) = w for every z: the first integral samples f on [0, w) once,
+    # with 3 panels of 16 nodes; the second samples f only at w itself
+    w = 0.5 + 0.25j
+    phi, g, f = analytic("0.5+0.25i"), analytic("log(2/(1-0.9*z))"), analytic("mobius(0.5)")
+    z = make_grid(6, 64).points
+    counting = _CountingAwayFrom(f, w)
+    values = commutator_value(kind, phi, g, counting, z)
+    assert counting.count == 48
+    assert values.shape == z.shape
+    alone = np.array([commutator_value(kind, phi, g, f, complex(p)) for p in z[::7]])
+    assert np.max(np.abs(values[::7] - alone)) <= 1e-15
 
 
 def test_commutator_is_linear_in_f(self_map):

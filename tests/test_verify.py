@@ -5,8 +5,14 @@ detail text and ``repr(slack)``.  Regenerate it (only when a check is meant
 to change) with ``PYTHONPATH=src python tests/test_verify.py``.
 """
 
+import ast
 import json
+import multiprocessing
+import os
 import pathlib
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -70,6 +76,86 @@ def test_every_check_passes(name):
     assert result.name == name
     assert result.passed, result.detail
     assert _golden_row(result) == GOLDEN[name]
+
+
+def test_full_suite_matches_the_golden_file(monkeypatch):
+    # two usable CPUs, so the checks run in forked workers on any host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    rows = [_golden_row(result) for result in run_suite("all")]
+    assert rows == [GOLDEN[name] for name in available_checks()]
+    assert multiprocessing.active_children() == []
+
+
+def _register(monkeypatch, name, fn):
+    # a temporary check in the identities suite, removed when the test ends
+    monkeypatch.setitem(verify._REGISTRY, name, ("identities", fn))
+
+
+def test_a_raising_check_is_a_failed_row_in_a_worker(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    _register(monkeypatch, "zz_pool.pid", lambda: (True, str(os.getpid())))
+    _register(monkeypatch, "zz_pool.raises", lambda: (True, str(1 / 0)))
+    ran, raised = run_suite("identities", name_filter="zz_pool.")
+    assert ran.passed and ran.detail != str(os.getpid())
+    assert (raised.name, raised.passed) == ("zz_pool.raises", False)
+    assert raised.detail == "raised ZeroDivisionError: division by zero"
+    assert multiprocessing.active_children() == []
+
+
+def test_a_dying_worker_breaks_the_suite(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    caller = os.getpid()
+    _register(monkeypatch, "zz_pool.passes", lambda: (True, "ok"))
+    # exits only in a worker: run here, it would end the test process
+    _register(monkeypatch, "zz_pool.exits", lambda: os.getpid() == caller or os._exit(3))
+    start = time.perf_counter()
+    with pytest.raises(BrokenProcessPool):
+        run_suite("identities", name_filter="zz_pool.")
+    assert time.perf_counter() - start < 10.0
+    assert multiprocessing.active_children() == []
+
+
+def _pids_of_two_checks(monkeypatch) -> list[str]:
+    for name in ("zz_pool.first", "zz_pool.second"):
+        _register(monkeypatch, name, lambda: (True, str(os.getpid())))
+    return [r.detail for r in run_suite("identities", name_filter="zz_pool.")]
+
+
+def test_one_usable_cpu_runs_the_checks_here(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _pids_of_two_checks(monkeypatch) == [str(os.getpid())] * 2
+
+
+def test_a_caller_with_threads_runs_the_checks_here(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        pids = _pids_of_two_checks(monkeypatch)
+    finally:
+        release.set()
+        waiter.join(timeout=10.0)
+    assert not waiter.is_alive()
+    assert pids == [str(os.getpid())] * 2
+
+
+def test_every_fixture_cache_is_listed():
+    # checks are independent only while _FIXTURE_CACHES names every cache
+    tree = ast.parse(pathlib.Path(verify.__file__).read_text())
+    cached = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any("lru_cache" in ast.unparse(d) for d in node.decorator_list)
+    }
+    (listed,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [ast.unparse(t) for t in node.targets] == ["_FIXTURE_CACHES"]
+    ]
+    assert cached and cached <= {ast.unparse(e) for e in listed.elts}
 
 
 def test_fixture_caches_fill_in_default_arguments():
