@@ -207,7 +207,7 @@ def _cmd_sweep(args, config) -> int:
         raise UsageError(f"cannot load spec {args.spec!r}: {exc}") from exc
     report = run_classification(spec)
     out = Path(args.out)
-    if out.suffix == ".csv" or (not out.suffix and spec.output == "csv"):
+    if {".csv": "csv", ".json": "json"}.get(out.suffix, spec.output) == "csv":
         out.write_text(to_csv(report))
     else:
         out.write_text(to_json(report.to_dict()))

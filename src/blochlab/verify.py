@@ -13,10 +13,10 @@ Checks are grouped into three suites:
   little-Bloch sufficiency, rotation necessity, boundary log-ratio behaviour.
 
 All randomness is drawn from a fixed seed, so every run of a check sees the
-same maps and points.  Checks share state only through the fixture caches
-in ``_FIXTURE_CACHES``, so :func:`run_suite` runs them in forked worker
-processes across the usable CPUs and its results equal a serial run's;
-``taskset -c 0 blochlab verify`` runs them in-process.
+same maps and points.  Each check is a pure function of module constants
+that builds its own grids, maps and symbols, so :func:`run_suite` may run
+the checks in any process, in any order; ``taskset -c 0 blochlab verify``
+runs them in-process.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from .criteria import (
     little_bloch_membership,
 )
 from .diskgeom import (
-    DEFAULT_BASE_ANGULAR,
     DEFAULT_MAX_SHELL,
     make_grid,
     schwarz_derivative,
@@ -142,9 +140,9 @@ def run_suite(suite: str = "all", name_filter: str | None = None) -> list[CheckR
 
     With at least two checks, two usable CPUs and no other thread in this
     process, the checks run in forked worker processes, at most one per
-    usable CPU; otherwise they run here.  Either way the results come back
-    in registry order and equal a serial run's.  A worker that dies raises
-    ``BrokenProcessPool``.
+    usable CPU; otherwise they run here.  Each check builds its own inputs,
+    so either way the results come back in registry order and equal a serial
+    run's.  A worker that dies raises ``BrokenProcessPool``.
     """
     if suite not in SUITES and suite != "all":
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
@@ -173,50 +171,6 @@ def _run_check(name: str) -> CheckResult:
     except Exception as exc:  # honest red: a crash is a failure, not a skip
         passed, detail, slack = False, f"raised {type(exc).__name__}: {exc}", ()
     return CheckResult(name, check_suite, passed, detail, *slack)
-
-
-# --------------------------------------------------------------------------
-# shared fixtures
-#
-# ``_grid`` and ``_self_map`` pass every argument to their caches explicitly,
-# so ``_grid()`` and ``_grid(DEFAULT_MAX_SHELL)`` share one cache entry.
-
-
-def _grid(max_shell: int = DEFAULT_MAX_SHELL, base_angular: int = DEFAULT_BASE_ANGULAR):
-    return _grid_of(max_shell, base_angular)
-
-
-@lru_cache(maxsize=None)
-def _grid_of(max_shell: int, base_angular: int):
-    return make_grid(max_shell, base_angular)
-
-
-def _self_map(src: str, max_shell: int = DEFAULT_MAX_SHELL):
-    return _self_map_of(src, max_shell)
-
-
-@lru_cache(maxsize=None)
-def _self_map_of(src: str, max_shell: int):
-    return validate_self_map(analytic(src), _grid(max_shell))
-
-
-@lru_cache(maxsize=None)
-def _fn(src: str) -> AnalyticFn:
-    return analytic(src)
-
-
-@lru_cache(maxsize=None)
-def _bloch(src: str) -> float:
-    return float(bloch_seminorm(_fn(src), _grid()))
-
-
-@lru_cache(maxsize=None)
-def _hinf(src: str) -> float:
-    return float(hinf_norm(_fn(src), _grid()))
-
-
-# Every fixture cache; with all of them cleared, the next check runs as if alone.
-_FIXTURE_CACHES = (_grid_of, _self_map_of, _fn, _bloch, _hinf)
 
 
 def _spiral(count: int, max_radius: float) -> np.ndarray:
@@ -400,12 +354,13 @@ def _commutator_derivative_identity():
     # finite-difference truncation error of the steepest corpus symbol
     # (log with c = 0.999) already exceeds the 1e-6 tolerance there, while
     # the identity being certified is independent of where it is sampled.
-    grid = _grid(6)
+    grid = make_grid(6)
     pts = _subsample(grid.points, 1000)
     h = FD_STEP
     worst = 0.0
     for phi_src, g_src, f_src in _identity_triples():
-        phi, g, f = _self_map(phi_src, 6), _fn(g_src), _fn(f_src)
+        phi = validate_self_map(analytic(phi_src), grid)
+        g, f = analytic(g_src), analytic(f_src)
         for kind in (OperatorKind.COMMUTATOR_I, OperatorKind.COMMUTATOR_J):
             plus = np.asarray(commutator_value(kind, phi, g, f, pts + h))
             minus = np.asarray(commutator_value(kind, phi, g, f, pts - h))
@@ -427,11 +382,12 @@ def _commutator_linearity():
     rng = np.random.default_rng(SEED)
     pts = 0.9 * np.sqrt(rng.uniform(0, 1, 50)) * np.exp(2j * np.pi * rng.uniform(0, 1, 50))
     alpha = 0.7 - 0.2j
-    f1, f2 = _fn("mobius(0.5)"), _fn("z^2")
+    f1, f2 = analytic("mobius(0.5)"), analytic("z^2")
     combo = analytic(f"complex({alpha.real!r},{alpha.imag!r})*(mobius(0.5))+z^2")
+    grid = make_grid()
     worst = 0.0
     for phi_src, g_src in (("mobius(0.5)", "log(2/(1-0.9*z))"), ("z/2", "z^2")):
-        phi, g = _self_map(phi_src), _fn(g_src)
+        phi, g = validate_self_map(analytic(phi_src), grid), analytic(g_src)
         for kind in (OperatorKind.COMMUTATOR_I, OperatorKind.COMMUTATOR_J):
             lhs = commutator_derivative(kind, phi, g, combo, pts)
             rhs = alpha * commutator_derivative(
@@ -493,6 +449,7 @@ def _report_determinism():
 
 @_check("harness.panel_composition", "identities")
 def _panel_composition():
+    grid = make_grid()
     problems = []
     if len(AUTOMORPHISM_PANEL) != 8:
         problems.append("automorphism panel must have 8 maps")
@@ -501,10 +458,10 @@ def _panel_composition():
     if len(SHRINKER_PANEL) != 3 or len(TEN_MAP_PANEL) != 10:
         problems.append("shrinker/ten-map panel sizes wrong")
     for src in AUTOMORPHISM_PANEL + ROTATION_PANEL:
-        if not _self_map(src).is_automorphism:
+        if not validate_self_map(analytic(src), grid).is_automorphism:
             problems.append(f"{src} did not validate as an automorphism")
     for src in SHRINKER_PANEL:
-        m = _self_map(src)
+        m = validate_self_map(analytic(src), grid)
         if m.is_automorphism or m.sup_modulus_estimate > 0.99:
             problems.append(f"{src} should be a strict non-automorphic shrinker")
     for needle in ("1", "z", "z^2", "mobius", "log(2/(1-0.5*z))",
@@ -512,7 +469,7 @@ def _panel_composition():
         if not any(needle in g for g in G_CORPUS):
             problems.append(f"g corpus missing {needle}")
     for src in G_CORPUS + BLOCH_F_CORPUS + HINF_F_CORPUS + POLYNOMIAL_G_CORPUS:
-        _fn(src)
+        analytic(src)
     passed = not problems
     return (
         passed,
@@ -528,25 +485,28 @@ def _panel_composition():
 def _chain_margins(op, kind, f_corpus, norm, max_shell=DEFAULT_MAX_SHELL, keep=None):
     """Check ``seminorm <= sup K * norm(f) + CHAIN_TOL`` on the panel pairs ``keep`` accepts.
 
-    ``K`` is the field ``kind`` on ``|phi(z)|`` shells; ``keep(phi, g, grid,
-    fields)`` selects pairs (all by default).  Returns the violations, the
-    min margin and the number of pairs checked.
+    ``K`` is the field ``kind`` on ``|phi(z)|`` shells of a ``max_shell``
+    grid, ``norm(f, grid)`` is read once per ``f`` on the default grid, and
+    ``keep(phi, g, grid, fields)`` selects pairs (all by default).  Returns
+    the violations, the min margin and the number of pairs checked.
     """
-    grid = _grid(max_shell)
+    default_grid = make_grid()
+    tests = [(f, float(norm(f, default_grid))) for f in map(analytic, f_corpus)]
+    symbols = [analytic(src) for src in G_CORPUS]
+    grid = make_grid(max_shell)
     min_margin = math.inf
     violations = pairs = 0
     for phi_src in TEN_MAP_PANEL:
-        phi = _self_map(phi_src, max_shell)
-        for g_src in G_CORPUS:
-            g = _fn(g_src)
+        phi = validate_self_map(analytic(phi_src), grid)
+        for g in symbols:
             fields = FieldSet(phi, g, grid)
             if keep is not None and not keep(phi, g, grid, fields):
                 continue
             pairs += 1
             sup = fields.report(kind, "phi").sup_value
-            for f_src in f_corpus:
-                lhs = float(commutator_seminorm(op, phi, g, _fn(f_src), grid, fields=fields))
-                margin = sup * norm(f_src) + CHAIN_TOL - lhs
+            for f, f_norm in tests:
+                lhs = float(commutator_seminorm(op, phi, g, f, grid, fields=fields))
+                margin = sup * f_norm + CHAIN_TOL - lhs
                 min_margin = min(min_margin, margin)
                 violations += margin < 0
     return violations, min_margin, pairs
@@ -555,7 +515,7 @@ def _chain_margins(op, kind, f_corpus, norm, max_shell=DEFAULT_MAX_SHELL, keep=N
 @_check("operators.chain_bound_I", "bounds")
 def _chain_bound_I():
     violations, min_margin, pairs = _chain_margins(
-        OperatorKind.COMMUTATOR_I, CriterionKind.KI, BLOCH_F_CORPUS, _bloch
+        OperatorKind.COMMUTATOR_I, CriterionKind.KI, BLOCH_F_CORPUS, bloch_seminorm
     )
     return (
         violations == 0,
@@ -569,7 +529,7 @@ def _chain_bound_I():
 @_check("operators.chain_bound_J", "bounds")
 def _chain_bound_J():
     violations, min_margin, pairs = _chain_margins(
-        OperatorKind.COMMUTATOR_J, CriterionKind.KJ, HINF_F_CORPUS, _hinf
+        OperatorKind.COMMUTATOR_J, CriterionKind.KJ, HINF_F_CORPUS, hinf_norm
     )
     return (
         violations == 0,
@@ -582,12 +542,13 @@ def _chain_bound_J():
 
 @_check("criteria.necessity_peak_lower_bound", "bounds")
 def _necessity_peak_lower_bound():
-    grid = _grid(5)
+    grid = make_grid(5)
+    symbols = [analytic(src) for src in G_CORPUS]
     min_margin = math.inf
     violations = 0
     checked = 0
     for phi_src in TEN_MAP_PANEL:
-        phi = _self_map(phi_src, 5)
+        phi = validate_self_map(analytic(phi_src), grid)
         moduli = np.abs(phi(grid.points))
         shells = shell_for_modulus(moduli, grid.max_shell)
         outer = int(shells.max())
@@ -598,8 +559,7 @@ def _necessity_peak_lower_bound():
         for w in witnesses:
             a = complex(phi(complex(w)))
             peaks.append((a, make_test_fn(PeakH(a))))
-        for g_src in G_CORPUS:
-            g = _fn(g_src)
+        for g in symbols:
             fields = FieldSet(phi, g, grid)
             ki = criterion_value(CriterionKind.KI, phi, g, witnesses)
             for (a, peak), ki_w in zip(peaks, ki):
@@ -626,7 +586,7 @@ def _necessity_peak_lower_bound():
 @_check("testfns.mobius_seminorm_random", "bounds")
 def _mobius_seminorm_random():
     rng = np.random.default_rng(SEED)
-    grid = _grid()
+    grid = make_grid()
     worst = 0.0
     for _ in range(20):
         a = 0.9 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
@@ -643,7 +603,7 @@ def _mobius_seminorm_random():
 @_check("testfns.peak_seminorm_and_decay", "bounds")
 def _peak_seminorm_and_decay():
     rng = np.random.default_rng(SEED)
-    grid = _grid()
+    grid = make_grid()
     worst = -math.inf
     for _ in range(20):
         a = 0.9 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
@@ -669,7 +629,7 @@ def _peak_seminorm_and_decay():
 @_check("testfns.log_family_seminorm", "bounds")
 def _log_family_seminorm():
     rng = np.random.default_rng(SEED)
-    grid = _grid()
+    grid = make_grid()
     worst = -math.inf
     params = [0.95 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
               for _ in range(20)] + [0.999]
@@ -687,7 +647,7 @@ def _log_family_seminorm():
 @_check("testfns.product_family_hinf", "bounds")
 def _product_family_hinf():
     rng = np.random.default_rng(SEED)
-    grid = _grid()
+    grid = make_grid()
     worst_zero = 0.0
     worst_sup = -math.inf
     for _ in range(10):
@@ -719,9 +679,9 @@ def _interpolation_sum_bound():
         for k, h in enumerate(fam.peaks)
         for j, x in enumerate(fam.nodes)
     )
-    grid = _grid()
+    grid = make_grid()
     resampled = float(np.max(fam.sum_of_moduli(grid.points)))
-    fam_fine = build_interpolation_family(nodes, 0.1, grid=_grid(16))
+    fam_fine = build_interpolation_family(nodes, 0.1, grid=make_grid(16))
     drift = abs(fam_fine.sum_bound_estimate - fam.sum_bound_estimate) / fam.sum_bound_estimate
     passed = (
         kron <= 1e-10
@@ -741,10 +701,10 @@ def _interpolation_sum_bound():
 @_check("diskgeom.schwarz_pick_random_maps", "bounds")
 def _schwarz_pick_random_maps():
     rng = np.random.default_rng(SEED)
-    grid = _grid()
+    grid = make_grid()
     worst = -math.inf
     for src in _random_self_map_sources(100, rng):
-        phi = _self_map(src)
+        phi = validate_self_map(analytic(src), grid)
         mags = np.abs(schwarz_derivative(phi, grid.points))
         worst = max(worst, float(np.max(mags)))
     passed = worst <= 1.0 + 1e-12
@@ -758,10 +718,10 @@ def _schwarz_pick_random_maps():
 
 @_check("diskgeom.schwarz_automorphism_equality", "bounds")
 def _schwarz_automorphism_equality():
-    grid = _grid()
+    grid = make_grid()
     worst = 0.0
     for src in AUTOMORPHISM_PANEL:
-        mags = np.abs(schwarz_derivative(_self_map(src), grid.points))
+        mags = np.abs(schwarz_derivative(validate_self_map(analytic(src), grid), grid.points))
         worst = max(worst, float(np.max(np.abs(mags - 1.0))))
     passed = worst <= 1e-9
     return (
@@ -774,11 +734,11 @@ def _schwarz_automorphism_equality():
 @_check("diskgeom.modulus_bound_panel", "bounds")
 def _modulus_bound_panel():
     rng = np.random.default_rng(SEED)
-    grid = _grid()
+    grid = make_grid()
     worst = -math.inf
     sources = list(TEN_MAP_PANEL) + _random_self_map_sources(100, rng)
     for src in sources:
-        phi = _self_map(src)
+        phi = validate_self_map(analytic(src), grid)
         actual = np.abs(phi(grid.points))
         bound = schwarz_pick_modulus_bound(phi, grid.points)
         worst = max(worst, float(np.max(actual - bound)))
@@ -807,12 +767,13 @@ _FORBIDDEN_FLIP = {Conclusion.COMPACT, Conclusion.NOT_COMPACT_EVIDENCE}
 
 @_check("criteria.grid_monotonicity", "theorems")
 def _grid_monotonicity():
+    grids = {k: make_grid(k) for k in (6, 8, 10, 12, 14)}
     problems = []
     for theorem_id, phi_src, g_src in _CURATED_CASES:
-        g = _fn(g_src)
+        phi, g = analytic(phi_src), analytic(g_src)
         previous = None
-        for k in (6, 8, 10, 12, 14):
-            verdict = classify(theorem_id, _self_map(phi_src, k), g, _grid(k))
+        for k, grid in grids.items():
+            verdict = classify(theorem_id, validate_self_map(phi, grid), g, grid)
             sup = verdict.main.sup_value
             if previous is not None:
                 prev_sup, prev_conc = previous
@@ -842,7 +803,7 @@ def _bounded_implies_chain():
         return classify("T3.1", phi, g, grid, fields=fields).conclusion is Conclusion.BOUNDED
 
     violations, min_margin, bounded_cases = _chain_margins(
-        OperatorKind.COMMUTATOR_I, CriterionKind.KI, BLOCH_F_CORPUS, _bloch, 8, bounded
+        OperatorKind.COMMUTATOR_I, CriterionKind.KI, BLOCH_F_CORPUS, bloch_seminorm, 8, bounded
     )
     return (
         violations == 0 and bounded_cases > 0,
@@ -854,24 +815,25 @@ def _bounded_implies_chain():
 
 @_check("criteria.rigidity_nonconstant_g", "theorems")
 def _rigidity_nonconstant_g():
-    grid = _grid()
+    grid = make_grid()
+    automorphisms = [(src, validate_self_map(analytic(src), grid)) for src in AUTOMORPHISM_PANEL]
+    symbols = {src: analytic(src) for src in G_CORPUS}
     problems = []
-    constant = [src for src in G_CORPUS if not _fn(src).expr.depends_on_z()]
+    constant = [src for src, g in symbols.items() if not g.expr.depends_on_z()]
     if len(constant) != 2 or len(G_CORPUS) != 9:
         problems.append(f"corpus has {len(constant)} constant of {len(G_CORPUS)} g, "
                         "expected 2 of 9")
-    for g_src in G_CORPUS:
-        g = _fn(g_src)
+    for g_src, g in symbols.items():
         if g_src in constant:
-            for phi_src in AUTOMORPHISM_PANEL:
-                values = criterion_value(CriterionKind.KI, _self_map(phi_src), g, grid.points)
+            for _, phi in automorphisms:
+                values = criterion_value(CriterionKind.KI, phi, g, grid.points)
                 if float(np.max(np.abs(values))) != 0.0:
                     problems.append(f"constant g={g_src}: K_I not identically zero")
                     break
             continue
         witness = None
-        for phi_src in AUTOMORPHISM_PANEL:
-            verdict = classify("T3.2", _self_map(phi_src), g, grid)
+        for phi_src, phi in automorphisms:
+            verdict = classify("T3.2", phi, g, grid)
             if verdict.conclusion is Conclusion.NOT_COMPACT_EVIDENCE:
                 witness = phi_src
                 break
@@ -889,17 +851,16 @@ def _rigidity_nonconstant_g():
 
 @_check("criteria.little_bloch_sufficiency", "theorems")
 def _little_bloch_sufficiency():
-    grid = _grid(16)
-    members = []
-    for g_src in dict.fromkeys(G_CORPUS + POLYNOMIAL_G_CORPUS):
-        if little_bloch_membership(_fn(g_src), grid) is Membership.IN_B0:
-            members.append(g_src)
+    grid = make_grid(16)
+    maps = [(src, validate_self_map(analytic(src), grid)) for src in TEN_MAP_PANEL]
+    symbols = {src: analytic(src) for src in dict.fromkeys(G_CORPUS + POLYNOMIAL_G_CORPUS)}
+    members = [src for src, g in symbols.items()
+               if little_bloch_membership(g, grid) is Membership.IN_B0]
     problems = [f"polynomial g={g_src}: not a little-Bloch member"
                 for g_src in POLYNOMIAL_G_CORPUS if g_src not in members]
     for g_src in members:
-        g = _fn(g_src)
-        for phi_src in TEN_MAP_PANEL:
-            verdict = classify("T4.1b", _self_map(phi_src, 16), g, grid)
+        for phi_src, phi in maps:
+            verdict = classify("T4.1b", phi, symbols[g_src], grid)
             if verdict.conclusion is not Conclusion.COMPACT:
                 problems.append(
                     f"g={g_src}, phi={phi_src}: {verdict.conclusion.value}"
@@ -915,11 +876,11 @@ def _little_bloch_sufficiency():
 
 @_check("criteria.rotation_necessity", "theorems")
 def _rotation_necessity():
-    grid = _grid()
-    g = _fn("log(2/(1-z))")
+    grid = make_grid()
+    g = analytic("log(2/(1-z))")
     witness = None
     for phi_src in ROTATION_PANEL:
-        verdict = classify("T4.1b", _self_map(phi_src), g, grid)
+        verdict = classify("T4.1b", validate_self_map(analytic(phi_src), grid), g, grid)
         if verdict.conclusion is Conclusion.NOT_COMPACT_EVIDENCE:
             witness = phi_src
             break
@@ -934,11 +895,11 @@ def _rotation_necessity():
 
 @_check("harness.hospital_ratio_panel", "theorems")
 def _hospital_ratio_panel():
-    grid = _grid()
+    grid = make_grid()
     min_margin = math.inf
     failures = []
     for src in TEN_MAP_PANEL + ROTATION_PANEL:
-        report = hospital_ratio_check(_self_map(src), grid)
+        report = hospital_ratio_check(validate_self_map(analytic(src), grid), grid)
         min_margin = min(min_margin, -report.max_excess)
         if not report.passed:
             failures.append(src)
@@ -954,12 +915,12 @@ def _hospital_ratio_panel():
 
 @_check("harness.rotation_average_coherence", "theorems")
 def _rotation_average_coherence():
-    grid = _grid()
+    grid = make_grid()
     rows = []
     worst_defect = -math.inf
     all_consistent = True
     for g_src in ("z^2", "complex(0.25,-0.5)", "log(2/(1-0.9*z))", "log(2/(1-0.999*z))"):
-        outcome = rotation_average_check(_fn(g_src), 64, grid)
+        outcome = rotation_average_check(analytic(g_src), 64, grid)
         worst_defect = max(worst_defect, outcome.aliased_max_defect)
         all_consistent = all_consistent and outcome.consistent
         rows.append(f"{g_src}: {outcome.classification}")

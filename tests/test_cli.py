@@ -134,6 +134,31 @@ def test_sweep_writes_csv(capsys, tmp_path, spec_file):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize(
+    ("name", "output", "written"),
+    [
+        ("report.txt", "json", "json"),
+        ("report.txt", "csv", "csv"),
+        ("report", "json", "json"),
+        ("report", "csv", "csv"),
+        ("report.json", "csv", "json"),
+    ],
+)
+def test_sweep_format_follows_the_suffix_then_the_spec(capsys, tmp_path, name, output, written):
+    payload = {"phi": ["z/2"], "g": ["z"], "theorems": ["T3.1"],
+               "grid": {"max_shell": 5, "base_angular": 64}, "output": output}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(payload), encoding="utf-8")
+    out_path = tmp_path / name
+    code, out, err = _run(capsys, "sweep", "--spec", str(spec), "--out", str(out_path))
+    assert code == 0
+    text = out_path.read_text()
+    if written == "json":
+        assert len(json.loads(text)["cases"]) == 1
+    else:
+        assert text.startswith("theorem_id,phi,g,conclusion")
+
+
 def test_sweep_flags_case_errors(capsys, tmp_path):
     payload = {"phi": ["z/2", "2*z"], "g": ["z"], "theorems": ["T3.1"],
                "grid": {"max_shell": 5, "base_angular": 64}}

@@ -20,3 +20,25 @@ def test_no_module_imports_a_private_name_from_another():
                 if alias.name.startswith("_")
             ]
     assert found == []
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # the project runs no linter; an import marked "# noqa: F401" is kept on purpose
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source, filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                if bound not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    found.append(f"{path.name}:{alias.lineno} {bound}")
+    assert found == []

@@ -17,7 +17,6 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from blochlab import available_checks, run_suite, verify
-from blochlab.diskgeom import DEFAULT_MAX_SHELL
 from blochlab.verify import SUITES
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "verify_golden.json"
@@ -69,9 +68,6 @@ def test_golden_lists_every_check_in_order():
 
 @pytest.mark.parametrize("name", available_checks())
 def test_every_check_passes(name):
-    # empty fixture caches: each golden row holds for its check run alone
-    for cache in verify._FIXTURE_CACHES:
-        cache.cache_clear()
     (result,) = run_suite("all", name_filter=name)
     assert result.name == name
     assert result.passed, result.detail
@@ -140,30 +136,16 @@ def test_a_caller_with_threads_runs_the_checks_here(monkeypatch):
     assert pids == [str(os.getpid())] * 2
 
 
-def test_every_fixture_cache_is_listed():
-    # checks are independent only while _FIXTURE_CACHES names every cache
+def test_checks_share_no_cache():
+    # every check builds its own inputs, so a run alone equals a run after others
     tree = ast.parse(pathlib.Path(verify.__file__).read_text())
-    cached = {
-        node.name
+    names = {
+        getattr(node, field)
         for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef)
-        and any("lru_cache" in ast.unparse(d) for d in node.decorator_list)
+        for field in ("id", "attr", "name")  # ast.Name, ast.Attribute, ast.alias
+        if isinstance(getattr(node, field, None), str)
     }
-    (listed,) = [
-        node.value
-        for node in tree.body
-        if isinstance(node, ast.Assign)
-        and [ast.unparse(t) for t in node.targets] == ["_FIXTURE_CACHES"]
-    ]
-    assert cached and cached <= {ast.unparse(e) for e in listed.elts}
-
-
-def test_fixture_caches_fill_in_default_arguments():
-    assert verify._grid() is verify._grid(DEFAULT_MAX_SHELL)
-    assert verify._grid(6) is verify._grid(max_shell=6, base_angular=64)
-    assert verify._self_map("z/2") is verify._self_map("z/2", DEFAULT_MAX_SHELL)
-    assert verify._self_map("z/2", 6) is verify._self_map("z/2", max_shell=6)
-    assert verify._self_map("z/2", 6) is not verify._self_map("z/2")
+    assert names.isdisjoint({"lru_cache", "cache", "cached_property"})
 
 
 def test_unknown_suite_rejected():
