@@ -62,8 +62,6 @@ from .harness import (
     CaseResult,
     ExperimentSpec,
     SuiteReport,
-    hospital_ratio_check,
-    rotation_average_check,
     run_classification,
     to_csv,
     to_json,
@@ -156,7 +154,6 @@ __all__ = [
     "evaluate",
     "evaluate_criterion",
     "hinf_norm",
-    "hospital_ratio_check",
     "little_bloch_membership",
     "load_config",
     "make_grid",
@@ -165,7 +162,6 @@ __all__ = [
     "print_expr",
     "pseudo_hyperbolic",
     "recovery_count",
-    "rotation_average_check",
     "run_classification",
     "run_suite",
     "schwarz_derivative",

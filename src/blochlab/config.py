@@ -49,8 +49,9 @@ def read_config(sections: dict[str, dict]) -> Config:
     """Settings ``{section: {key: value}}`` over the defaults.
 
     Each value is read from its text as its default's type, so ``5.7`` is no
-    ``max_shell``.  Unknown sections or keys and unreadable values raise
-    :class:`ConfigError` naming them.
+    ``max_shell``, and must pass its section's own checks (a threshold is
+    finite and positive).  Unknown sections or keys and unreadable or
+    rejected values raise :class:`ConfigError` naming them.
     """
     defaults = vars(Config())
     read = {}
@@ -59,15 +60,15 @@ def read_config(sections: dict[str, dict]) -> Config:
             raise ConfigError(f"unknown config section {section!r}")
         if not isinstance(items, dict):
             raise ConfigError(f"config section {section!r} must map keys to values, got {items!r}")
-        schema, values = vars(defaults[section]), {}
+        schema, settings = vars(defaults[section]), defaults[section]
         for key, raw in items.items():
             if key not in schema:
                 raise ConfigError(f"unknown config key {section}.{key}")
-            try:
-                values[key] = type(schema[key])(str(raw))
-            except ValueError:
-                raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from None
-        read[section] = replace(defaults[section], **values)
+            try:  # read as the default's type, then through the section's own checks
+                settings = replace(settings, **{key: type(schema[key])(str(raw))})
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {section}.{key}: {raw!r} ({exc})") from None
+        read[section] = settings
     return Config(**read)
 
 

@@ -96,10 +96,15 @@ class PreconditionFailed(RuntimeError):
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Decision thresholds for verdict reduction (all configurable)."""
+    """Decision thresholds for verdict reduction (all configurable, each finite and positive)."""
 
     divergence: float = 1e3
     compact_tol: float = 1e-2
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
     def to_dict(self) -> dict:
         return {"divergence": self.divergence, "compact_tol": self.compact_tol}
@@ -255,17 +260,13 @@ class FieldSet(_Samples):
         return self._reports[key]
 
 
-def evaluate_criterion(
-    kind: CriterionKind, phi, g, grid: DiskGrid, bucket_by: str = "auto"
-) -> CriterionReport:
-    """Sample the field over the grid and reduce it shell by shell.
+def evaluate_criterion(kind: CriterionKind, phi, g, grid: DiskGrid) -> CriterionReport:
+    """Sample the field over the grid and reduce it over shells of the kind's limit variable.
 
-    ``bucket_by`` is ``"phi"`` (shells of |phi(z)|), ``"z"`` (shells of |z|),
-    or ``"auto"`` to pick the kind's own limit variable.
+    That is ``|phi(z)|`` for :data:`PHI_BOUNDARY_KINDS` and ``|z|`` otherwise;
+    ``FieldSet(phi, g, grid).report(kind, bucket_by)`` reduces over either.
     """
-    if bucket_by == "auto":
-        bucket_by = "phi" if kind in PHI_BOUNDARY_KINDS else "z"
-    return FieldSet(phi, g, grid).report(kind, bucket_by)
+    return FieldSet(phi, g, grid).report(kind, "phi" if kind in PHI_BOUNDARY_KINDS else "z")
 
 
 # --------------------------------------------------------------------------

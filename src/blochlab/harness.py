@@ -1,12 +1,13 @@
 """Experiment orchestration: built-in panels, suite runs, and report emission.
 
-The built-in panels fix the maps and symbols every cross-module check runs
-against: eight disk automorphisms, three strict shrinkers, fifteen rotations
-(angles ``2 pi k / 16``), the ten-map classification panel (automorphisms
-plus two shrinkers), and symbol corpora for ``g`` and the test functions
-``f``.  The near-boundary log symbol uses ``c = 0.999`` in ``log(2/(1-cz))``
-so every sample stays inside the analyticity domain while the divergence
-trend is still visible at shell resolution.
+The module defines no check.  The built-in panels fix the maps and symbols
+the checks of :mod:`blochlab.verify` run against: eight disk automorphisms,
+three strict shrinkers, fifteen rotations (angles ``2 pi k / 16``), the
+ten-map classification panel (automorphisms plus two shrinkers), and symbol
+corpora for ``g`` and the test functions ``f``.  The near-boundary log symbol
+uses ``c = 0.999`` in ``log(2/(1-cz))`` so every sample stays inside the
+analyticity domain while the divergence trend is still visible at shell
+resolution.
 
 Reports are plain dicts rendered by a small deterministic JSON emitter that
 writes every real with 17 significant digits (the stdlib encoder's shortest
@@ -14,7 +15,8 @@ round-trip floats would be non-lossy too, but the fixed format makes byte
 identity across runs trivial to check).  The emitter looks each value's exact
 type up in a table of scalar renderers and walks only dicts, lists and tuples;
 a subclass (``np.float64`` is a float) renders as its base type and any other
-value as its quoted ``str``.  Each string key is quoted once per call.  CSV
+value as its quoted ``str``.  Each string key is quoted once per call.  A
+report's ``invariants`` list is always empty; it keeps the schema's shape.  CSV
 output is reserved for sweep results, one row per (phi, g, theorem) case.
 
 A symbol whose value or derivative is not finite at a grid point or at the
@@ -32,41 +34,27 @@ import time
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
-
 from .config import read_config
 from .criteria import (
-    DEFAULT_THRESHOLDS,
-    CriterionKind,
-    CriterionReport,
-    Membership,
     PreconditionFailed,
     THEOREMS,
     Thresholds,
     Verdict,
     classify,
-    compact_conclusion,
-    Conclusion,
     FieldSet,
-    evaluate_criterion,
-    little_bloch_membership,
 )
 from .diskgeom import (
     DEFAULT_BASE_ANGULAR,
     DEFAULT_MAX_SHELL,
-    DiskGrid,
     NotASelfMap,
     NotFiniteOnGrid,
     SelfMap,
     check_grid_range,
     make_grid,
-    shell_maxima,
-    shell_radius,
     validate_self_map,
     validate_symbol,
 )
 from .exprdsl import AnalyticFn, ExprError, analytic
-from .series import coeffs_from_samples, recovery_count
 
 SCHEMA_VERSION = 1
 
@@ -225,7 +213,6 @@ class CaseResult:
 @dataclass(frozen=True)
 class SuiteReport:
     cases: tuple[CaseResult, ...]
-    invariants: tuple[dict, ...]
     config: dict
     elapsed_seconds: float
 
@@ -234,7 +221,7 @@ class SuiteReport:
             "schema": SCHEMA_VERSION,
             "config": self.config,
             "cases": [c.to_dict() for c in self.cases],
-            "invariants": list(self.invariants),
+            "invariants": [],
         }
         if include_timing:
             out["elapsed_seconds"] = self.elapsed_seconds
@@ -278,140 +265,8 @@ def run_classification(spec: ExperimentSpec) -> SuiteReport:
     spec_dict = spec.to_dict()
     return SuiteReport(
         cases=tuple(cases),
-        invariants=(),
         config={key: spec_dict[key] for key in ("grid", "thresholds", "output")},
         elapsed_seconds=time.perf_counter() - start,
-    )
-
-
-# --------------------------------------------------------------------------
-# rotation-averaging coherence check
-
-
-@dataclass(frozen=True)
-class RotationAverageOutcome:
-    """Coherence data tying the rotation criteria to symbol membership.
-
-    ``witness_t is None`` means every rotation's criterion trends to zero
-    ("ConsistentWithB0" when the membership agrees); otherwise the first
-    failing rotation is the witness.  ``aliased_max_defect`` is the largest
-    violation of the discrete-average inequality
-
-        mean_k (1-|z|^2)|g'(e^{i t_k} z) e^{i t_k} - g'(z)|
-            >= (1-|z|^2)|A(z) - g'(z)|,
-
-    where the 16-point average of the rotated derivatives equals the aliased
-    sub-series A(z) = sum over 16 | n of n a_n z^{n-1}, with the a_n recovered
-    from circle samples.  Checked for |z| <= 0.75 where the degree-capped
-    truncation tail is negligible.
-    """
-
-    membership: Membership
-    rotation_limsups: tuple[tuple[float, float], ...]
-    witness_t: float | None
-    witness_report: CriterionReport | None
-    aliased_max_defect: float
-    consistent: bool
-
-    @property
-    def classification(self) -> str:
-        if self.witness_t is None:
-            return "ConsistentWithB0" if self.consistent else "Inconsistent"
-        return f"Witness(t={self.witness_t:.6g})"
-
-
-def rotation_average_check(
-    g: AnalyticFn,
-    degree: int,
-    grid: DiskGrid,
-    thresholds: Thresholds = DEFAULT_THRESHOLDS,
-) -> RotationAverageOutcome:
-    series = coeffs_from_samples(g, radius=0.5, count=recovery_count(degree), degree=degree)
-
-    limsups = []
-    witness_t: float | None = None
-    witness_report: CriterionReport | None = None
-    for t, src in zip(ROTATION_ANGLES, ROTATION_PANEL):
-        rotation = validate_self_map(analytic(src), grid)
-        report = evaluate_criterion(CriterionKind.KJ, rotation, g, grid)
-        limsups.append((t, report.boundary_limsup_estimate))
-        if witness_t is None and compact_conclusion(report, thresholds) is not Conclusion.COMPACT:
-            witness_t, witness_report = t, report
-
-    membership = little_bloch_membership(g, grid, thresholds)
-    consistent = not (witness_t is None and membership is Membership.NOT_IN_B0_EVIDENCE)
-
-    pts = grid.points[np.abs(grid.points) <= 0.75]
-    one_minus = 1.0 - np.abs(pts) ** 2
-    dg = g.deriv(pts)
-    avg = np.zeros(pts.shape, dtype=float)
-    for k in range(16):
-        w = complex(np.exp(2j * math.pi * k / 16))
-        avg += one_minus * np.abs(g.deriv(w * pts) * w - dg)
-    avg /= 16.0
-    aliased = np.zeros(pts.shape, dtype=complex)
-    for n in range(16, series.degree_bound + 1, 16):
-        aliased += n * series.coeffs[n] * pts ** (n - 1)
-    rhs = one_minus * np.abs(aliased - dg)
-    defect = float(np.max(rhs - avg))
-
-    return RotationAverageOutcome(
-        membership=membership,
-        rotation_limsups=tuple(limsups),
-        witness_t=witness_t,
-        witness_report=witness_report,
-        aliased_max_defect=defect,
-        consistent=consistent,
-    )
-
-
-# --------------------------------------------------------------------------
-# boundary log-ratio check
-
-
-@dataclass(frozen=True)
-class HospitalRatioReport:
-    """Per-shell maxima of (ln2 - ln(1-|phi(z)|^2)) / (ln2 - ln(1-|z|^2)).
-
-    The ratio tends to 1 along |z| -> 1 for every self-map.  The allowed
-    excess over 1 combines a resolution term 0.1 * 2^(-k/2) with the exact
-    finite-radius correction ln((1+s)/(1-s)) / (ln2 - ln(1-r_k^2)) forced by
-    the modulus bound |phi(z)| <= (|z|+s)/(1+|z|s), s = |phi(0)|; the second
-    term vanishes in the limit and is identically 0 when phi fixes 0.
-    """
-
-    phi_source: str
-    phi0_modulus: float
-    rows: tuple[tuple[int, float, float], ...]  # (shell, max ratio, allowed)
-    passed: bool
-    max_excess: float
-
-
-def hospital_slack(k: int, phi0_modulus: float) -> float:
-    s = phi0_modulus
-    denom = math.log(2.0 / (1.0 - shell_radius(k) ** 2))
-    extra = math.log((1.0 + s) / (1.0 - s)) / denom if s > 0.0 else 0.0
-    return 0.1 * 2.0 ** (-k / 2.0) + extra
-
-
-def hospital_ratio_check(phi: SelfMap, grid: DiskGrid) -> HospitalRatioReport:
-    pts = grid.points
-    w = phi(pts)
-    num = np.log(2.0 / (1.0 - np.abs(w) ** 2))
-    den = np.log(2.0 / (1.0 - np.abs(pts) ** 2))
-    ratio = num / den
-    s = abs(complex(phi(0.0)))
-    rows = tuple(
-        (k, shell_max, 1.0 + hospital_slack(k, s))
-        for k, shell_max in shell_maxima(ratio, grid.segments)
-    )
-    max_excess = max(shell_max - allowed for _, shell_max, allowed in rows)
-    return HospitalRatioReport(
-        phi_source=phi.source,
-        phi0_modulus=s,
-        rows=rows,
-        passed=max_excess <= 0.0,
-        max_excess=max_excess,
     )
 
 

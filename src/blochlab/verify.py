@@ -2,6 +2,7 @@
 
 Every numerical invariant the package relies on is a named check here, so
 failures are addressable individually (``blochlab verify --filter NAME``).
+Every check is defined here, the ``harness.*`` ones included.
 Checks are grouped into three suites:
 
 * ``identities`` — algebraic facts that must hold to round-off: series ring
@@ -10,7 +11,8 @@ Checks are grouped into three suites:
 * ``bounds`` — one-sided inequalities with explicit tolerances: the upper
   bound chains, test-family seminorms, Schwarz-Pick, separation/interpolation.
 * ``theorems`` — classifier-level coherence: grid monotonicity, rigidity,
-  little-Bloch sufficiency, rotation necessity, boundary log-ratio behaviour.
+  little-Bloch sufficiency, rotation necessity, boundary log-ratio behaviour,
+  rotation-average coherence.
 
 All randomness is drawn from a fixed seed, so every run of a check sees the
 same maps and points.  Each check is a pure function of module constants
@@ -31,9 +33,11 @@ import numpy as np
 from .criteria import (
     Conclusion,
     CriterionKind,
+    DEFAULT_THRESHOLDS,
     FieldSet,
     Membership,
     classify,
+    compact_conclusion,
     criterion_value,
     evaluate_criterion,  # noqa: F401  (bench/tests patch verify.evaluate_criterion)
     little_bloch_membership,
@@ -44,6 +48,8 @@ from .diskgeom import (
     schwarz_derivative,
     schwarz_pick_modulus_bound,
     shell_for_modulus,
+    shell_maxima,
+    shell_radius,
     validate_self_map,
 )
 from .exprdsl import AnalyticFn, analytic, evaluate, parse, print_expr
@@ -54,12 +60,11 @@ from .harness import (
     G_CORPUS,
     HINF_F_CORPUS,
     POLYNOMIAL_G_CORPUS,
+    ROTATION_ANGLES,
     ROTATION_PANEL,
     SHRINKER_PANEL,
     TEN_MAP_PANEL,
     ExperimentSpec,
-    hospital_ratio_check,
-    rotation_average_check,
     run_classification,
     to_json,
 )
@@ -73,7 +78,7 @@ from .operators import (
     commutator_value,
     hinf_norm,
 )
-from .series import TaylorSeries, antiderivative, coeffs_from_samples, derivative, mul
+from .series import TaylorSeries, antiderivative, coeffs_from_samples, derivative, mul, recovery_count
 from .testfns import (
     LogFw,
     MobiusAlpha,
@@ -893,15 +898,36 @@ def _rotation_necessity():
     )
 
 
+def _hospital_slack(k: int, phi0_modulus: float) -> float:
+    """How far the shell-``k`` maximum of the boundary log-ratio may exceed 1.
+
+    The ratio (ln2 - ln(1-|phi(z)|^2)) / (ln2 - ln(1-|z|^2)) tends to 1 along
+    |z| -> 1 for every self-map.  The allowed excess combines a resolution
+    term 0.1 * 2^(-k/2) with the exact finite-radius correction
+    ln((1+s)/(1-s)) / (ln2 - ln(1-r_k^2)) forced by the modulus bound
+    |phi(z)| <= (|z|+s)/(1+|z|s), s = |phi(0)|; the second term vanishes in
+    the limit and is identically 0 when phi fixes 0.
+    """
+    s = phi0_modulus
+    denom = math.log(2.0 / (1.0 - shell_radius(k) ** 2))
+    extra = math.log((1.0 + s) / (1.0 - s)) / denom if s > 0.0 else 0.0
+    return 0.1 * 2.0 ** (-k / 2.0) + extra
+
+
 @_check("harness.hospital_ratio_panel", "theorems")
 def _hospital_ratio_panel():
     grid = make_grid()
+    den = np.log(2.0 / (1.0 - np.abs(grid.points) ** 2))
     min_margin = math.inf
     failures = []
     for src in TEN_MAP_PANEL + ROTATION_PANEL:
-        report = hospital_ratio_check(validate_self_map(analytic(src), grid), grid)
-        min_margin = min(min_margin, -report.max_excess)
-        if not report.passed:
+        phi = validate_self_map(analytic(src), grid)
+        ratio = np.log(2.0 / (1.0 - np.abs(phi(grid.points)) ** 2)) / den
+        s = abs(complex(phi(0.0)))
+        max_excess = max(shell_max - (1.0 + _hospital_slack(k, s))
+                         for k, shell_max in shell_maxima(ratio, grid.segments))
+        min_margin = min(min_margin, -max_excess)
+        if not max_excess <= 0.0:
             failures.append(src)
     passed = not failures
     return (
@@ -915,15 +941,49 @@ def _hospital_ratio_panel():
 
 @_check("harness.rotation_average_coherence", "theorems")
 def _rotation_average_coherence():
+    # A symbol is coherent unless every rotation's KJ criterion reads compact
+    # while its Bloch field shows evidence against B0; the first rotation that
+    # does not read compact is its witness.  With t_k = 2 pi k / 16, the
+    # average of the 16 rotated derivatives g'(e^{i t_k} z) e^{i t_k} is the
+    # aliased sub-series A(z) = sum over 16 | n of n a_n z^{n-1}, so
+    #     mean_k (1-|z|^2)|g'(e^{i t_k} z) e^{i t_k} - g'(z)| >= (1-|z|^2)|A(z) - g'(z)|,
+    # where term k is the KJ field of the rotation by t_k (term 0 is 0) and the
+    # a_n are recovered from circle samples.  The inequality is checked for
+    # |z| <= 0.75, where the degree-capped truncation tail is negligible.
     grid = make_grid()
+    rotations = [(t, validate_self_map(analytic(src), grid))
+                 for t, src in zip(ROTATION_ANGLES, ROTATION_PANEL)]
+    inner = np.abs(grid.points) <= 0.75
+    pts = grid.points[inner]
+    one_minus = 1.0 - np.abs(pts) ** 2
     rows = []
     worst_defect = -math.inf
     all_consistent = True
     for g_src in ("z^2", "complex(0.25,-0.5)", "log(2/(1-0.9*z))", "log(2/(1-0.999*z))"):
-        outcome = rotation_average_check(analytic(g_src), 64, grid)
-        worst_defect = max(worst_defect, outcome.aliased_max_defect)
-        all_consistent = all_consistent and outcome.consistent
-        rows.append(f"{g_src}: {outcome.classification}")
+        g = analytic(g_src)
+        witness_t = None
+        total = np.zeros(pts.shape)
+        for t, rotation in rotations:
+            fields = FieldSet(rotation, g, grid)
+            total += fields.values(CriterionKind.KJ)[inner]
+            if witness_t is None:
+                report = fields.report(CriterionKind.KJ, "phi")
+                if compact_conclusion(report, DEFAULT_THRESHOLDS) is not Conclusion.COMPACT:
+                    witness_t = t
+        if witness_t is not None:
+            rows.append(f"{g_src}: Witness(t={witness_t:.6g})")
+        elif little_bloch_membership(g, grid) is Membership.NOT_IN_B0_EVIDENCE:
+            all_consistent = False
+            rows.append(f"{g_src}: Inconsistent")
+        else:
+            rows.append(f"{g_src}: ConsistentWithB0")
+        series = coeffs_from_samples(g, radius=0.5, count=recovery_count(64), degree=64)
+        dg = g.deriv(pts)
+        aliased = np.zeros(pts.shape, dtype=complex)
+        for n in range(16, series.degree_bound + 1, 16):
+            aliased += n * series.coeffs[n] * pts ** (n - 1)
+        defect = float(np.max(one_minus * np.abs(aliased - dg) - total / 16.0))
+        worst_defect = max(worst_defect, defect)
     passed = all_consistent and worst_defect <= 1e-8
     return (
         passed,

@@ -2,13 +2,15 @@
 
 The numeric contracts (the commutator derivative identity, the chain bounds
 and their peak-function converse, test-family normalization, Schwarz-Pick,
-rigidity, little-Bloch sufficiency, interpolation, series and expression
-round trips, report determinism) are each certified once, by a named check
-in :mod:`blochlab.verify`; ``tests/test_verify.py`` runs every check.  This
-file keeps what no check covers: the worked halving-map example pinned to the
+rigidity, little-Bloch sufficiency, the boundary log-ratio, the rotation
+average, interpolation, series and expression round trips, report
+determinism) are each certified once, by a named check in
+:mod:`blochlab.verify`; ``tests/test_verify.py`` runs every check.  This file
+keeps what no check covers: the worked halving-map example pinned to the
 independently derived constant, the log symbol's rotation witness, and the
-identity symbol's shell trend together with the boundary log-ratio check.
-Loosening a tolerance here is an interface decision, not a test fix.
+identity symbol's falling shell trend with its compact T4.9 verdict for every
+map of the ten-map panel.  Loosening a tolerance here is an interface
+decision, not a test fix.
 """
 
 import math
@@ -23,7 +25,6 @@ from blochlab import (
     TEN_MAP_PANEL,
     classify,
     evaluate_criterion,
-    hospital_ratio_check,
 )
 
 # Stationary-point value of r (1 - r^2) / (4 - r^2) on [0, 1), the radial
@@ -73,5 +74,3 @@ def test_identity_symbol_trend_compact_with_ratio_check(self_map, fn, default_gr
         phi = self_map(phi_src, default_grid)
         verdict = classify("T4.9", phi, g, default_grid)
         assert verdict.conclusion is Conclusion.COMPACT, phi_src
-        ratio = hospital_ratio_check(phi, default_grid)
-        assert ratio.passed, (phi_src, ratio.max_excess)

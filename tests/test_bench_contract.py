@@ -34,6 +34,12 @@ def test_every_traced_function_resolves():
     assert callable(verify.evaluate_criterion)
 
 
+def test_reference_lists_every_check_in_registry_order():
+    # the benchmark refuses a run whose results miss a check it lists
+    reference = _load("workloads").load_reference()
+    assert reference["verify_all"]["checks"] == verify.available_checks()
+
+
 def test_panel_sweep_reproduces_the_reference_bytes():
     # every verdict, plus the JSON and CSV sha256 of the 990-case report
     workloads = _load("workloads")

@@ -1,6 +1,7 @@
 """Command-line entry points: exit codes, output shapes, config handling."""
 
 import json
+import math
 
 import pytest
 
@@ -184,6 +185,10 @@ def test_sweep_flags_case_errors(capsys, tmp_path):
         {"phi": ["z/2"], "g": ["z"], "theorems": ["T3.1"], "threshold": {"compact_tol": 0.1}},
         {"phi": ["z/2"], "g": ["z"], "theorems": ["T3.1"], "grid": {"max_shell": 5.7}},
         {"phi": ["z/2"], "g": ["z"], "theorems": ["T3.1"], "outputs": "csv"},
+        {"phi": ["z/2"], "g": ["z"], "theorems": ["C3.4"], "thresholds": {"compact_tol": 0}},
+        {"phi": ["z/2"], "g": ["z"], "theorems": ["C3.4"], "thresholds": {"compact_tol": math.nan}},
+        {"phi": ["z/2"], "g": ["z"], "theorems": ["T3.1"], "thresholds": {"divergence": -1}},
+        {"phi": ["z/2"], "g": ["z"], "theorems": ["T3.1"], "thresholds": {"divergence": math.inf}},
     ],
 )
 def test_sweep_malformed_spec_is_usage_error(capsys, tmp_path, payload):
@@ -304,6 +309,10 @@ def test_flag_overrides_config_file(capsys, tmp_path):
         "[turbo]\nx = 1\n",
         "[thresholds]\ncompact_tol = many\n",
         "[quadrature]\ntol = 1e-12\n",
+        "[thresholds]\ncompact_tol = 0\n",
+        "[thresholds]\ncompact_tol = nan\n",
+        "[thresholds]\ndivergence = -1\n",
+        "[thresholds]\ndivergence = inf\n",
     ],
 )
 def test_bad_config_exits_two(capsys, tmp_path, body):

@@ -14,11 +14,10 @@ from blochlab import (
     classify,
     criterion_value,
     evaluate_criterion,
-    hospital_ratio_check,
     little_bloch_membership,
     validate_self_map,
 )
-from blochlab.criteria import FieldSet
+from blochlab.criteria import PHI_BOUNDARY_KINDS, FieldSet
 from blochlab.diskgeom import shell_for_modulus, shell_maxima, shell_segments
 
 
@@ -80,7 +79,7 @@ def test_constant_symbol_has_identically_zero_fields(self_map):
 
 def test_report_structure_and_maxima(grid6, self_map):
     phi, g = self_map("z/2"), analytic("z")
-    report = evaluate_criterion(CriterionKind.KI, phi, g, grid6, bucket_by="z")
+    report = FieldSet(phi, g, grid6).report(CriterionKind.KI, "z")
     vals = criterion_value(CriterionKind.KI, phi, g, grid6.points)
     assert report.sup_value == float(vals.max())
     at_arg = float(criterion_value(CriterionKind.KI, phi, g, report.arg_sup))
@@ -98,7 +97,7 @@ def test_report_structure_and_maxima(grid6, self_map):
 def test_phi_bucketing_collapses_small_images(grid6, self_map):
     # |z/2| never exceeds ~0.5, so image shells near the boundary are empty
     phi, g = self_map("z/2"), analytic("z")
-    report = evaluate_criterion(CriterionKind.KI, phi, g, grid6, bucket_by="phi")
+    report = evaluate_criterion(CriterionKind.KI, phi, g, grid6)
     occupied = [k for k, _ in report.shell_sups]
     assert max(occupied) < grid6.max_shell
     assert report.vacuous_boundary
@@ -184,7 +183,8 @@ def test_field_set_matches_per_shell_mask_loop(grid8, phi_src, validated, bucket
         values = criterion_value(kind, phi, g, grid8.points)
         expected = _mask_loop_reduction(values, phi, grid8, bucket_by)
         _assert_same_reduction(fields.report(kind, bucket_by), expected)
-        _assert_same_reduction(evaluate_criterion(kind, phi, g, grid8, bucket_by), expected)
+        if bucket_by == ("phi" if kind in PHI_BOUNDARY_KINDS else "z"):
+            _assert_same_reduction(evaluate_criterion(kind, phi, g, grid8), expected)
 
     # a NaN in one |z| shell and an inf in another reach their shells' maxima
     pts = grid8.points
@@ -207,8 +207,7 @@ def test_field_set_matches_per_shell_mask_loop(grid8, phi_src, validated, bucket
     if validated and bucket_by == "z":
         w = phi(pts)
         ratio = np.log(2.0 / (1.0 - np.abs(w) ** 2)) / np.log(2.0 / (1.0 - np.abs(pts) ** 2))
-        rows = hospital_ratio_check(phi, grid8).rows
-        assert tuple((k, m) for k, m, _ in rows) == _mask_loop_reduction(ratio, phi, grid8, "z")[0]
+        assert shell_maxima(ratio, grid8.segments) == _mask_loop_reduction(ratio, phi, grid8, "z")[0]
 
 
 def test_hypothesis_fields_match_per_shell_mask_loop(grid8, self_map):
@@ -300,6 +299,16 @@ def test_classify_precheck_failure_raises(default_grid, self_map):
     with pytest.raises(PreconditionFailed) as excinfo:
         classify("T3.2", phi, analytic("1/(1-z)"), default_grid)
     assert excinfo.value.report.kind.value == "|g|"
+
+
+@pytest.mark.parametrize(
+    "overrides", [{"compact_tol": 0.0}, {"compact_tol": float("nan")}, {"divergence": -1.0},
+                  {"divergence": float("inf")}],
+)
+def test_thresholds_must_be_finite_and_positive(overrides):
+    name = next(iter(overrides))
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        Thresholds(**overrides)
 
 
 def test_verdict_serializes(grid6, self_map):

@@ -25,9 +25,7 @@ from blochlab import (
     PreconditionFailed,
     analytic,
     classify,
-    hospital_ratio_check,
     make_grid,
-    rotation_average_check,
     run_classification,
     to_csv,
     to_json,
@@ -149,6 +147,11 @@ _GOOD_SPEC = {"phi": ["z/2"], "g": ["z"], "theorems": ["T3.1"]}
         (dict(_GOOD_SPEC, threshold={"compact_tol": 0.1}), "'threshold'"),
         (dict(_GOOD_SPEC, grid={"max_shell": 5.7}), "grid.max_shell"),
         (dict(_GOOD_SPEC, outputs="csv"), "'outputs'"),
+        # a threshold must be finite and positive
+        (dict(_GOOD_SPEC, thresholds={"compact_tol": 0}), "thresholds.compact_tol"),
+        (dict(_GOOD_SPEC, thresholds={"compact_tol": math.nan}), "thresholds.compact_tol"),
+        (dict(_GOOD_SPEC, thresholds={"divergence": -1}), "thresholds.divergence"),
+        (dict(_GOOD_SPEC, thresholds={"divergence": math.inf}), "thresholds.divergence"),
     ],
 )
 def test_spec_from_dict_names_the_malformed_key(data, key):
@@ -290,43 +293,6 @@ def test_csv_has_one_row_per_case(small_report):
     bad_row = [r for r in rows[1:] if r[1] == "2*z" and r[2] == "z"][0]
     assert bad_row[3] == ""  # no conclusion for an errored case
     assert "self-map" in bad_row[-1]
-
-
-# --------------------------------------------------------------------------
-# invariant checks
-
-
-def test_hospital_ratio_passes_for_contraction(grid8, self_map):
-    report = hospital_ratio_check(self_map("z/2", grid8), grid8)
-    assert report.passed
-    assert report.max_excess <= 0.0
-    assert report.phi0_modulus == 0.0
-    assert len(report.rows) == grid8.max_shell + 1
-
-
-def test_hospital_slack_widens_with_offset(grid8, self_map):
-    centered = hospital_ratio_check(self_map("z/2", grid8), grid8)
-    offset = hospital_ratio_check(self_map("(z+0.3)/2", grid8), grid8)
-    assert offset.phi0_modulus > 0.0
-    # allowance rows are strictly wider once phi(0) leaves the origin
-    for (_, _, allowed_c), (_, _, allowed_o) in zip(centered.rows, offset.rows):
-        assert allowed_o > allowed_c
-    assert offset.passed
-
-
-def test_rotation_average_consistent_for_tame_symbol(default_grid):
-    # needs the deep grid: at max_shell=8 the z^2 tail is still above the
-    # compactness cut and every rotation honestly reads as a witness
-    outcome = rotation_average_check(analytic("z^2"), 64, default_grid)
-    assert outcome.witness_t is None
-    assert outcome.classification == "ConsistentWithB0"
-    assert outcome.aliased_max_defect <= 1e-8
-
-
-def test_rotation_average_flags_steep_symbol(default_grid):
-    outcome = rotation_average_check(analytic("log(2/(1-0.999*z))"), 64, default_grid)
-    assert outcome.witness_t is not None
-    assert outcome.classification.startswith("Witness(")
 
 
 # --------------------------------------------------------------------------

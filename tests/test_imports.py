@@ -1,7 +1,9 @@
-"""Modules of the package import one another by public name only."""
+"""Modules of the package import one another by public name only, and export what they import."""
 
 import ast
 import pathlib
+
+import blochlab
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "blochlab"
 
@@ -42,3 +44,14 @@ def test_no_module_imports_a_name_it_does_not_use():
                 if bound not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
                     found.append(f"{path.name}:{alias.lineno} {bound}")
     assert found == []
+
+
+def test_package_exports_exactly_what_it_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(blochlab.__all__) == sorted(imported + ["__version__"])

@@ -82,6 +82,14 @@ def test_full_suite_matches_the_golden_file(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_hospital_slack_widens_with_offset():
+    # the finite-radius term is 0 when phi fixes 0 and grows with |phi(0)|
+    for k in range(15):
+        slacks = [verify._hospital_slack(k, s) for s in (0.0, 0.15, 0.5)]
+        assert slacks[0] == 0.1 * 2.0 ** (-k / 2.0)
+        assert slacks[0] < slacks[1] < slacks[2]
+
+
 def _register(monkeypatch, name, fn):
     # a temporary check in the identities suite, removed when the test ends
     monkeypatch.setitem(verify._REGISTRY, name, ("identities", fn))
