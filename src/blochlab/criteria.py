@@ -240,6 +240,8 @@ class FieldSet(_Samples):
 
     def report(self, kind: CriterionKind, bucket_by: str) -> CriterionReport:
         """The field reduced over shells of ``|phi(z)|`` (``"phi"``) or ``|z|`` (``"z"``)."""
+        if bucket_by not in ("phi", "z"):
+            raise ValueError(f'bucket_by must be "phi" or "z", got {bucket_by!r}')
         key = (kind, bucket_by)
         if key in self._reports:
             return self._reports[key]

@@ -22,8 +22,12 @@ deterministic Nelder-Mead descent (the seminorm field peaks between shell
 radii for Mobius-type functions); ``hinf_norm`` additionally samples a dense
 circle just inside the boundary (radius ``1 - 2**-(max_shell+7)``), where the
 maximum modulus principle puts the sup for functions analytic up to the
-boundary.  ``commutator_seminorm`` and criterion suprema stay pure grid maxima
-so that grid refinement is exactly monotone.
+boundary, and refines its best angle by a bounded Brent search.  Both searches
+are in-package ports of scipy's ``minimize(method="Nelder-Mead")`` and
+``minimize_scalar(method="bounded")`` that repeat scipy's arithmetic step for
+step on Python floats, so the package needs no scipy at run time.
+``commutator_seminorm`` and criterion suprema stay pure grid maxima so that
+grid refinement is exactly monotone.
 
 :class:`PairSamples` holds the grid samples of one pair ``(phi, g)``, each
 taken on first use.  ``criteria.FieldSet`` extends it with the criterion
@@ -34,11 +38,11 @@ one, after :meth:`PairSamples.check_pair` confirms it is this pair's on this gri
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .diskgeom import DiskGrid
 
@@ -230,14 +234,161 @@ def _grid_max(values: np.ndarray, points: np.ndarray) -> SupEstimate:
     return SupEstimate(float(values[j]), complex(points[j]))
 
 
+class _OutOfCalls(Exception):
+    """Raised by a call past the Nelder-Mead budget; abandons the current iteration."""
+
+
+def _nelder_mead(fun, x, y, *, xatol=1e-9, fatol=1e-15, maxiter=400, maxfev=600):
+    """Minimise ``fun(x, y)`` from ``(x, y)``; return ``(x, y, value)``.
+
+    A port of scipy's ``minimize(method="Nelder-Mead")`` in two variables that
+    takes the same steps on the same floats: reflection 1, expansion 2,
+    contraction and shrink 1/2, and a start simplex that scales each non-zero
+    coordinate by 1.05 and sets a zero one to 0.00025.  A call past ``maxfev``
+    abandons the iteration it falls in, and the value returned is NaN if any
+    vertex is NaN, as ``np.min`` over the vertices gives.
+    """
+    calls = 0
+
+    def f(p):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _OutOfCalls
+        calls += 1
+        return float(fun(*p))
+
+    def by_value():
+        # the order of a stable np.argsort: NaN after every number, ties kept in place
+        pairs = sorted(
+            zip(fsim, sim), key=lambda pair: (math.isnan(pair[0]), 0.0 if math.isnan(pair[0]) else pair[0])
+        )
+        return [v for v, _ in pairs], [p for _, p in pairs]
+
+    sim = [(x, y), (1.05 * x if x != 0 else 0.00025, y), (x, 1.05 * y if y != 0 else 0.00025)]
+    fsim = [math.inf] * 3
+    try:
+        for k in range(3):
+            fsim[k] = f(sim[k])
+    except _OutOfCalls:
+        pass
+    fsim, sim = by_value()
+
+    iterations = 1
+    while calls < maxfev and iterations < maxiter:
+        try:
+            (x0, y0), (x1, y1), (x2, y2) = sim
+            # np.max's reading: a NaN distance or value gap fails the test
+            spread = (abs(x1 - x0), abs(y1 - y0), abs(x2 - x0), abs(y2 - y0))
+            if all(d <= xatol for d in spread) and all(abs(fsim[0] - v) <= fatol for v in fsim[1:]):
+                break
+            xbar, ybar = (x0 + x1) / 2, (y0 + y1) / 2
+            xr = (2 * xbar - x2, 2 * ybar - y2)
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = (3 * xbar - 2 * x2, 3 * ybar - 2 * y2)
+                fxe = f(xe)
+                sim[2], fsim[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[1]:
+                sim[2], fsim[2] = xr, fxr
+            else:
+                if fxr < fsim[2]:
+                    xc = (1.5 * xbar - 0.5 * x2, 1.5 * ybar - 0.5 * y2)
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                else:
+                    xc = (0.5 * xbar + 0.5 * x2, 0.5 * ybar + 0.5 * y2)
+                    fxc = f(xc)
+                    shrink = not fxc < fsim[2]
+                if not shrink:
+                    sim[2], fsim[2] = xc, fxc
+                else:
+                    for j in (1, 2):
+                        sim[j] = (x0 + 0.5 * (sim[j][0] - x0), y0 + 0.5 * (sim[j][1] - y0))
+                        fsim[j] = f(sim[j])
+            iterations += 1
+        except _OutOfCalls:
+            pass
+        fsim, sim = by_value()
+    value = math.nan if any(map(math.isnan, fsim)) else fsim[0]
+    return sim[0][0], sim[0][1], value
+
+
+def _bounded_min(func, a, b, xatol, maxfun=500):
+    """Minimise ``func`` on ``[a, b]``; return ``(x, value)``.
+
+    A port of scipy's ``minimize_scalar(method="bounded")`` (Brent's
+    golden-section search with parabolic steps) that takes the same steps on
+    the same floats.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic step
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (-1.0 if xm - xf < 0 else 1.0)
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf, fx
+
+
 def _polish_disk_max(field, starts) -> SupEstimate | None:
     """Deterministic Nelder-Mead ascent of ``field`` from each start point."""
 
-    def objective(xy):
-        r2 = xy[0] * xy[0] + xy[1] * xy[1]
+    def objective(x, y):
+        r2 = x * x + y * y
         if r2 >= 1.0 - 1e-12:
             return 1.0 + r2  # push back inside the open disk
-        z = complex(xy[0], xy[1])
+        z = complex(x, y)
         try:
             return -field(z)
         except (ZeroDivisionError, OverflowError):
@@ -248,15 +399,10 @@ def _polish_disk_max(field, starts) -> SupEstimate | None:
 
     best: SupEstimate | None = None
     for z0 in starts:
-        res = minimize(
-            objective,
-            [z0.real, z0.imag],
-            method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-15, "maxiter": 400, "maxfev": 600},
-        )
-        val = -float(res.fun)
-        if np.isfinite(val) and (best is None or val > best.value):
-            best = SupEstimate(val, complex(res.x[0], res.x[1]))
+        x, y, fun = _nelder_mead(objective, z0.real, z0.imag)
+        val = -fun
+        if math.isfinite(val) and (best is None or val > best.value):
+            best = SupEstimate(val, complex(x, y))
     return best
 
 
@@ -292,15 +438,15 @@ def hinf_norm(f, grid: DiskGrid) -> SupEstimate:
     cvals = np.abs(f(circle))
     j = int(np.argmax(cvals))
     span = 2.0 * np.pi / n
-    res = minimize_scalar(
+    t, fun = _bounded_min(
         lambda t: -abs(complex(f(r * np.exp(1j * t)))),
-        bounds=(theta[j] - span, theta[j] + span),
-        method="bounded",
-        options={"xatol": 1e-14},
+        float(theta[j] - span),
+        float(theta[j] + span),
+        xatol=1e-14,
     )
     cand = [base, SupEstimate(float(cvals[j]), complex(circle[j]))]
-    if np.isfinite(res.fun):
-        cand.append(SupEstimate(-float(res.fun), complex(r * np.exp(1j * res.x))))
+    if math.isfinite(fun):
+        cand.append(SupEstimate(-fun, complex(r * np.exp(1j * t))))
     return max(cand, key=lambda s: s.value)
 
 

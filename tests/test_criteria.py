@@ -104,6 +104,18 @@ def test_phi_bucketing_collapses_small_images(grid6, self_map):
     assert report.boundary_limsup_estimate == 0.0
 
 
+def test_report_rejects_an_unknown_limit_variable(grid6, self_map):
+    fields = FieldSet(self_map("z/2"), analytic("z"), grid6)
+    for bucket_by in ("Phi", ""):
+        with pytest.raises(ValueError, match="bucket_by"):
+            fields.report(CriterionKind.KI, bucket_by)
+    by_phi = fields.report(CriterionKind.KI, "phi")
+    assert (by_phi.bucket_by, len(by_phi.shell_sups), by_phi.vacuous_boundary) == ("phi", 1, True)
+    by_z = fields.report(CriterionKind.KI, "z")
+    assert (by_z.bucket_by, len(by_z.shell_sups), by_z.vacuous_boundary) == ("z", 7, False)
+    assert by_phi.sup_value == by_z.sup_value == 0.10551948051948051
+
+
 def test_auto_bucketing_follows_kind(grid6, self_map):
     phi, g = self_map("z/2"), analytic("z")
     assert evaluate_criterion(CriterionKind.KI, phi, g, grid6).bucket_by == "phi"

@@ -1,7 +1,11 @@
-"""Modules of the package import one another by public name only, and export what they import."""
+"""Modules of the package import one another by public name only, export what they
+import, and need nothing beyond numpy at run time."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import blochlab
 
@@ -55,3 +59,35 @@ def test_package_exports_exactly_what_it_imports():
         for alias in node.names
     ]
     assert sorted(blochlab.__all__) == sorted(imported + ["__version__"])
+
+
+def test_no_module_imports_scipy():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.partition(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_a_classification_and_both_polishes_load_no_scipy():
+    script = """
+import sys
+import blochlab
+from blochlab import ExperimentSpec, analytic, bloch_seminorm, hinf_norm, make_grid
+blochlab.run_classification(ExperimentSpec(("z/2",), ("z",), ("T3.1",), max_shell=4, base_angular=64))
+grid = make_grid(4, 64)
+bloch_seminorm(analytic("mobius(0.5)"), grid)
+hinf_norm(analytic("1-mobius(0.7)"), grid)
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
