@@ -23,6 +23,7 @@ runs them in-process.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import threading
@@ -137,6 +138,8 @@ def _check(name: str, suite: str):
 
 
 def available_checks(suite: str = "all") -> list[str]:
+    if suite not in SUITES and suite != "all":
+        raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
     return [n for n, (s, _) in _REGISTRY.items() if suite in ("all", s)]
 
 
@@ -145,12 +148,13 @@ def run_suite(suite: str = "all", name_filter: str | None = None) -> list[CheckR
 
     With at least two checks, two usable CPUs and no other thread in this
     process, the checks run in forked worker processes, at most one per
-    usable CPU; otherwise they run here.  Each check builds its own inputs,
-    so either way the results come back in registry order and equal a serial
-    run's.  A worker that dies raises ``BrokenProcessPool``.
+    usable CPU; otherwise (one check, one usable CPU, or a caller with
+    threads) they run here.  Each check builds its own inputs, so either way
+    the results come back in registry order and equal a serial run's.  A
+    worker that dies raises ``BrokenProcessPool``.  Workers keep their freed
+    heap (:func:`_keep_freed_heap`); a run here keeps the C library's
+    allocator defaults.
     """
-    if suite not in SUITES and suite != "all":
-        raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
     names = available_checks(suite)
     if name_filter is not None:
         names = [n for n in names if name_filter in n]
@@ -165,8 +169,26 @@ def run_suite(suite: str = "all", name_filter: str | None = None) -> list[CheckR
     from concurrent.futures import ProcessPoolExecutor
 
     # a forked worker inherits the imported modules and the registry
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+    with ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"), initializer=_keep_freed_heap
+    ) as pool:
         return list(pool.map(_run_check, names))
+
+
+def _keep_freed_heap() -> None:
+    """Let glibc keep freed memory in this worker instead of returning it.
+
+    Quadrature allocates and frees a ``(16, n)`` temporary per panel; with
+    the defaults glibc trims the heap or unmaps each block, and the next
+    panel faults the pages in again.  A trim threshold of 1 GiB and an mmap
+    threshold of 32 MiB (glibc's 64-bit cap) keep the pages mapped.  Without
+    glibc's ``mallopt`` this does nothing; it never raises, since a raising
+    initializer breaks the pool.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
 
 
 def _run_check(name: str) -> CheckResult:

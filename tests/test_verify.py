@@ -6,14 +6,17 @@ to change) with ``PYTHONPATH=src python tests/test_verify.py``.
 """
 
 import ast
+import ctypes
 import json
 import multiprocessing
 import os
 import pathlib
+import resource
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 
+import numpy as np
 import pytest
 
 from blochlab import available_checks, run_suite, verify
@@ -144,6 +147,41 @@ def test_a_caller_with_threads_runs_the_checks_here(monkeypatch):
     assert pids == [str(os.getpid())] * 2
 
 
+def _faults_of_freed_arrays():
+    # touch and free 2 MB fifty times; each pass re-faults it if the heap is trimmed
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(50):
+        arrays = [np.ones(16000, complex) for _ in range(8)]
+        del arrays
+    return True, str(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="no glibc mallopt")
+def test_a_pooled_worker_keeps_its_freed_heap(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for name in ("zz_pool.first", "zz_pool.second"):
+        _register(monkeypatch, name, _faults_of_freed_arrays)
+    faults = [int(r.detail) for r in run_suite("identities", name_filter="zz_pool.")]
+    # ~23,500 faults each with glibc's defaults, ~550 with the heap kept
+    assert all(count < 2000 for count in faults), faults
+
+
+def test_a_pool_without_mallopt_still_runs(monkeypatch):
+    opened = []
+    # a C library without mallopt; a forked worker records its own calls
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: opened.append(name) or object())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for name in ("zz_pool.first", "zz_pool.second"):
+        _register(monkeypatch, name, lambda: (True, repr(opened)))
+    rows = run_suite("identities", name_filter="zz_pool.")
+    assert [(r.name, r.passed, r.detail) for r in rows] == [
+        ("zz_pool.first", True, "[None]"),
+        ("zz_pool.second", True, "[None]"),
+    ]
+    assert opened == []  # the caller's allocator is left alone
+    assert multiprocessing.active_children() == []
+
+
 def test_checks_share_no_cache():
     # every check builds its own inputs, so a run alone equals a run after others
     tree = ast.parse(pathlib.Path(verify.__file__).read_text())
@@ -157,8 +195,9 @@ def test_checks_share_no_cache():
 
 
 def test_unknown_suite_rejected():
-    with pytest.raises(ValueError, match="unknown suite"):
-        run_suite("everything")
+    for select in (available_checks, run_suite):
+        with pytest.raises(ValueError, match="unknown suite 'identites'"):
+            select("identites")
 
 
 def test_empty_selection_rejected():
