@@ -36,7 +36,6 @@ from .diskgeom import (
     SelfMap,
     make_grid,
     pseudo_hyperbolic,
-    schwarz_derivative,
     schwarz_pick_modulus_bound,
     validate_self_map,
     validate_symbol,
@@ -164,7 +163,6 @@ __all__ = [
     "recovery_count",
     "run_classification",
     "run_suite",
-    "schwarz_derivative",
     "schwarz_pick_modulus_bound",
     "select_separated_subsequence",
     "to_csv",

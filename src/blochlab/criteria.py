@@ -188,8 +188,7 @@ class _Samples(PairSamples):
         if kind in PHI_BOUNDARY_KINDS and self.phi is None:
             raise ValueError(f"criterion {kind.value} requires a self-map")
         if kind is CriterionKind.KI:
-            # |phi#(z)| with phi#(z) = (1-|z|^2) / (1-|phi(z)|^2) * phi'(z)
-            return np.abs(self.one_minus / self.one_minus_w * self.dphi) * np.abs(self.g_jump)
+            return self.phi_sharp * np.abs(self.g_jump)
         if kind is CriterionKind.KJ:
             return self._kj
         if kind is CriterionKind.KJLOG:

@@ -22,6 +22,10 @@ from .exprdsl import AnalyticFn, Expr, Mobius, Mul, Neg, Var
 
 DEFAULT_MAX_SHELL = 14
 DEFAULT_BASE_ANGULAR = 64
+# The deepest grid doubles can hold: ``hinf_norm`` samples a circle of radius
+# ``1 - 2**-(max_shell + 7)``, which rounds to 1.0 from max_shell = 47 on, and
+# shell radii ``1 - 0.75 * 2**-k`` put grid points on ``|z| == 1.0`` from k = 52.
+MAX_SHELL_LIMIT = 46
 
 
 class NotFiniteOnGrid(ValueError):
@@ -139,11 +143,15 @@ def _integer(name: str, value) -> int:
 
 
 def check_grid_range(max_shell: int, base_angular: int) -> tuple[int, int]:
-    """``(max_shell, base_angular)`` as ints; ``ValueError`` unless integral, ``>= 4`` and ``>= 64``."""
+    """``(max_shell, base_angular)`` as ints.
+
+    ``ValueError`` unless both are integral, ``4 <= max_shell <= MAX_SHELL_LIMIT``
+    and ``base_angular >= 64``.
+    """
     max_shell = _integer("max_shell", max_shell)
     base_angular = _integer("base_angular", base_angular)
-    if max_shell < 4:
-        raise ValueError(f"max_shell must be >= 4, got {max_shell}")
+    if not 4 <= max_shell <= MAX_SHELL_LIMIT:
+        raise ValueError(f"max_shell must lie in [4, {MAX_SHELL_LIMIT}], got {max_shell}")
     if base_angular < 64:
         raise ValueError(f"base_angular must be >= 64, got {base_angular}")
     return max_shell, base_angular
@@ -248,12 +256,6 @@ def validate_symbol(fn: AnalyticFn, grid: DiskGrid) -> AnalyticFn:
             j = int(bad[0])
             raise NotFiniteOnGrid(what, complex(pts[j]), complex(values[j]))
     return fn
-
-
-def schwarz_derivative(phi, z):
-    """``(1 - |z|^2) / (1 - |phi(z)|^2) * phi'(z)`` (scalar or array)."""
-    w = phi(z)
-    return (1.0 - np.abs(z) ** 2) / (1.0 - np.abs(w) ** 2) * phi.deriv(z)
 
 
 def schwarz_pick_modulus_bound(phi, z):

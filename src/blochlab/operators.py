@@ -17,17 +17,15 @@ Integrals run along the radial segment [0, z] with adaptive bisection on
 array ``z`` is bisected on its own, and each has its own budget of 40 panels.
 
 Norm estimators are sampled maxima and therefore lower bounds of the true
-suprema.  ``bloch_seminorm`` additionally polishes the grid arg-max with a
-deterministic Nelder-Mead descent (the seminorm field peaks between shell
-radii for Mobius-type functions); ``hinf_norm`` additionally samples a dense
-circle just inside the boundary (radius ``1 - 2**-(max_shell+7)``), where the
-maximum modulus principle puts the sup for functions analytic up to the
-boundary, and refines its best angle by a bounded Brent search.  Both searches
-are in-package ports of scipy's ``minimize(method="Nelder-Mead")`` and
-``minimize_scalar(method="bounded")`` that repeat scipy's arithmetic step for
-step on Python floats, so the package needs no scipy at run time.
-``commutator_seminorm`` and criterion suprema stay pure grid maxima so that
-grid refinement is exactly monotone.
+suprema.  ``bloch_seminorm`` additionally polishes its four best grid points
+(the seminorm field peaks between shell radii for Mobius-type functions);
+``hinf_norm`` additionally samples a dense circle just inside the boundary
+(radius ``1 - 2**-(max_shell+7)``), where the maximum modulus principle puts
+the sup for functions analytic up to the boundary, and polishes its best
+angle.  Both polish with one deterministic compass search that moves every
+start at once on numpy arrays, and keep the polished value only where it
+beats the sampled one.  ``commutator_seminorm`` and criterion suprema stay
+pure grid maxima so that grid refinement is exactly monotone.
 
 :class:`PairSamples` holds the grid samples of one pair ``(phi, g)``, each
 taken on first use.  ``criteria.FieldSet`` extends it with the criterion
@@ -38,7 +36,6 @@ one, after :meth:`PairSamples.check_pair` confirms it is this pair's on this gri
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -187,6 +184,11 @@ class PairSamples:
         return self.phi.deriv(self.z)
 
     @cached_property
+    def phi_sharp(self):
+        """``|phi#(z)|`` with ``phi#(z) = (1 - |z|^2) / (1 - |phi(z)|^2) * phi'(z)``."""
+        return np.abs(self.one_minus / self.one_minus_w * self.dphi)
+
+    @cached_property
     def g_z(self):
         return self.g(self.z)
 
@@ -234,176 +236,32 @@ def _grid_max(values: np.ndarray, points: np.ndarray) -> SupEstimate:
     return SupEstimate(float(values[j]), complex(points[j]))
 
 
-class _OutOfCalls(Exception):
-    """Raised by a call past the Nelder-Mead budget; abandons the current iteration."""
+def _compass_max(field, x, step, stencil, xatol):
+    """Compass-search ascent of ``field`` from every start in ``x`` at once.
 
-
-def _nelder_mead(fun, x, y, *, xatol=1e-9, fatol=1e-15, maxiter=400, maxfev=600):
-    """Minimise ``fun(x, y)`` from ``(x, y)``; return ``(x, y, value)``.
-
-    A port of scipy's ``minimize(method="Nelder-Mead")`` in two variables that
-    takes the same steps on the same floats: reflection 1, expansion 2,
-    contraction and shrink 1/2, and a start simplex that scales each non-zero
-    coordinate by 1.05 and sets a zero one to 0.00025.  A call past ``maxfev``
-    abandons the iteration it falls in, and the value returned is NaN if any
-    vertex is NaN, as ``np.min`` over the vertices gives.
+    Each round samples ``field`` on ``x + step * stencil`` for every start in
+    one array call; ``stencil[0]`` is the centre, ``0``.  Each start moves to
+    its best point, a non-finite value counting as ``-inf``, and halves its
+    step when the centre wins a tie or outright.  Once every step is below
+    ``xatol`` the best ``(point, value)`` over the starts is returned.
     """
-    calls = 0
-
-    def f(p):
-        nonlocal calls
-        if calls >= maxfev:
-            raise _OutOfCalls
-        calls += 1
-        return float(fun(*p))
-
-    def by_value():
-        # the order of a stable np.argsort: NaN after every number, ties kept in place
-        pairs = sorted(
-            zip(fsim, sim), key=lambda pair: (math.isnan(pair[0]), 0.0 if math.isnan(pair[0]) else pair[0])
-        )
-        return [v for v, _ in pairs], [p for _, p in pairs]
-
-    sim = [(x, y), (1.05 * x if x != 0 else 0.00025, y), (x, 1.05 * y if y != 0 else 0.00025)]
-    fsim = [math.inf] * 3
-    try:
-        for k in range(3):
-            fsim[k] = f(sim[k])
-    except _OutOfCalls:
-        pass
-    fsim, sim = by_value()
-
-    iterations = 1
-    while calls < maxfev and iterations < maxiter:
-        try:
-            (x0, y0), (x1, y1), (x2, y2) = sim
-            # np.max's reading: a NaN distance or value gap fails the test
-            spread = (abs(x1 - x0), abs(y1 - y0), abs(x2 - x0), abs(y2 - y0))
-            if all(d <= xatol for d in spread) and all(abs(fsim[0] - v) <= fatol for v in fsim[1:]):
-                break
-            xbar, ybar = (x0 + x1) / 2, (y0 + y1) / 2
-            xr = (2 * xbar - x2, 2 * ybar - y2)
-            fxr = f(xr)
-            if fxr < fsim[0]:
-                xe = (3 * xbar - 2 * x2, 3 * ybar - 2 * y2)
-                fxe = f(xe)
-                sim[2], fsim[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[1]:
-                sim[2], fsim[2] = xr, fxr
-            else:
-                if fxr < fsim[2]:
-                    xc = (1.5 * xbar - 0.5 * x2, 1.5 * ybar - 0.5 * y2)
-                    fxc = f(xc)
-                    shrink = not fxc <= fxr
-                else:
-                    xc = (0.5 * xbar + 0.5 * x2, 0.5 * ybar + 0.5 * y2)
-                    fxc = f(xc)
-                    shrink = not fxc < fsim[2]
-                if not shrink:
-                    sim[2], fsim[2] = xc, fxc
-                else:
-                    for j in (1, 2):
-                        sim[j] = (x0 + 0.5 * (sim[j][0] - x0), y0 + 0.5 * (sim[j][1] - y0))
-                        fsim[j] = f(sim[j])
-            iterations += 1
-        except _OutOfCalls:
-            pass
-        fsim, sim = by_value()
-    value = math.nan if any(map(math.isnan, fsim)) else fsim[0]
-    return sim[0][0], sim[0][1], value
+    step, rows = np.full(x.shape, step, dtype=float), np.arange(x.size)
+    while True:
+        trial = x[:, None] + step[:, None] * stencil
+        with np.errstate(all="ignore"):
+            vals = field(trial)
+        vals = np.where(np.isfinite(vals), vals, -np.inf)
+        best = np.argmax(vals, axis=1)
+        x, top = trial[rows, best], vals[rows, best]
+        step = np.where(best == 0, 0.5 * step, step)
+        if np.all(step < xatol):
+            j = int(np.argmax(top))
+            return x[j], float(top[j])
 
 
-def _bounded_min(func, a, b, xatol, maxfun=500):
-    """Minimise ``func`` on ``[a, b]``; return ``(x, value)``.
-
-    A port of scipy's ``minimize_scalar(method="bounded")`` (Brent's
-    golden-section search with parabolic steps) that takes the same steps on
-    the same floats.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic step
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * (-1.0 if xm - xf < 0 else 1.0)
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxfun:
-            break
-    return xf, fx
-
-
-def _polish_disk_max(field, starts) -> SupEstimate | None:
-    """Deterministic Nelder-Mead ascent of ``field`` from each start point."""
-
-    def objective(x, y):
-        r2 = x * x + y * y
-        if r2 >= 1.0 - 1e-12:
-            return 1.0 + r2  # push back inside the open disk
-        z = complex(x, y)
-        try:
-            return -field(z)
-        except (ZeroDivisionError, OverflowError):
-            # Python complex arithmetic raises at a pole; numpy's gives inf or
-            # nan there, which the finiteness filter below drops.
-            with np.errstate(all="ignore"):
-                return -field(np.complex128(z))
-
-    best: SupEstimate | None = None
-    for z0 in starts:
-        x, y, fun = _nelder_mead(objective, z0.real, z0.imag)
-        val = -fun
-        if math.isfinite(val) and (best is None or val > best.value):
-            best = SupEstimate(val, complex(x, y))
-    return best
+# the centre first, then its eight neighbours on the square around it
+_DISK_STENCIL = np.array([0j] + [complex(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1) if a or b])
+_ANGLE_STENCIL = np.array([0.0, -1.0, 1.0])
 
 
 def bloch_seminorm(f, grid: DiskGrid) -> SupEstimate:
@@ -411,13 +269,14 @@ def bloch_seminorm(f, grid: DiskGrid) -> SupEstimate:
     pts = grid.points
     vals = (1.0 - np.abs(pts) ** 2) * np.abs(f.deriv(pts))
     base = _grid_max(vals, pts)
-    order = np.argsort(vals, kind="stable")[::-1][:4]
-    polished = _polish_disk_max(
-        lambda w: (1.0 - abs(w) ** 2) * abs(f.deriv(w)), [complex(pts[j]) for j in order]
-    )
-    if polished is not None and polished.value > base.value:
-        return polished
-    return base
+    starts = pts[np.argsort(vals, kind="stable")[::-1][:4]]
+
+    def field(w):
+        m = np.abs(w)
+        return np.where(m < 1.0, (1.0 - m**2) * np.abs(f.deriv(w)), -np.inf)
+
+    z, value = _compass_max(field, starts, 0.5 * (1.0 - np.abs(starts)), _DISK_STENCIL, 1e-9)
+    return SupEstimate(value, complex(z)) if value > base.value else base
 
 
 def bloch_norm(f, grid: DiskGrid) -> float:
@@ -437,16 +296,16 @@ def hinf_norm(f, grid: DiskGrid) -> SupEstimate:
     circle = r * np.exp(1j * theta)
     cvals = np.abs(f(circle))
     j = int(np.argmax(cvals))
-    span = 2.0 * np.pi / n
-    t, fun = _bounded_min(
-        lambda t: -abs(complex(f(r * np.exp(1j * t)))),
-        float(theta[j] - span),
-        float(theta[j] + span),
-        xatol=1e-14,
-    )
-    cand = [base, SupEstimate(float(cvals[j]), complex(circle[j]))]
-    if math.isfinite(fun):
-        cand.append(SupEstimate(-fun, complex(r * np.exp(1j * t))))
+
+    def on_circle(t):
+        return np.abs(f(r * np.exp(1j * t)))
+
+    t, value = _compass_max(on_circle, theta[j : j + 1], 2.0 * np.pi / n, _ANGLE_STENCIL, 1e-14)
+    cand = [
+        base,
+        SupEstimate(float(cvals[j]), complex(circle[j])),
+        SupEstimate(value, complex(r * np.exp(1j * t))),
+    ]
     return max(cand, key=lambda s: s.value)
 
 

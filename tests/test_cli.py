@@ -253,6 +253,21 @@ def test_usage_errors_exit_two(capsys, argv):
         assert "is not finite at the origin z = 0j" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the map is a self-map; it is the grid that doubles cannot hold
+        ("classify", "--thm", "T4.1b", "--phi", "mobius(0.8)", "--g", "log(2/(1-z))",
+         "--grid", "48,64"),
+        ("classify", "--thm", "T4.1b", "--phi", "z", "--g", "log(2/(1-z))", "--grid", "53,64"),
+    ],
+)
+def test_grid_deeper_than_doubles_hold_exits_two(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("blochlab: error: max_shell must lie in [4, 46], got")
+
+
 def test_unknown_flag_exits_two(capsys):
     # argparse handles this level itself, with the subcommand in the prefix
     with pytest.raises(SystemExit) as excinfo:
@@ -305,6 +320,7 @@ def test_flag_overrides_config_file(capsys, tmp_path):
     "body",
     [
         "[grid]\nmax_shell = fast\n",
+        "[grid]\nmax_shell = 47\n",
         "[grid]\nwidth = 3\n",
         "[turbo]\nx = 1\n",
         "[thresholds]\ncompact_tol = many\n",

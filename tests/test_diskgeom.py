@@ -6,15 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochlab import (
+    AUTOMORPHISM_PANEL,
+    ROTATION_PANEL,
+    SHRINKER_PANEL,
     NotASelfMap,
     analytic,
+    hinf_norm,
     make_grid,
     pseudo_hyperbolic,
-    schwarz_derivative,
     schwarz_pick_modulus_bound,
     validate_self_map,
 )
-from blochlab.diskgeom import shell_for_modulus, shell_radius
+from blochlab.diskgeom import MAX_SHELL_LIMIT, shell_for_modulus, shell_radius
+from blochlab.operators import PairSamples
 
 disk_points = st.complex_numbers(max_magnitude=0.95, allow_nan=False, allow_infinity=False)
 
@@ -61,6 +65,16 @@ def test_grid_parameter_validation():
         make_grid(3, 64)
     with pytest.raises(ValueError):
         make_grid(6, 32)
+    with pytest.raises(ValueError, match=f"max_shell must lie in \\[4, {MAX_SHELL_LIMIT}\\], got 47"):
+        make_grid(MAX_SHELL_LIMIT + 1, 64)
+
+
+def test_every_panel_map_validates_on_the_deepest_grid():
+    grid = make_grid(MAX_SHELL_LIMIT, 64)
+    for src in AUTOMORPHISM_PANEL + ROTATION_PANEL + SHRINKER_PANEL:
+        validate_self_map(analytic(src), grid)
+    # hinf_norm's circle still lies inside the disk, off the singularity at 1
+    assert np.isfinite(hinf_norm(analytic("log(2/(1-z))"), grid).value)
 
 
 @pytest.mark.parametrize(
@@ -144,18 +158,18 @@ def test_halving_map_hyperbolic_derivative_profile(grid6):
     pts = grid6.points
     r2 = np.abs(pts) ** 2
     expected = 0.5 * (1.0 - r2) / (1.0 - r2 / 4.0)
-    assert np.allclose(np.abs(schwarz_derivative(phi, pts)), expected, rtol=1e-13, atol=0)
+    assert np.allclose(PairSamples(phi, None, pts).phi_sharp, expected, rtol=1e-13, atol=0)
 
 
 def test_automorphism_attains_hyperbolic_equality(grid6):
     phi = validate_self_map(analytic("mobius(0.3i)"), grid6)
-    vals = np.abs(schwarz_derivative(phi, grid6.points))
+    vals = PairSamples(phi, None, grid6.points).phi_sharp
     assert np.max(np.abs(vals - 1.0)) <= 1e-9
 
 
 def test_contraction_stays_below_hyperbolic_equality(grid6):
     phi = validate_self_map(analytic("(z+0.3)/2"), grid6)
-    vals = np.abs(schwarz_derivative(phi, grid6.points))
+    vals = PairSamples(phi, None, grid6.points).phi_sharp
     assert float(vals.max()) <= 1.0 + 1e-12
 
 

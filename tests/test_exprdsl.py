@@ -200,8 +200,8 @@ def _reference_value(e, z):
 
 @pytest.mark.parametrize("source", ROUNDTRIP_CORPUS)
 def test_evaluate_keeps_each_node_operation_and_result_type(source):
-    # Python-complex scalars must stay Python complex where they were: the
-    # polish's ZeroDivisionError fallback relies on it
+    # Python-complex scalars must stay Python complex where they were, so a
+    # scalar sample at a pole raises as AnalyticFn documents
     f = analytic(source)
     for expr in (f.expr, f.derivative.expr):
         for z in (complex(0.3, -0.2), _spiral(20, 0.9)):

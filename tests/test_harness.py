@@ -118,6 +118,7 @@ def test_spec_from_json_file(tmp_path):
         {"max_shell": 3},
         {"base_angular": 32},
         {"output": "xml"},
+        {"max_shell": 47},
     ],
 )
 def test_spec_validation_rejects(overrides):
@@ -152,6 +153,8 @@ _GOOD_SPEC = {"phi": ["z/2"], "g": ["z"], "theorems": ["T3.1"]}
         (dict(_GOOD_SPEC, thresholds={"compact_tol": math.nan}), "thresholds.compact_tol"),
         (dict(_GOOD_SPEC, thresholds={"divergence": -1}), "thresholds.divergence"),
         (dict(_GOOD_SPEC, thresholds={"divergence": math.inf}), "thresholds.divergence"),
+        # deeper than doubles can hold
+        (dict(_GOOD_SPEC, grid={"max_shell": 47}), "max_shell must lie in [4, 46]"),
     ],
 )
 def test_spec_from_dict_names_the_malformed_key(data, key):

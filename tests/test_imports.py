@@ -9,7 +9,8 @@ import sys
 
 import blochlab
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "blochlab"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "blochlab"
 
 
 def test_no_module_imports_a_private_name_from_another():
@@ -63,7 +64,8 @@ def test_package_exports_exactly_what_it_imports():
 
 def test_no_module_imports_scipy():
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    dirs = (PACKAGE, ROOT / "tests", ROOT / "scripts")
+    for path in sorted(p for d in dirs for p in d.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -71,7 +73,8 @@ def test_no_module_imports_scipy():
                 names = [node.module or ""]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.partition(".")[0] == "scipy"]
+            where = f"{path.relative_to(ROOT)}:{node.lineno}"
+            found += [f"{where} {n}" for n in names if n.partition(".")[0] == "scipy"]
     assert found == []
 
 
