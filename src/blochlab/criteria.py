@@ -15,14 +15,22 @@ boundary *limit* condition, the second as a *sup* condition equivalent to
 are kinds too: ``|g|`` (the ``H^inf`` hypothesis of T3.2) and the Bloch field
 ``(1-|z|^2)|g'|`` (the membership read by C4.3).
 
-A :class:`FieldSet` samples ``phi``, ``phi'``, ``g``, ``g'``, ``g o phi`` and
-``g' o phi`` over the grid once per pair, computes every field from those
-samples, and reduces each field over exponential boundary shells of the
-relevant limit variable — ``|phi(z)|`` for the phi-boundary criteria, ``|z|``
-otherwise, each shell one contiguous segment — estimating ``sup`` as the grid max and ``limsup`` as the max over the last
-three nonempty shells.  When the sup of ``|phi|``, estimated from the pair's
-own samples (``diskgeom.sup_modulus_estimate``), stays below ``1 - 2**-K``,
-the limit set ``|phi(z)| -> 1`` is empty and limit conditions hold vacuously.
+A :class:`FieldSet` computes every field of a pair from its grid samples,
+and reduces each field over exponential boundary shells of the relevant
+limit variable — ``|phi(z)|`` for the phi-boundary criteria, ``|z|``
+otherwise, each shell one contiguous segment — estimating ``sup`` as the
+grid max and ``limsup`` as the max over the last three nonempty shells.
+When the sup of ``|phi|``, estimated from the map's own samples
+(``diskgeom.sup_modulus_estimate``), stays below ``1 - 2**-K``, the limit
+set ``|phi(z)| -> 1`` is empty and limit conditions hold vacuously.
+
+A set joins a map side (:class:`MapFields`: ``phi``, ``phi'`` and the
+``|phi(z)|`` shells) and a symbol side (:class:`SymbolFields`: ``g``,
+``g'``, the fields of :data:`SYMBOL_KINDS` and their ``|z|`` reports), and
+samples only ``g o phi`` and ``g' o phi`` itself.  Sets joined from shared
+sides (``FieldSet.from_sides``, as ``harness.run_classification`` builds
+them) sample each map once, each symbol once and each pair's compositions
+once over a whole panel.
 
 :func:`classify` reduces reports to a :class:`Verdict` per named statement.
 :data:`THEOREMS` names every report a statement reads: its hypothesis check,
@@ -51,7 +59,7 @@ from .diskgeom import (
     shell_segments,
     sup_modulus_estimate,
 )
-from .operators import PairSamples
+from .operators import MapSamples, PairSamples, SymbolSamples
 
 ONE_SIDED_NOTE = "sampled maxima are lower bounds of true suprema"
 
@@ -70,6 +78,9 @@ class CriterionKind(enum.Enum):
 PHI_BOUNDARY_KINDS = frozenset(
     {CriterionKind.KI, CriterionKind.KJ, CriterionKind.KJLOG}
 )
+
+#: Kinds that are fields of the symbol alone: every kind that reads no map.
+SYMBOL_KINDS = frozenset(CriterionKind) - PHI_BOUNDARY_KINDS
 
 
 class Conclusion(enum.Enum):
@@ -172,16 +183,76 @@ class Verdict:
 # pointwise fields
 
 
+def _reduce(kind, bucket_by, values, grid, segments, vacuous) -> CriterionReport:
+    """``values`` on ``grid`` reduced over the shell ``segments`` of the limit variable ``bucket_by``."""
+    shell_sups = shell_maxima(values, segments)
+    j = int(np.argmax(values))
+    return CriterionReport(
+        kind=kind,
+        sup_value=float(values[j]),
+        arg_sup=complex(grid.points[j]),
+        shell_sups=shell_sups,
+        boundary_limsup_estimate=0.0 if vacuous else max(s for _, s in shell_sups[-3:]),
+        vacuous_boundary=vacuous,
+        bucket_by=bucket_by,
+    )
+
+
+class MapFields(MapSamples):
+    """One map's samples on a grid and its ``|phi(z)|`` shells, shared by every symbol paired with it."""
+
+    @cached_property
+    def phi_shells(self) -> tuple[ShellSegments, bool]:
+        """``|phi(z)|`` shell segments, and whether ``|phi(z)| -> 1`` is out of reach on this grid."""
+        moduli = np.abs(self.w)
+        max_shell = self.grid.max_shell
+        vacuous = sup_modulus_estimate(moduli, self.grid) < 1.0 - 2.0 ** (-max_shell)
+        return shell_segments(shell_for_modulus(moduli, max_shell), max_shell), vacuous
+
+
+class SymbolFields(SymbolSamples):
+    """One symbol's samples on a grid, its fields and their ``|z|`` reports.
+
+    The fields of :data:`SYMBOL_KINDS` are those of the symbol alone: each is
+    computed once, and its ``|z|`` report is one object shared by every map
+    paired with the symbol.
+    """
+
+    def __init__(self, g, grid):
+        super().__init__(g, grid)
+        self._values: dict = {}
+        self._reports: dict = {}
+
+    def values(self, kind: CriterionKind) -> np.ndarray:
+        key = CriterionKind.LG if kind is CriterionKind.LG_LOG_BOUNDEDNESS else kind
+        if key not in self._values:
+            if key is CriterionKind.SUP_NORM:
+                self._values[key] = np.abs(self.g_z)
+            elif key is CriterionKind.BLOCH:
+                self._values[key] = self.grid.one_minus * np.abs(self.dg_z)
+            elif key is CriterionKind.LG:
+                bloch = self.values(CriterionKind.BLOCH)
+                self._values[key] = bloch * np.log(2.0 / self.grid.one_minus)
+            else:
+                raise ValueError(f"unknown field {kind!r}")
+        return self._values[key]
+
+    def report(self, kind: CriterionKind) -> CriterionReport:
+        """The field reduced over the ``|z|`` shells."""
+        if kind not in self._reports:
+            grid = self.grid
+            self._reports[kind] = _reduce(kind, "z", self.values(kind), grid, grid.segments, False)
+        return self._reports[kind]
+
+
 class _Samples(PairSamples):
     """The pair's primitive samples at the points ``z`` and the fields over them."""
+
+    _sides = (MapFields, SymbolFields)
 
     @cached_property
     def _kj(self):
         return self.one_minus * np.abs(self.dg_jump)
-
-    @cached_property
-    def _bloch(self):
-        return self.one_minus * np.abs(self.dg_z)
 
     def field(self, kind: CriterionKind):
         """The field ``kind`` at the points, from the samples."""
@@ -193,13 +264,7 @@ class _Samples(PairSamples):
             return self._kj
         if kind is CriterionKind.KJLOG:
             return self._kj * np.log(2.0 / self.one_minus_w)
-        if kind is CriterionKind.SUP_NORM:
-            return np.abs(self.g_z)
-        if kind is CriterionKind.BLOCH:
-            return self._bloch
-        if kind in (CriterionKind.LG, CriterionKind.LG_LOG_BOUNDEDNESS):
-            return self._bloch * np.log(2.0 / self.one_minus)
-        raise ValueError(f"unknown field {kind!r}")
+        return self.symbol_side.values(kind)
 
 
 def criterion_value(kind: CriterionKind, phi, g, z):
@@ -211,15 +276,23 @@ def criterion_value(kind: CriterionKind, phi, g, z):
 class FieldSet(_Samples):
     """The fields of one pair ``(phi, g)`` on one grid, sampled on first use.
 
-    The samples of ``phi`` and ``g`` are shared by every field, each field
-    and each report is computed once, and the ``|phi(z)|`` shells are sorted
-    once.  Hold one set per pair and drop it before the next; pass it as
-    ``fields`` to ``commutator_seminorm`` to share it across test functions.
+    The pair joins a :class:`MapFields` and a :class:`SymbolFields`: the
+    samples of ``phi`` and its ``|phi(z)|`` shells are the map's, the
+    samples, fields and ``|z|`` reports of ``g`` alone are the symbol's,
+    and only ``g o phi``, ``g' o phi`` and the fields and reports that read
+    them are the pair's own.  ``FieldSet(phi, g, grid)`` samples both sides
+    for this pair alone; ``FieldSet.from_sides`` shares sides across pairs,
+    as ``run_classification`` does for a whole panel.  Each field and each
+    report is computed once.  Pass a set as ``fields`` to
+    ``commutator_seminorm`` to share it across test functions.
     """
 
     def __init__(self, phi, g, grid: DiskGrid):
-        super().__init__(phi, g, grid.points)
-        self.grid = grid
+        self._join(MapFields(phi, grid), SymbolFields(g, grid))
+
+    def _join(self, map_side: MapFields, symbol_side: SymbolFields) -> None:
+        super()._join(map_side, symbol_side)
+        self.grid = map_side.grid
         self._values: dict = {}
         self._reports: dict = {}
 
@@ -229,35 +302,18 @@ class FieldSet(_Samples):
             self._values[key] = self.field(key)
         return self._values[key]
 
-    @cached_property
-    def _phi_shells(self) -> tuple[ShellSegments, bool]:
-        """``|phi(z)|`` shell segments, and whether ``|phi(z)| -> 1`` is out of reach on this grid."""
-        moduli = np.abs(self.w)
-        max_shell = self.grid.max_shell
-        vacuous = sup_modulus_estimate(moduli, self.grid) < 1.0 - 2.0 ** (-max_shell)
-        return shell_segments(shell_for_modulus(moduli, max_shell), max_shell), vacuous
-
     def report(self, kind: CriterionKind, bucket_by: str) -> CriterionReport:
         """The field reduced over shells of ``|phi(z)|`` (``"phi"``) or ``|z|`` (``"z"``)."""
         if bucket_by not in ("phi", "z"):
             raise ValueError(f'bucket_by must be "phi" or "z", got {bucket_by!r}')
+        if bucket_by == "z" and kind in SYMBOL_KINDS:
+            return self.symbol_side.report(kind)
         key = (kind, bucket_by)
-        if key in self._reports:
-            return self._reports[key]
-        values, grid = self.values(kind), self.grid
-        # the |z| -> 1 limit set is never empty; only |phi| buckets can be vacuous
-        segments, vacuous = self._phi_shells if bucket_by == "phi" else (grid.segments, False)
-        shell_sups = shell_maxima(values, segments)
-        j = int(np.argmax(values))
-        self._reports[key] = CriterionReport(
-            kind=kind,
-            sup_value=float(values[j]),
-            arg_sup=complex(grid.points[j]),
-            shell_sups=shell_sups,
-            boundary_limsup_estimate=0.0 if vacuous else max(s for _, s in shell_sups[-3:]),
-            vacuous_boundary=vacuous,
-            bucket_by=bucket_by,
-        )
+        if key not in self._reports:
+            # the |z| -> 1 limit set is never empty; only |phi| buckets can be vacuous
+            grid = self.grid
+            segments, vacuous = self.map_side.phi_shells if bucket_by == "phi" else (grid.segments, False)
+            self._reports[key] = _reduce(kind, bucket_by, self.values(kind), grid, segments, vacuous)
         return self._reports[key]
 
 
@@ -373,7 +429,7 @@ def little_bloch_membership(
     g, grid: DiskGrid, thresholds: Thresholds = DEFAULT_THRESHOLDS
 ) -> Membership:
     """Classify the trend of ``(1-|z|^2)|g'(z)|`` toward the boundary."""
-    report = FieldSet(None, g, grid).report(CriterionKind.BLOCH, "z")
+    report = SymbolFields(g, grid).report(CriterionKind.BLOCH)
     return _MEMBERSHIP[compact_conclusion(report, thresholds)]
 
 

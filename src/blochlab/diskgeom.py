@@ -125,6 +125,13 @@ class DiskGrid:
         starts = np.cumsum((0,) + self.angular_counts[:-1])
         return ShellSegments(None, starts, tuple(range(self.max_shell + 1)))
 
+    @cached_property
+    def one_minus(self) -> np.ndarray:
+        """``1 - |z|^2`` at every point, read-only like :attr:`points`."""
+        out = 1.0 - np.abs(self.points) ** 2
+        out.flags.writeable = False
+        return out
+
     def shells(self) -> list[np.ndarray]:
         """Per-shell views of :attr:`points`."""
         return np.split(self.points, self.segments.starts[1:])

@@ -31,6 +31,7 @@ import io
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
@@ -38,10 +39,12 @@ from .config import read_config
 from .criteria import (
     PreconditionFailed,
     THEOREMS,
+    FieldSet,
+    MapFields,
+    SymbolFields,
     Thresholds,
     Verdict,
     classify,
-    FieldSet,
 )
 from .diskgeom import (
     DEFAULT_BASE_ANGULAR,
@@ -54,7 +57,7 @@ from .diskgeom import (
     validate_self_map,
     validate_symbol,
 )
-from .exprdsl import AnalyticFn, ExprError, analytic
+from .exprdsl import ExprError, analytic
 
 SCHEMA_VERSION = 1
 
@@ -137,6 +140,9 @@ class ExperimentSpec:
             object.__setattr__(self, name, value)
             if not value:
                 raise ValueError(f"{name} must be nonempty")
+            repeated = [v for v, n in Counter(value).items() if n > 1]
+            if repeated:
+                raise ValueError(f"{name} lists {repeated[0]!r} more than once")
         unknown = [t for t in self.theorem_ids if t not in THEOREMS]
         if unknown:
             raise ValueError(f"unknown theorem ids: {unknown}")
@@ -234,30 +240,34 @@ def run_classification(spec: ExperimentSpec) -> SuiteReport:
     grid = make_grid(spec.max_shell, spec.base_angular)
 
     maps: dict[str, SelfMap | Exception] = {}
-    for src in dict.fromkeys(spec.phi_exprs):
+    for src in spec.phi_exprs:
         try:
             maps[src] = validate_self_map(analytic(src), grid)
         except (ExprError, NotASelfMap, ValueError) as exc:
             maps[src] = exc
-    symbols: dict[str, AnalyticFn | Exception] = {}
-    for src in dict.fromkeys(spec.g_exprs):
+    # one symbol side per symbol, shared by every map paired with it
+    symbols: dict[str, SymbolFields | Exception] = {}
+    for src in spec.g_exprs:
         try:
-            symbols[src] = validate_symbol(analytic(src), grid)
+            symbols[src] = SymbolFields(validate_symbol(analytic(src), grid), grid)
         except (ExprError, NotFiniteOnGrid) as exc:
             symbols[src] = exc
 
     cases = []
     for phi_src in spec.phi_exprs:
+        phi = maps[phi_src]
+        # one map side per map, shared by its pairs and dropped before the next map's
+        map_side = MapFields(phi, grid)
         for g_src in spec.g_exprs:
-            phi, g = maps[phi_src], symbols[g_src]
-            if isinstance(phi, Exception) or isinstance(g, Exception):
-                error = f"phi: {phi}" if isinstance(phi, Exception) else f"g: {g}"
+            symbol = symbols[g_src]
+            if isinstance(phi, Exception) or isinstance(symbol, Exception):
+                error = f"phi: {phi}" if isinstance(phi, Exception) else f"g: {symbol}"
                 cases.extend(CaseResult(t, phi_src, g_src, error=error) for t in spec.theorem_ids)
                 continue
-            fields = FieldSet(phi, g, grid)  # shared by this pair's statements only
+            fields = FieldSet.from_sides(map_side, symbol)
             for theorem_id in spec.theorem_ids:
                 try:
-                    verdict = classify(theorem_id, phi, g, grid, spec.thresholds, fields)
+                    verdict = classify(theorem_id, phi, symbol.g, grid, spec.thresholds, fields)
                     cases.append(CaseResult(theorem_id, phi_src, g_src, verdict=verdict))
                 except (PreconditionFailed, ValueError) as exc:
                     cases.append(CaseResult(theorem_id, phi_src, g_src, error=str(exc)))

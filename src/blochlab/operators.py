@@ -28,9 +28,13 @@ beats the sampled one.  ``commutator_seminorm`` and criterion suprema stay
 pure grid maxima so that grid refinement is exactly monotone.
 
 :class:`PairSamples` holds the grid samples of one pair ``(phi, g)``, each
-taken on first use.  ``criteria.FieldSet`` extends it with the criterion
-fields; ``commutator_seminorm`` and ``criteria.classify`` read it when given
-one, after :meth:`PairSamples.check_pair` confirms it is this pair's on this grid.
+taken on first use.  It joins the samples of the map alone
+(:class:`MapSamples`) and of the symbol alone (:class:`SymbolSamples`),
+which :meth:`PairSamples.from_sides` shares across pairs, and takes only
+``g o phi`` and ``g' o phi`` itself.  ``criteria.FieldSet`` extends it with
+the criterion fields; ``commutator_seminorm`` and ``criteria.classify`` read
+it when given one, after :meth:`PairSamples.check_pair` confirms that both
+sides are this pair's on this grid.
 """
 
 from __future__ import annotations
@@ -150,30 +154,31 @@ def _commutator_derivative(kind: OperatorKind, s: PairSamples, f):
     raise ValueError(f"kind must be a commutator kind, got {kind}")
 
 
-class PairSamples:
-    """The primitives of one pair ``(phi, g)`` at ``z``, each taken on first use.
+class _Points:
+    """Points ``z`` of no grid, read as a grid is: ``points`` and their ``1 - |z|^2``."""
 
-    ``z`` is one point or an array of points.  The criterion fields and the
-    commutator derivatives are formulas over these samples, so ``phi``,
-    ``phi'``, ``g``, ``g'``, ``g o phi`` and ``g' o phi`` are each evaluated
-    once however many fields or test functions read them.
-    """
-
-    def __init__(self, phi, g, z):
-        self.phi, self.g, self.z = phi, g, z
-
-    def check_pair(self, phi, g, grid: DiskGrid) -> None:
-        """``ValueError`` unless these are the samples of this very ``phi``, ``g`` and grid."""
-        if self.phi is not phi or self.g is not g or self.z is not grid.points:
-            raise ValueError("fields were sampled for another (phi, g) pair or grid")
+    def __init__(self, z):
+        self.points = z
 
     @cached_property
     def one_minus(self):
-        return 1.0 - np.abs(self.z) ** 2
+        return 1.0 - np.abs(self.points) ** 2
+
+
+class MapSamples:
+    """One map ``phi`` at the points of ``grid``, each sample taken on first use.
+
+    ``grid`` is a :class:`DiskGrid`, or any points with their ``one_minus``.
+    No sample depends on a symbol, so one map's samples serve every symbol
+    paired with it.
+    """
+
+    def __init__(self, phi, grid):
+        self.phi, self.grid = phi, grid
 
     @cached_property
     def w(self):
-        return self.phi(self.z)
+        return self.phi(self.grid.points)
 
     @cached_property
     def one_minus_w(self):
@@ -181,20 +186,81 @@ class PairSamples:
 
     @cached_property
     def dphi(self):
-        return self.phi.deriv(self.z)
+        return self.phi.deriv(self.grid.points)
 
     @cached_property
     def phi_sharp(self):
         """``|phi#(z)|`` with ``phi#(z) = (1 - |z|^2) / (1 - |phi(z)|^2) * phi'(z)``."""
-        return np.abs(self.one_minus / self.one_minus_w * self.dphi)
+        return np.abs(self.grid.one_minus / self.one_minus_w * self.dphi)
+
+
+class SymbolSamples:
+    """One symbol ``g`` at the points of ``grid``, each sample taken on first use.
+
+    No sample depends on a map, so one symbol's samples serve every map
+    paired with it.
+    """
+
+    def __init__(self, g, grid):
+        self.g, self.grid = g, grid
 
     @cached_property
     def g_z(self):
-        return self.g(self.z)
+        return self.g(self.grid.points)
 
     @cached_property
     def dg_z(self):
-        return self.g.deriv(self.z)
+        return self.g.deriv(self.grid.points)
+
+
+class PairSamples:
+    """The primitives of one pair ``(phi, g)`` at ``z``, each taken on first use.
+
+    ``z`` is one point or an array of points.  The criterion fields and the
+    commutator derivatives are formulas over these samples.  A pair joins a
+    map side (:class:`MapSamples`) and a symbol side (:class:`SymbolSamples`)
+    and samples only ``g o phi`` and ``g' o phi`` itself, so ``phi``,
+    ``phi'``, ``g``, ``g'``, ``g o phi`` and ``g' o phi`` are each evaluated
+    once however many fields or test functions read them.  Pairs made with
+    :meth:`from_sides` share their sides with other pairs.
+    """
+
+    #: the classes of the sides that ``PairSamples(phi, g, z)`` samples
+    _sides = (MapSamples, SymbolSamples)
+
+    def __init__(self, phi, g, z):
+        map_side, symbol_side = self._sides
+        points = _Points(z)
+        self._join(map_side(phi, points), symbol_side(g, points))
+
+    @classmethod
+    def from_sides(cls, map_side: MapSamples, symbol_side: SymbolSamples) -> "PairSamples":
+        """The pair of one map's and one symbol's samples, shared and not copied."""
+        pair = cls.__new__(cls)
+        pair._join(map_side, symbol_side)
+        return pair
+
+    def _join(self, map_side, symbol_side) -> None:
+        self.map_side, self.symbol_side = map_side, symbol_side
+        self.phi, self.g, self.z = map_side.phi, symbol_side.g, map_side.grid.points
+
+    def check_pair(self, phi, g, grid: DiskGrid) -> None:
+        """``ValueError`` unless both sides are the samples of this very ``phi``, ``g`` and grid."""
+        if (
+            self.phi is not phi
+            or self.g is not g
+            or self.z is not grid.points
+            or self.symbol_side.grid.points is not grid.points
+        ):
+            raise ValueError("fields were sampled for another (phi, g) pair or grid")
+
+    one_minus = property(lambda self: self.map_side.grid.one_minus)
+    w = property(lambda self: self.map_side.w)
+    one_minus_w = property(lambda self: self.map_side.one_minus_w)
+    dphi = property(lambda self: self.map_side.dphi)
+    phi_sharp = property(lambda self: self.map_side.phi_sharp)
+    g_z = property(lambda self: self.symbol_side.g_z)
+    dg_z = property(lambda self: self.symbol_side.dg_z)
 
     @cached_property
     def g_w(self):
@@ -267,7 +333,7 @@ _ANGLE_STENCIL = np.array([0.0, -1.0, 1.0])
 def bloch_seminorm(f, grid: DiskGrid) -> SupEstimate:
     """``sup (1 - |z|^2) |f'(z)|``: grid max plus local polish (lower bound)."""
     pts = grid.points
-    vals = (1.0 - np.abs(pts) ** 2) * np.abs(f.deriv(pts))
+    vals = grid.one_minus * np.abs(f.deriv(pts))
     base = _grid_max(vals, pts)
     starts = pts[np.argsort(vals, kind="stable")[::-1][:4]]
 

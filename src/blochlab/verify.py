@@ -36,7 +36,9 @@ from .criteria import (
     CriterionKind,
     DEFAULT_THRESHOLDS,
     FieldSet,
+    MapFields,
     Membership,
+    SymbolFields,
     classify,
     compact_conclusion,
     criterion_value,
@@ -69,8 +71,8 @@ from .harness import (
     to_json,
 )
 from .operators import (
+    MapSamples,
     OperatorKind,
-    PairSamples,
     apply_Ig,
     apply_Jg,
     bloch_seminorm,
@@ -513,20 +515,22 @@ def _chain_margins(op, kind, f_corpus, norm, max_shell=DEFAULT_MAX_SHELL, keep=N
     """Check ``seminorm <= sup K * norm(f) + CHAIN_TOL`` on the panel pairs ``keep`` accepts.
 
     ``K`` is the field ``kind`` on ``|phi(z)|`` shells of a ``max_shell``
-    grid, ``norm(f, grid)`` is read once per ``f`` on the default grid, and
+    grid, ``norm(f, grid)`` is read once per ``f`` on the default grid, each
+    map and each symbol is sampled once for all its pairs, and
     ``keep(phi, g, grid, fields)`` selects pairs (all by default).  Returns
     the violations, the min margin and the number of pairs checked.
     """
     default_grid = make_grid()
     tests = [(f, float(norm(f, default_grid))) for f in map(analytic, f_corpus)]
-    symbols = [analytic(src) for src in G_CORPUS]
     grid = make_grid(max_shell)
+    symbols = [SymbolFields(analytic(src), grid) for src in G_CORPUS]
     min_margin = math.inf
     violations = pairs = 0
     for phi_src in TEN_MAP_PANEL:
-        phi = validate_self_map(analytic(phi_src), grid)
-        for g in symbols:
-            fields = FieldSet(phi, g, grid)
+        map_side = MapFields(validate_self_map(analytic(phi_src), grid), grid)
+        for symbol in symbols:
+            fields = FieldSet.from_sides(map_side, symbol)
+            phi, g = fields.phi, fields.g
             if keep is not None and not keep(phi, g, grid, fields):
                 continue
             pairs += 1
@@ -732,7 +736,7 @@ def _schwarz_pick_random_maps():
     worst = -math.inf
     for src in _random_self_map_sources(100, rng):
         phi = validate_self_map(analytic(src), grid)
-        worst = max(worst, float(np.max(PairSamples(phi, None, grid.points).phi_sharp)))
+        worst = max(worst, float(np.max(MapSamples(phi, grid).phi_sharp)))
     passed = worst <= 1.0 + 1e-12
     return (
         passed,
@@ -747,7 +751,7 @@ def _schwarz_automorphism_equality():
     grid = make_grid()
     worst = 0.0
     for src in AUTOMORPHISM_PANEL:
-        sharp = PairSamples(validate_self_map(analytic(src), grid), None, grid.points).phi_sharp
+        sharp = MapSamples(validate_self_map(analytic(src), grid), grid).phi_sharp
         worst = max(worst, float(np.max(np.abs(sharp - 1.0))))
     passed = worst <= 1e-9
     return (

@@ -189,6 +189,9 @@ def test_sweep_flags_case_errors(capsys, tmp_path):
         {"phi": ["z/2"], "g": ["z"], "theorems": ["C3.4"], "thresholds": {"compact_tol": math.nan}},
         {"phi": ["z/2"], "g": ["z"], "theorems": ["T3.1"], "thresholds": {"divergence": -1}},
         {"phi": ["z/2"], "g": ["z"], "theorems": ["T3.1"], "thresholds": {"divergence": math.inf}},
+        {"phi": ["z/2", "z/2"], "g": ["z"], "theorems": ["T3.1"]},
+        {"phi": ["z/2"], "g": ["z", "z"], "theorems": ["T3.1"]},
+        {"phi": ["z/2"], "g": ["z"], "theorems": ["T3.1", "T3.1"]},
     ],
 )
 def test_sweep_malformed_spec_is_usage_error(capsys, tmp_path, payload):

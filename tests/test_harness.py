@@ -119,6 +119,9 @@ def test_spec_from_json_file(tmp_path):
         {"base_angular": 32},
         {"output": "xml"},
         {"max_shell": 47},
+        {"phi_exprs": ("z/2", "z/2")},
+        {"g_exprs": ("z", "z^2", "z")},
+        {"theorem_ids": ("T3.1", "T3.1")},
     ],
 )
 def test_spec_validation_rejects(overrides):
@@ -155,6 +158,10 @@ _GOOD_SPEC = {"phi": ["z/2"], "g": ["z"], "theorems": ["T3.1"]}
         (dict(_GOOD_SPEC, thresholds={"divergence": math.inf}), "thresholds.divergence"),
         # deeper than doubles can hold
         (dict(_GOOD_SPEC, grid={"max_shell": 47}), "max_shell must lie in [4, 46]"),
+        # each map, symbol and statement once
+        (dict(_GOOD_SPEC, phi=["z/2", "z", "z/2"]), "phi_exprs lists 'z/2' more than once"),
+        (dict(_GOOD_SPEC, g=["z", "z"]), "g_exprs lists 'z' more than once"),
+        (dict(_GOOD_SPEC, theorems=["T3.1", "T3.1"]), "theorem_ids lists 'T3.1' more than once"),
     ],
 )
 def test_spec_from_dict_names_the_malformed_key(data, key):
@@ -299,45 +306,71 @@ def test_csv_has_one_row_per_case(small_report):
 
 
 # --------------------------------------------------------------------------
-# one field set per pair
+# one side per map and per symbol
 
 
 def test_run_samples_each_formula_at_most_once_per_pair(monkeypatch):
-    """Per pair, one grid evaluation of phi and of phi', at most two of g and of g'."""
-    calls = collections.Counter()
-    pair = [None]
+    """Over the panel's run: phi and phi' once per map, g and g' once per symbol,
+    g o phi and g' o phi once per pair, and 246 grid evaluations in all
+    (568 when each pair sampled both its map and its symbol)."""
+    roles, calls = {}, collections.Counter()
+    taken_on_grid = {}  # id of a grid sample -> (source, sample), held so ids stay unique
+    state = {"grid": None, "validating": False}
 
-    def counting(method, label):
-        def wrapper(self, z):
-            if np.ndim(z) > 0:
-                calls[(pair[0], self.source, label)] += 1
-            return method(self, z)
+    def validating(role, validate):
+        def wrapper(fn, grid):
+            roles[fn], state["grid"], state["validating"] = (role, fn.source), grid, True
+            try:
+                return validate(fn, grid)
+            finally:
+                state["validating"] = False
 
         return wrapper
 
-    class PairFields(criteria.FieldSet):
-        def __init__(self, phi, g, grid):
-            pair[0] = (phi.source, g.source)
-            super().__init__(phi, g, grid)
+    def counting(method, label):
+        def wrapper(self, z):
+            out = method(self, z)
+            if np.ndim(z) > 0:
+                if state["validating"]:
+                    at = "validation"
+                elif z is state["grid"].points:
+                    at = "grid"
+                    taken_on_grid[id(out)] = (self.source, out)
+                else:
+                    at = taken_on_grid[id(z)][0]  # g or g' at phi(z): the pair's map
+                calls[(roles[self], label, at)] += 1
+            return out
+
+        return wrapper
 
     monkeypatch.setattr(AnalyticFn, "__call__", counting(AnalyticFn.__call__, "f"))
     monkeypatch.setattr(AnalyticFn, "deriv", counting(AnalyticFn.deriv, "f'"))
-    monkeypatch.setattr(harness, "FieldSet", PairFields)
+    monkeypatch.setattr(harness, "validate_self_map", validating("phi", harness.validate_self_map))
+    monkeypatch.setattr(harness, "validate_symbol", validating("g", harness.validate_symbol))
     spec = ExperimentSpec(
-        phi_exprs=("mobius(0.5)", "-mobius(0.7)", "z/2"),
-        g_exprs=("1", "z^2", "log(2/(1-0.999*z))", "1/(1-z)"),
-        theorem_ids=tuple(sorted(THEOREMS)),
-        max_shell=6,
+        phi_exprs=TEN_MAP_PANEL, g_exprs=G_CORPUS, theorem_ids=tuple(sorted(THEOREMS)), max_shell=6
     )
     report = run_classification(spec)
     monkeypatch.undo()
-    pairs = {key[0] for key in calls} - {None}
-    assert pairs == {(p, g) for p in spec.phi_exprs for g in spec.g_exprs}
-    for phi_src, g_src in pairs:
-        assert calls[((phi_src, g_src), phi_src, "f")] == 1
-        assert calls[((phi_src, g_src), phi_src, "f'")] == 1
-        assert calls[((phi_src, g_src), g_src, "f")] <= 2
-        assert calls[((phi_src, g_src), g_src, "f'")] <= 2
+    expected = collections.Counter()
+    for phi_src in spec.phi_exprs:
+        expected.update({(("phi", phi_src), "f", "validation"): 1,
+                         (("phi", phi_src), "f", "grid"): 1, (("phi", phi_src), "f'", "grid"): 1})
+    for g_src in spec.g_exprs:
+        for label in ("f", "f'"):
+            expected.update({(("g", g_src), label, at): 1
+                             for at in ("validation", "grid") + spec.phi_exprs})
+    assert calls == expected
+    assert sum(calls.values()) <= 246
+
+    # the reports of a symbol alone are one object across its maps
+    shared = collections.defaultdict(set)
+    for case in report.cases:
+        for r in case.verdict.evidence if case.verdict else ():
+            if r.kind in criteria.SYMBOL_KINDS:
+                shared[(case.g, r.kind)].add(id(r))
+    assert {kind for _, kind in shared} == criteria.SYMBOL_KINDS
+    assert all(len(ids) == 1 for ids in shared.values())
 
     # sharing the samples changes no case: each matches a classify of its own
     grid = make_grid(6, 64)

@@ -27,8 +27,8 @@ from blochlab import (
     hinf_norm,
     make_grid,
 )
-from blochlab.criteria import FieldSet
-from blochlab.operators import QUAD_TOL, PairSamples, _integrate_radial
+from blochlab.criteria import FieldSet, MapFields, SymbolFields
+from blochlab.operators import QUAD_TOL, MapSamples, PairSamples, SymbolSamples, _integrate_radial
 
 POINTS = [0.3, -0.4 + 0.2j, 0.7j, 0.55 - 0.35j]
 
@@ -305,13 +305,17 @@ def test_commutator_seminorm_argmax_is_grid_point(grid6, self_map):
 
 
 def test_shared_samples_give_the_same_seminorm(grid6, self_map, fn):
-    """One field set per pair, the pair sampled per call and the closed form agree exactly."""
+    """Sides shared across pairs, one field set per pair, the pair sampled per call and the
+    closed form agree exactly."""
     pts = grid6.points
+    symbols = [SymbolFields(fn(g_src), grid6) for g_src in G_CORPUS]
     for phi_src in TEN_MAP_PANEL:
         phi = self_map(phi_src)
-        for g_src in G_CORPUS:
-            g = fn(g_src)
+        map_side = MapFields(phi, grid6)
+        for symbol in symbols:
+            g = symbol.g
             fields = FieldSet(phi, g, grid6)
+            joined = FieldSet.from_sides(map_side, symbol)
             for kind, corpus in (
                 (OperatorKind.COMMUTATOR_I, BLOCH_F_CORPUS),
                 (OperatorKind.COMMUTATOR_J, HINF_F_CORPUS),
@@ -320,6 +324,7 @@ def test_shared_samples_give_the_same_seminorm(grid6, self_map, fn):
                     f = fn(f_src)
                     shared = commutator_seminorm(kind, phi, g, f, grid6, fields=fields)
                     alone = commutator_seminorm(kind, phi, g, f, grid6)
+                    assert commutator_seminorm(kind, phi, g, f, grid6, fields=joined) == alone
                     d = commutator_derivative(kind, phi, g, f, pts)
                     direct = (1.0 - np.abs(pts) ** 2) * np.abs(np.broadcast_to(d, pts.shape))
                     j = int(np.argmax(direct))
@@ -370,3 +375,35 @@ def test_seminorm_rejects_samples_of_another_pair(grid5, grid6, self_map):
         classify("T3.2", phi, g, grid6, fields=FieldSet(self_map("exp(0.5i)*z"), g, grid6))
     with pytest.raises(ValueError, match="another"):
         classify("T3.2", phi, g, grid6, fields=FieldSet(phi, g, grid5))
+
+
+def test_joined_sides_must_be_this_pairs_on_this_grid(grid5, grid6, self_map):
+    """A side of another map, symbol or grid is refused; matching sides serve the pair."""
+    phi, g, f = self_map("z/2"), analytic("log(2/(1-z))"), analytic("z^2")
+    other_phi, other_g = self_map("exp(0.5i)*z"), analytic("z")
+    joins = [
+        (MapFields(other_phi, grid6), SymbolFields(g, grid6)),
+        (MapFields(phi, grid6), SymbolFields(other_g, grid6)),
+        (MapFields(phi, grid5), SymbolFields(g, grid6)),
+        (MapFields(phi, grid6), SymbolFields(g, grid5)),
+        (MapFields(phi, grid5), SymbolFields(g, grid5)),
+    ]
+    for map_side, symbol_side in joins:
+        fields = FieldSet.from_sides(map_side, symbol_side)
+        with pytest.raises(ValueError, match="another"):
+            classify("T3.2", phi, g, grid6, fields=fields)
+        with pytest.raises(ValueError, match="another"):
+            commutator_seminorm(OperatorKind.COMMUTATOR_J, phi, g, f, grid6, fields=fields)
+    for map_side, symbol_side in ((MapSamples(phi, grid5), SymbolSamples(g, grid6)),
+                                  (MapSamples(phi, grid6), SymbolSamples(g, grid5))):
+        with pytest.raises(ValueError, match="another"):
+            commutator_seminorm(OperatorKind.COMMUTATOR_I, phi, g, f, grid6,
+                                fields=PairSamples.from_sides(map_side, symbol_side))
+
+    joined = PairSamples.from_sides(MapSamples(phi, grid6), SymbolSamples(g, grid6))
+    alone = PairSamples(phi, g, grid6.points)
+    for kind in OperatorKind:
+        assert (commutator_seminorm(kind, phi, g, f, grid6, fields=joined)
+                == commutator_seminorm(kind, phi, g, f, grid6, fields=alone))
+    shared = FieldSet.from_sides(MapFields(phi, grid6), SymbolFields(g, grid6))
+    assert classify("T3.2", phi, g, grid6, fields=shared) == classify("T3.2", phi, g, grid6)
