@@ -170,11 +170,15 @@ class Verdict:
         return next(r for r in self.evidence if (r.kind, r.bucket_by) == (spec.kind, spec.bucket_by))
 
     def to_dict(self) -> dict:
+        return self._to_dict(lambda obj: obj.to_dict())
+
+    def _to_dict(self, dict_of) -> dict:
+        """The dict with each evidence report and the thresholds as ``dict_of`` gives them."""
         return {
             "theorem_id": self.theorem_id,
             "conclusion": self.conclusion.value,
-            "evidence": [r.to_dict() for r in self.evidence],
-            "thresholds": self.thresholds.to_dict(),
+            "evidence": [dict_of(r) for r in self.evidence],
+            "thresholds": dict_of(self.thresholds),
             "notes": list(self.notes),
         }
 

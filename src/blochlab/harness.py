@@ -26,6 +26,7 @@ the disk is.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
@@ -208,9 +209,12 @@ class CaseResult:
         return (self.theorem_id, self.phi, self.g)
 
     def to_dict(self) -> dict:
+        return self._to_dict(lambda obj: obj.to_dict())
+
+    def _to_dict(self, dict_of) -> dict:
         out: dict = {"theorem_id": self.theorem_id, "phi": self.phi, "g": self.g}
         if self.verdict is not None:
-            out["verdict"] = self.verdict.to_dict()
+            out["verdict"] = self.verdict._to_dict(dict_of)
         if self.error is not None:
             out["error"] = self.error
         return out
@@ -223,10 +227,27 @@ class SuiteReport:
     elapsed_seconds: float
 
     def to_dict(self, include_timing: bool = True) -> dict:
+        """The report as plain dicts, each evidence report and thresholds object as one dict.
+
+        Within one call, every verdict that holds the same
+        :class:`CriterionReport` (a symbol's ``|z|`` reports are one object
+        across its maps) or the same :class:`Thresholds` holds the same dict,
+        which :func:`to_json` then renders once.  Separate calls share no
+        dict (``config`` is copied too), and ``CaseResult.to_dict`` and
+        ``Verdict.to_dict`` build fresh ones.
+        """
+        shared: dict[int, dict] = {}  # id of a report or thresholds -> its dict in this call
+
+        def dict_of(obj) -> dict:
+            out = shared.get(id(obj))
+            if out is None:
+                out = shared[id(obj)] = obj.to_dict()
+            return out
+
         out = {
             "schema": SCHEMA_VERSION,
-            "config": self.config,
-            "cases": [c.to_dict() for c in self.cases],
+            "config": copy.deepcopy(self.config),
+            "cases": [c._to_dict(dict_of) for c in self.cases],
             "invariants": [],
         }
         if include_timing:
@@ -308,19 +329,35 @@ def _other_text(obj) -> str:
 
 
 def to_json(payload: dict) -> str:
-    """Deterministic JSON with every finite real at 17 significant digits."""
-    keys: dict[str, str] = {}  # each distinct key is encoded once per call
-    scalar = _SCALAR_TEXT.get
+    """Deterministic JSON with every finite real at 17 significant digits.
 
-    def text(obj, pad: str) -> str:
-        render = scalar(type(obj))
-        if render is not None:
-            return render(obj)
+    Every piece of text goes to one list, joined once at the end.  A dict
+    that holds no dict at any depth (an evidence report, the thresholds) is
+    rendered once per indent and call, and its text is reused wherever the
+    same object appears again at that indent; the payload keeps each such
+    object, and so its id, alive for the whole call.
+    """
+    keys: dict[str, str] = {}  # each distinct key is encoded once per call
+    texts: dict[tuple[int, str], str] = {}  # (id, indent) of a dict holding no dict -> its text
+    scalar = _SCALAR_TEXT.get
+    out: list[str] = []
+    put = out.append
+    dicts = 0  # dicts met so far, to tell whether one holds another
+
+    def write(obj, pad: str) -> None:
+        nonlocal dicts
         inner = pad + "  "
         if isinstance(obj, dict):
+            dicts += 1
             if not obj:
-                return "{}"
-            items = []
+                put("{}")
+                return
+            text = texts.get((id(obj), pad))
+            if text is not None:
+                put(text)
+                return
+            start, seen = len(out), dicts
+            sep = "{\n" + inner
             for key, value in obj.items():
                 if type(key) is not str:
                     key_text = encode_basestring_ascii(str(key)) + ": "
@@ -329,16 +366,37 @@ def to_json(payload: dict) -> str:
                 else:
                     key_text = keys[key] = encode_basestring_ascii(key) + ": "
                 render = scalar(type(value))
-                items.append(key_text + (render(value) if render else text(value, inner)))
-            return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-        if isinstance(obj, (list, tuple)):
+                if render is not None:
+                    put(sep + key_text + render(value))
+                else:
+                    put(sep + key_text)
+                    write(value, inner)
+                sep = ",\n" + inner
+            put("\n" + pad + "}")
+            if dicts == seen:
+                text = texts[id(obj), pad] = "".join(out[start:])
+                del out[start:]
+                put(text)
+        elif isinstance(obj, (list, tuple)):
             if not obj:
-                return "[]"
-            items = [render(v) if (render := scalar(type(v))) else text(v, inner) for v in obj]
-            return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-        return _other_text(obj)
+                put("[]")
+                return
+            sep = "[\n" + inner
+            for value in obj:
+                render = scalar(type(value))
+                if render is not None:
+                    put(sep + render(value))
+                else:
+                    put(sep)
+                    write(value, inner)
+                sep = ",\n" + inner
+            put("\n" + pad + "]")
+        else:
+            put((scalar(type(obj)) or _other_text)(obj))
 
-    return text(payload, "") + "\n"
+    write(payload, "")
+    put("\n")
+    return "".join(out)
 
 
 CSV_COLUMNS = (

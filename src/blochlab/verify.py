@@ -976,7 +976,7 @@ def _rotation_average_coherence():
     # a_n are recovered from circle samples.  The inequality is checked for
     # |z| <= 0.75, where the degree-capped truncation tail is negligible.
     grid = make_grid()
-    rotations = [(t, validate_self_map(analytic(src), grid))
+    rotations = [(t, MapFields(validate_self_map(analytic(src), grid), grid))
                  for t, src in zip(ROTATION_ANGLES, ROTATION_PANEL)]
     inner = np.abs(grid.points) <= 0.75
     pts = grid.points[inner]
@@ -986,10 +986,11 @@ def _rotation_average_coherence():
     all_consistent = True
     for g_src in ("z^2", "complex(0.25,-0.5)", "log(2/(1-0.9*z))", "log(2/(1-0.999*z))"):
         g = analytic(g_src)
+        symbol = SymbolFields(g, grid)
         witness_t = None
         total = np.zeros(pts.shape)
         for t, rotation in rotations:
-            fields = FieldSet(rotation, g, grid)
+            fields = FieldSet.from_sides(rotation, symbol)
             total += fields.values(CriterionKind.KJ)[inner]
             if witness_t is None:
                 report = fields.report(CriterionKind.KJ, "phi")

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,6 +267,85 @@ def test_json_emitter_golden_bytes():
         '  "text": "say \\"hi\\" \\u2013 \\u03b6",\n'
         '  "other": [\n    "(1+2j)",\n    "5"\n  ]\n}\n'
     )
+
+
+@pytest.fixture(scope="module")
+def panel6_report():
+    return run_classification(ExperimentSpec(
+        phi_exprs=TEN_MAP_PANEL, g_exprs=G_CORPUS, theorem_ids=tuple(sorted(THEOREMS)), max_shell=6
+    ))
+
+
+def test_json_of_shared_dicts_equals_json_of_an_unshared_copy(panel6_report):
+    payload = panel6_report.to_dict()
+    evidence = [d for row in payload["cases"] if "verdict" in row for d in row["verdict"]["evidence"]]
+    assert len({id(d) for d in evidence}) < len(evidence)  # the payload does share dicts
+    unshared = json.loads(json.dumps(payload))  # every dict a distinct object
+    assert to_json(payload) == to_json(unshared)
+
+    # one dict object at two depths renders with each depth's own indent
+    leaf = {"k": [1]}
+    holder = {"leaf": leaf}
+    shared = {"a": leaf, "b": [leaf, holder], "c": holder}
+    assert to_json(shared) == to_json(json.loads(json.dumps(shared))) == (
+        '{\n  "a": {\n    "k": [\n      1\n    ]\n  },\n'
+        '  "b": [\n    {\n      "k": [\n        1\n      ]\n    },\n'
+        '    {\n      "leaf": {\n        "k": [\n          1\n        ]\n      }\n    }\n  ],\n'
+        '  "c": {\n    "leaf": {\n      "k": [\n        1\n      ]\n    }\n  }\n}\n'
+    )
+
+
+def test_suite_report_shares_report_dicts_within_one_call_only(panel6_report):
+    payload = panel6_report.to_dict(include_timing=False)
+    dicts_of = collections.defaultdict(set)  # id of a report or thresholds -> ids of its dicts
+    references = 0
+    for case, row in zip(panel6_report.cases, payload["cases"]):
+        if case.verdict is None:
+            continue
+        verdict = row["verdict"]
+        for report, data in zip(case.verdict.evidence, verdict["evidence"]):
+            assert data == report.to_dict()
+            dicts_of[id(report)].add(id(data))
+            references += 1
+        dicts_of[id(case.verdict.thresholds)].add(id(verdict["thresholds"]))
+    # each report object and the run's one thresholds object map to one dict
+    assert all(len(ids) == 1 for ids in dicts_of.values())
+    assert len(set.union(*dicts_of.values())) == len(dicts_of) < references
+    assert len({id(row["verdict"]["thresholds"]) for row in payload["cases"] if "verdict" in row}) == 1
+
+    # a second call shares no dict: mutating the first payload leaves it unchanged
+    expected = to_json(panel6_report.to_dict(include_timing=False))
+    payload["config"]["grid"]["max_shell"] = 99
+    for row in payload["cases"]:
+        if "verdict" in row:
+            row["verdict"]["evidence"][0]["sup_value"] = -1.0
+            row["verdict"]["thresholds"]["divergence"] = 0
+    assert to_json(panel6_report.to_dict(include_timing=False)) == expected
+
+    # CaseResult.to_dict and Verdict.to_dict build fresh dicts every call
+    by_report = collections.defaultdict(list)
+    for case in panel6_report.cases:
+        for report in case.verdict.evidence if case.verdict else ():
+            by_report[id(report)].append(case)
+    first, second = next(cases for cases in by_report.values() if len(cases) > 1)[:2]
+    a, b = first.to_dict(), second.to_dict()
+    assert not {id(d) for d in a["verdict"]["evidence"]} & {id(d) for d in b["verdict"]["evidence"]}
+    assert a["verdict"]["thresholds"] is not b["verdict"]["thresholds"]
+    v1, v2 = first.verdict.to_dict(), first.verdict.to_dict()
+    assert v1 == v2 and v1["evidence"][0] is not v2["evidence"][0]
+
+
+def test_json_emission_peak_memory_is_at_most_two_and_a_half_outputs(panel6_report):
+    payload = panel6_report.to_dict(include_timing=False)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        text = to_json(payload)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # one join at the end: ~2.0 outputs; a join per level took ~3.0
+    assert peak <= 2.5 * len(text), peak / len(text)
 
 
 def test_json_report_parses_back(small_report):

@@ -6,6 +6,7 @@ to change) with ``PYTHONPATH=src python tests/test_verify.py``.
 """
 
 import ast
+import collections
 import ctypes
 import json
 import multiprocessing
@@ -19,7 +20,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from blochlab import available_checks, run_suite, verify
+from blochlab import ROTATION_PANEL, AnalyticFn, available_checks, make_grid, run_suite, verify
 from blochlab.verify import SUITES
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "verify_golden.json"
@@ -192,6 +193,41 @@ def test_checks_share_no_cache():
         if isinstance(getattr(node, field, None), str)
     }
     assert names.isdisjoint({"lru_cache", "cache", "cached_property"})
+
+
+def test_rotation_check_samples_each_rotation_and_symbol_once(monkeypatch):
+    """rotation_average_coherence: phi and phi' once per rotation (and its validation),
+    g' once per symbol (twice where B0 membership is read), g' o phi once per pair:
+    112 grid-sized expression calls (258 when each pair sampled both sides)."""
+    grids, calls = [], collections.Counter()
+
+    def making(*args):
+        grids.append(make_grid(*args))
+        return grids[-1]
+
+    def counting(method, label):
+        def wrapper(self, z):
+            if np.size(z) == grids[0].size:
+                calls[(self.source, label, "z" if z is grids[0].points else "phi(z)")] += 1
+            return method(self, z)
+
+        return wrapper
+
+    monkeypatch.setattr(verify, "make_grid", making)
+    monkeypatch.setattr(AnalyticFn, "__call__", counting(AnalyticFn.__call__, "f"))
+    monkeypatch.setattr(AnalyticFn, "deriv", counting(AnalyticFn.deriv, "f'"))
+    result = verify._run_check("harness.rotation_average_coherence")
+    monkeypatch.undo()
+    assert _golden_row(result) == GOLDEN[result.name]
+    assert len(grids) == 1
+    expected = collections.Counter()
+    for src in ROTATION_PANEL:
+        expected.update({(src, "f", "z"): 2, (src, "f'", "z"): 1})
+    witnessed = "log(2/(1-0.999*z))"  # the one symbol whose B0 membership is not read
+    for g_src in ("z^2", "complex(0.25,-0.5)", "log(2/(1-0.9*z))", witnessed):
+        expected.update({(g_src, "f'", "z"): 1 + (g_src != witnessed), (g_src, "f'", "phi(z)"): 15})
+    assert calls == expected
+    assert sum(calls.values()) == 112
 
 
 def test_unknown_suite_rejected():
