@@ -288,7 +288,9 @@ class FieldSet(_Samples):
     for this pair alone; ``FieldSet.from_sides`` shares sides across pairs,
     as ``run_classification`` does for a whole panel.  Each field and each
     report is computed once.  Pass a set as ``fields`` to
-    ``commutator_seminorm`` to share it across test functions.
+    ``commutator_seminorm`` to share it across test functions; the map side
+    holds each test function's factor, so sets joined from one map side
+    sample a test function once for all their symbols.
     """
 
     def __init__(self, phi, g, grid: DiskGrid):
@@ -430,10 +432,20 @@ _PRECHECK_FAILURE = {
 
 
 def little_bloch_membership(
-    g, grid: DiskGrid, thresholds: Thresholds = DEFAULT_THRESHOLDS
+    g,
+    grid: DiskGrid,
+    thresholds: Thresholds = DEFAULT_THRESHOLDS,
+    fields: SymbolFields | None = None,
 ) -> Membership:
-    """Classify the trend of ``(1-|z|^2)|g'(z)|`` toward the boundary."""
-    report = SymbolFields(g, grid).report(CriterionKind.BLOCH)
+    """Classify the trend of ``(1-|z|^2)|g'(z)|`` toward the boundary.
+
+    ``fields`` holds the samples of ``g`` on ``grid``; without it ``g`` is
+    sampled here.
+    """
+    fields = SymbolFields(g, grid) if fields is None else fields
+    if fields.g is not g or fields.grid.points is not grid.points:
+        raise ValueError("fields were sampled for another symbol or grid")
+    report = fields.report(CriterionKind.BLOCH)
     return _MEMBERSHIP[compact_conclusion(report, thresholds)]
 
 

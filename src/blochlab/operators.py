@@ -35,11 +35,18 @@ which :meth:`PairSamples.from_sides` shares across pairs, and takes only
 the criterion fields; ``commutator_seminorm`` and ``criteria.classify`` read
 it when given one, after :meth:`PairSamples.check_pair` confirms that both
 sides are this pair's on this grid.
+
+The test function's factor in each derivative, ``phi' f'(phi)`` or
+``f(phi)``, reads no symbol, so the map side holds it once per test function
+and kind (:meth:`MapSamples.factor`) and each pair multiplies it by its own
+jump, in the order the formulas above are written.  The factors sit under
+weak keys: an entry goes when its test function is collected.
 """
 
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -148,9 +155,9 @@ def commutator_derivative(kind: OperatorKind, phi, g, f, z):
 
 def _commutator_derivative(kind: OperatorKind, s: PairSamples, f):
     if kind is OperatorKind.COMMUTATOR_I:
-        return s.dphi * f.deriv(s.w) * s.g_jump
+        return s.map_side.factor(kind, f) * s.g_jump
     if kind is OperatorKind.COMMUTATOR_J:
-        return f(s.w) * s.dg_jump
+        return s.map_side.factor(kind, f) * s.dg_jump
     raise ValueError(f"kind must be a commutator kind, got {kind}")
 
 
@@ -170,11 +177,14 @@ class MapSamples:
 
     ``grid`` is a :class:`DiskGrid`, or any points with their ``one_minus``.
     No sample depends on a symbol, so one map's samples serve every symbol
-    paired with it.
+    paired with it.  Neither does a test function's factor in the commutator
+    derivatives (:meth:`factor`), so it too is taken once per map.
     """
 
     def __init__(self, phi, grid):
         self.phi, self.grid = phi, grid
+        # weak keys: a test function's factors go when the function is collected
+        self._factors = weakref.WeakKeyDictionary()
 
     @cached_property
     def w(self):
@@ -192,6 +202,18 @@ class MapSamples:
     def phi_sharp(self):
         """``|phi#(z)|`` with ``phi#(z) = (1 - |z|^2) / (1 - |phi(z)|^2) * phi'(z)``."""
         return np.abs(self.grid.one_minus / self.one_minus_w * self.dphi)
+
+    def factor(self, kind: OperatorKind, f):
+        """``phi' f'(phi)`` (I-type) or ``f(phi)`` (J-type) at the points, taken on first use.
+
+        The factors are keyed by ``kind`` and by the object ``f``, and kept
+        only while ``f`` is alive.
+        """
+        by_kind = self._factors.setdefault(f, {})
+        if kind not in by_kind:
+            i_type = kind is OperatorKind.COMMUTATOR_I
+            by_kind[kind] = self.dphi * f.deriv(self.w) if i_type else f(self.w)
+        return by_kind[kind]
 
 
 class SymbolSamples:
@@ -222,7 +244,10 @@ class PairSamples:
     and samples only ``g o phi`` and ``g' o phi`` itself, so ``phi``,
     ``phi'``, ``g``, ``g'``, ``g o phi`` and ``g' o phi`` are each evaluated
     once however many fields or test functions read them.  Pairs made with
-    :meth:`from_sides` share their sides with other pairs.
+    :meth:`from_sides` share their sides with other pairs, and with the map
+    side the factor of each test function: a test function is sampled once
+    per map and kind, however many symbols it is paired with, for as long as
+    it lives.
     """
 
     #: the classes of the sides that ``PairSamples(phi, g, z)`` samples
@@ -381,7 +406,8 @@ def commutator_seminorm(
     """Grid max of ``(1 - |z|^2) |d/dz commutator|`` (pure grid, no polish).
 
     ``fields`` holds the samples of ``(phi, g)`` on ``grid``; without it the
-    pair is sampled here.  Either way only ``f`` is evaluated per call.
+    pair is sampled here.  Either way only ``f`` is evaluated per call, and
+    only on the first call with this ``f`` and ``kind`` on this map side.
     """
     s = PairSamples(phi, g, grid.points) if fields is None else fields
     s.check_pair(phi, g, grid)

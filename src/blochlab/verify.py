@@ -516,7 +516,8 @@ def _chain_margins(op, kind, f_corpus, norm, max_shell=DEFAULT_MAX_SHELL, keep=N
 
     ``K`` is the field ``kind`` on ``|phi(z)|`` shells of a ``max_shell``
     grid, ``norm(f, grid)`` is read once per ``f`` on the default grid, each
-    map and each symbol is sampled once for all its pairs, and
+    map and each symbol is sampled once for all its pairs, each ``f`` once
+    per map (the map side holds its factor), and
     ``keep(phi, g, grid, fields)`` selects pairs (all by default).  Returns
     the violations, the min margin and the number of pairs checked.
     """
@@ -574,14 +575,14 @@ def _chain_bound_J():
 @_check("criteria.necessity_peak_lower_bound", "bounds")
 def _necessity_peak_lower_bound():
     grid = make_grid(5)
-    symbols = [analytic(src) for src in G_CORPUS]
+    symbols = [SymbolFields(analytic(src), grid) for src in G_CORPUS]
     min_margin = math.inf
     violations = 0
     checked = 0
     for phi_src in TEN_MAP_PANEL:
-        phi = validate_self_map(analytic(phi_src), grid)
-        moduli = np.abs(phi(grid.points))
-        shells = shell_for_modulus(moduli, grid.max_shell)
+        map_side = MapFields(validate_self_map(analytic(phi_src), grid), grid)
+        phi = map_side.phi
+        shells = shell_for_modulus(np.abs(map_side.w), grid.max_shell)
         outer = int(shells.max())
         witnesses = grid.points[shells == outer]
         stride = max(1, math.ceil(witnesses.size / 64))
@@ -590,8 +591,9 @@ def _necessity_peak_lower_bound():
         for w in witnesses:
             a = complex(phi(complex(w)))
             peaks.append((a, make_test_fn(PeakH(a))))
-        for g in symbols:
-            fields = FieldSet(phi, g, grid)
+        for symbol in symbols:
+            fields = FieldSet.from_sides(map_side, symbol)
+            g = symbol.g
             ki = criterion_value(CriterionKind.KI, phi, g, witnesses)
             for (a, peak), ki_w in zip(peaks, ki):
                 lhs = float(
@@ -846,24 +848,26 @@ def _bounded_implies_chain():
 @_check("criteria.rigidity_nonconstant_g", "theorems")
 def _rigidity_nonconstant_g():
     grid = make_grid()
-    automorphisms = [(src, validate_self_map(analytic(src), grid)) for src in AUTOMORPHISM_PANEL]
-    symbols = {src: analytic(src) for src in G_CORPUS}
+    automorphisms = [(src, MapFields(validate_self_map(analytic(src), grid), grid))
+                     for src in AUTOMORPHISM_PANEL]
+    symbols = {src: SymbolFields(analytic(src), grid) for src in G_CORPUS}
     problems = []
-    constant = [src for src, g in symbols.items() if not g.expr.depends_on_z()]
+    constant = [src for src, symbol in symbols.items() if not symbol.g.expr.depends_on_z()]
     if len(constant) != 2 or len(G_CORPUS) != 9:
         problems.append(f"corpus has {len(constant)} constant of {len(G_CORPUS)} g, "
                         "expected 2 of 9")
-    for g_src, g in symbols.items():
+    for g_src, symbol in symbols.items():
         if g_src in constant:
-            for _, phi in automorphisms:
-                values = criterion_value(CriterionKind.KI, phi, g, grid.points)
+            for _, map_side in automorphisms:
+                values = FieldSet.from_sides(map_side, symbol).values(CriterionKind.KI)
                 if float(np.max(np.abs(values))) != 0.0:
                     problems.append(f"constant g={g_src}: K_I not identically zero")
                     break
             continue
         witness = None
-        for phi_src, phi in automorphisms:
-            verdict = classify("T3.2", phi, g, grid)
+        for phi_src, map_side in automorphisms:
+            fields = FieldSet.from_sides(map_side, symbol)
+            verdict = classify("T3.2", map_side.phi, symbol.g, grid, fields=fields)
             if verdict.conclusion is Conclusion.NOT_COMPACT_EVIDENCE:
                 witness = phi_src
                 break
@@ -882,15 +886,18 @@ def _rigidity_nonconstant_g():
 @_check("criteria.little_bloch_sufficiency", "theorems")
 def _little_bloch_sufficiency():
     grid = make_grid(16)
-    maps = [(src, validate_self_map(analytic(src), grid)) for src in TEN_MAP_PANEL]
-    symbols = {src: analytic(src) for src in dict.fromkeys(G_CORPUS + POLYNOMIAL_G_CORPUS)}
-    members = [src for src, g in symbols.items()
-               if little_bloch_membership(g, grid) is Membership.IN_B0]
+    maps = [(src, MapFields(validate_self_map(analytic(src), grid), grid)) for src in TEN_MAP_PANEL]
+    symbols = {src: SymbolFields(analytic(src), grid)
+               for src in dict.fromkeys(G_CORPUS + POLYNOMIAL_G_CORPUS)}
+    members = [src for src, symbol in symbols.items()
+               if little_bloch_membership(symbol.g, grid, fields=symbol) is Membership.IN_B0]
     problems = [f"polynomial g={g_src}: not a little-Bloch member"
                 for g_src in POLYNOMIAL_G_CORPUS if g_src not in members]
     for g_src in members:
-        for phi_src, phi in maps:
-            verdict = classify("T4.1b", phi, symbols[g_src], grid)
+        symbol = symbols[g_src]
+        for phi_src, map_side in maps:
+            fields = FieldSet.from_sides(map_side, symbol)
+            verdict = classify("T4.1b", map_side.phi, symbol.g, grid, fields=fields)
             if verdict.conclusion is not Conclusion.COMPACT:
                 problems.append(
                     f"g={g_src}, phi={phi_src}: {verdict.conclusion.value}"
@@ -998,7 +1005,7 @@ def _rotation_average_coherence():
                     witness_t = t
         if witness_t is not None:
             rows.append(f"{g_src}: Witness(t={witness_t:.6g})")
-        elif little_bloch_membership(g, grid) is Membership.NOT_IN_B0_EVIDENCE:
+        elif little_bloch_membership(g, grid, fields=symbol) is Membership.NOT_IN_B0_EVIDENCE:
             all_consistent = False
             rows.append(f"{g_src}: Inconsistent")
         else:

@@ -17,7 +17,7 @@ from blochlab import (
     little_bloch_membership,
     validate_self_map,
 )
-from blochlab.criteria import PHI_BOUNDARY_KINDS, FieldSet
+from blochlab.criteria import PHI_BOUNDARY_KINDS, FieldSet, SymbolFields
 from blochlab.diskgeom import shell_for_modulus, shell_maxima, shell_segments
 
 
@@ -350,3 +350,13 @@ def test_membership_is_threshold_sensitive(default_grid):
         analytic("log(2/(1-0.999*z))"), default_grid, Thresholds(compact_tol=10.0)
     )
     assert member is not Membership.NOT_IN_B0_EVIDENCE
+
+
+def test_membership_reads_only_this_symbols_fields_on_this_grid(grid6, default_grid):
+    """A shared symbol side gives the same membership; another symbol's or grid's is refused."""
+    g = analytic("log(2/(1-0.999*z))")
+    shared = SymbolFields(g, default_grid)
+    assert little_bloch_membership(g, default_grid, fields=shared) is Membership.NOT_IN_B0_EVIDENCE
+    for other in (SymbolFields(analytic("log(2/(1-0.999*z))"), default_grid), SymbolFields(g, grid6)):
+        with pytest.raises(ValueError, match="another symbol or grid"):
+            little_bloch_membership(g, default_grid, fields=other)

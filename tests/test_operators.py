@@ -1,7 +1,10 @@
 """Integral operators, commutators, and sampled norms."""
 
 import collections
+import gc
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from blochlab import (
 )
 from blochlab.criteria import FieldSet, MapFields, SymbolFields
 from blochlab.operators import QUAD_TOL, MapSamples, PairSamples, SymbolSamples, _integrate_radial
+from blochlab.testfns import PeakH, make_test_fn
 
 POINTS = [0.3, -0.4 + 0.2j, 0.7j, 0.55 - 0.35j]
 
@@ -359,6 +363,69 @@ def test_shared_samples_evaluate_the_pair_once(monkeypatch, grid6, self_map):
     assert all(calls[(f, "f'")] == 1 and calls[(f, "f")] == 0 for f in f_i)
     assert all(calls[(f, "f")] == 1 and calls[(f, "f'")] == 0 for f in f_j)
     assert sum(n for (fn_, _), n in calls.items() if fn_ not in (phi.fn, g)) == 12
+
+
+def test_each_kind_keeps_its_own_factor_of_one_test_function(grid6, self_map, fn):
+    """A J call then an I call with one f on one shared set equal the standalone seminorm and
+    the derivative written out from the primitives, bit for bit, on every panel pair."""
+    pts, one_minus = grid6.points, 1.0 - np.abs(grid6.points) ** 2
+    symbols = [SymbolFields(fn(g_src), grid6) for g_src in G_CORPUS]
+    tests = [fn(f_src) for f_src in dict.fromkeys(BLOCH_F_CORPUS + HINF_F_CORPUS)]
+    for phi_src in TEN_MAP_PANEL:
+        phi = self_map(phi_src)
+        map_side = MapFields(phi, grid6)
+        w, dphi = phi(pts), phi.deriv(pts)
+        for symbol in symbols:
+            g = symbol.g
+            fields = FieldSet.from_sides(map_side, symbol)
+            for f in tests:
+                written_out = {
+                    OperatorKind.COMMUTATOR_J: f(w) * (g.deriv(w) * dphi - g.deriv(pts)),
+                    OperatorKind.COMMUTATOR_I: dphi * f.deriv(w) * (g(w) - g(pts)),
+                }
+                for kind, d in written_out.items():
+                    vals = one_minus * np.abs(np.broadcast_to(d, pts.shape))
+                    j = int(np.argmax(vals))
+                    shared = commutator_seminorm(kind, phi, g, f, grid6, fields=fields)
+                    alone = commutator_seminorm(kind, phi, g, f, grid6)
+                    assert shared == alone == SupEstimate(float(vals[j]), complex(pts[j]))
+        for f in tests:
+            i_factor = map_side.factor(OperatorKind.COMMUTATOR_I, f)
+            j_factor = map_side.factor(OperatorKind.COMMUTATOR_J, f)
+            assert i_factor is not j_factor
+            assert np.array_equal(j_factor, f(w)) and np.array_equal(i_factor, dphi * f.deriv(w))
+
+
+def test_a_factor_goes_with_its_test_function(grid6, self_map):
+    phi, g = self_map("mobius(0.5)"), analytic("log(2/(1-0.5*z))")
+    fields = FieldSet(phi, g, grid6)
+    f = make_test_fn(PeakH(0.5 + 0.25j))
+    held = []
+    for kind in OperatorKind:
+        commutator_seminorm(kind, phi, g, f, grid6, fields=fields)
+        held.append(weakref.ref(fields.map_side.factor(kind, f)))
+    held.append(weakref.ref(f))
+    del f
+    gc.collect()
+    assert [ref() for ref in held] == [None, None, None]
+
+
+def test_streamed_test_functions_leave_no_factors_behind(grid6, self_map):
+    """1,000 throwaway test functions through one set: the peak stays within a few factors."""
+    phi, g = self_map("mobius(0.5)"), analytic("log(2/(1-0.5*z))")
+    fields = FieldSet(phi, g, grid6)
+    for kind in OperatorKind:  # the pair's own samples, before tracing
+        commutator_seminorm(kind, phi, g, analytic("z"), grid6, fields=fields)
+    factor_bytes, kinds = grid6.points.nbytes, list(OperatorKind)
+    tracemalloc.start()
+    try:
+        for k in range(1000):
+            f = make_test_fn(PeakH(0.9 * complex(math.cos(k), math.sin(k))))
+            commutator_seminorm(kinds[k % 2], phi, g, f, grid6, fields=fields)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * factor_bytes
 
 
 def test_seminorm_rejects_samples_of_another_pair(grid5, grid6, self_map):

@@ -20,7 +20,20 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from blochlab import ROTATION_PANEL, AnalyticFn, available_checks, make_grid, run_suite, verify
+from blochlab import (
+    AUTOMORPHISM_PANEL,
+    BLOCH_F_CORPUS,
+    G_CORPUS,
+    HINF_F_CORPUS,
+    POLYNOMIAL_G_CORPUS,
+    ROTATION_PANEL,
+    TEN_MAP_PANEL,
+    AnalyticFn,
+    available_checks,
+    make_grid,
+    run_suite,
+    verify,
+)
 from blochlab.verify import SUITES
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "verify_golden.json"
@@ -195,10 +208,14 @@ def test_checks_share_no_cache():
     assert names.isdisjoint({"lru_cache", "cache", "cached_property"})
 
 
-def test_rotation_check_samples_each_rotation_and_symbol_once(monkeypatch):
-    """rotation_average_coherence: phi and phi' once per rotation (and its validation),
-    g' once per symbol (twice where B0 membership is read), g' o phi once per pair:
-    112 grid-sized expression calls (258 when each pair sampled both sides)."""
+def _grid_calls(monkeypatch, name: str):
+    """Run check ``name``, counting its expression calls on as many points as one of its grids.
+
+    A call is keyed by the function's source (the function itself where it
+    has none), its derivative order (``"f"`` or ``"f'"``) and its points:
+    ``"z"`` for a grid's own points, ``"w"`` for any other set of that size,
+    such as ``phi(z)``.  The check's golden row must hold.
+    """
     grids, calls = [], collections.Counter()
 
     def making(*args):
@@ -207,8 +224,9 @@ def test_rotation_check_samples_each_rotation_and_symbol_once(monkeypatch):
 
     def counting(method, label):
         def wrapper(self, z):
-            if np.size(z) == grids[0].size:
-                calls[(self.source, label, "z" if z is grids[0].points else "phi(z)")] += 1
+            if any(np.size(z) == grid.size for grid in grids):
+                points = "z" if any(z is grid.points for grid in grids) else "w"
+                calls[(vars(self).get("source", self), label, points)] += 1
             return method(self, z)
 
         return wrapper
@@ -216,18 +234,77 @@ def test_rotation_check_samples_each_rotation_and_symbol_once(monkeypatch):
     monkeypatch.setattr(verify, "make_grid", making)
     monkeypatch.setattr(AnalyticFn, "__call__", counting(AnalyticFn.__call__, "f"))
     monkeypatch.setattr(AnalyticFn, "deriv", counting(AnalyticFn.deriv, "f'"))
-    result = verify._run_check("harness.rotation_average_coherence")
+    result = verify._run_check(name)
     monkeypatch.undo()
-    assert _golden_row(result) == GOLDEN[result.name]
+    assert _golden_row(result) == GOLDEN[name]
+    return grids, calls
+
+
+def _each(sources, *calls) -> collections.Counter:
+    """Every source called as ``calls`` say, each an ``(order, points, count)`` triple."""
+    out = collections.Counter()
+    for src in sources:
+        for order, points, count in calls:
+            out[(src, order, points)] += count
+    return out
+
+
+#: a validated map side: phi(z) in validation and once more, phi'(z) once
+_MAP = (("f", "z", 2), ("f'", "z", 1))
+_TEN_MAPS = _each(TEN_MAP_PANEL, *_MAP)
+_KI_SYMBOLS = _each(G_CORPUS, ("f", "z", 1), ("f", "w", len(TEN_MAP_PANEL)))
+_KJ_SYMBOLS = _each(G_CORPUS, ("f'", "z", 1), ("f'", "w", len(TEN_MAP_PANEL)))
+_BLOCH_TESTS = _each(BLOCH_F_CORPUS, ("f'", "z", 1), ("f'", "w", len(TEN_MAP_PANEL)))
+_ALL_SYMBOLS = list(dict.fromkeys(G_CORPUS + POLYNOMIAL_G_CORPUS))
+_STEEP = "log(2/(1-0.999*z))"  # the one symbol that is no little-Bloch member
+_CONSTANT = ("1", "complex(0.25,-0.5)")
+
+#: (check, its calls by a named function, peak functions each sampled once, total calls)
+_PAIR_LOOP_CALLS = [
+    ("operators.chain_bound_I", _TEN_MAPS + _KI_SYMBOLS + _BLOCH_TESTS, 0, 195),
+    # "w": each map's phi(z) and hinf_norm's circle, which is as large as the grid
+    ("operators.chain_bound_J",
+     _TEN_MAPS + _KJ_SYMBOLS + _each(HINF_F_CORPUS, ("f", "z", 1), ("f", "w", 11)), 0, 201),
+    ("criteria.bounded_implies_chain", _TEN_MAPS + _KI_SYMBOLS + _BLOCH_TESTS, 0, 195),
+    ("criteria.necessity_peak_lower_bound", _TEN_MAPS + _KI_SYMBOLS, 602, 731),
+    ("criteria.little_bloch_sufficiency",
+     _TEN_MAPS + _each(_ALL_SYMBOLS, ("f'", "z", 1))
+     + _each([s for s in _ALL_SYMBOLS if s != _STEEP], ("f'", "w", len(TEN_MAP_PANEL))), 0, 152),
+    # each non-constant symbol finds its witness at the first automorphism
+    ("criteria.rigidity_nonconstant_g",
+     _each(AUTOMORPHISM_PANEL, *_MAP) + _each(G_CORPUS, ("f", "z", 1))
+     + _each(_CONSTANT, ("f", "w", len(AUTOMORPHISM_PANEL)))
+     + _each([s for s in G_CORPUS if s not in _CONSTANT], ("f", "w", 1)), 0, 56),
+]
+
+
+@pytest.mark.parametrize("name, named, peaks, total", _PAIR_LOOP_CALLS,
+                         ids=[row[0] for row in _PAIR_LOOP_CALLS])
+def test_pair_loops_sample_each_map_symbol_and_test_function_once(monkeypatch, name, named,
+                                                                  peaks, total):
+    """Each map and each symbol once per check, each pair's compositions once, each test
+    function once per map.  The two chain bounds, bounded_implies_chain,
+    necessity_peak_lower_bound and little_bloch_sufficiency make 1,474 grid-sized calls
+    (8,261 when each pair sampled both sides and each test function per pair); rigidity 56
+    (100)."""
+    _, calls = _grid_calls(monkeypatch, name)
+    assert collections.Counter({k: n for k, n in calls.items() if isinstance(k[0], str)}) == named
+    unnamed = [(k[1:], n) for k, n in calls.items() if not isinstance(k[0], str)]
+    assert len(unnamed) == peaks and set(unnamed) <= {(("f'", "w"), 1)}
+    assert sum(calls.values()) == total
+
+
+def test_rotation_check_samples_each_rotation_and_symbol_once(monkeypatch):
+    """rotation_average_coherence: phi and phi' once per rotation (and its validation),
+    g' once per symbol (B0 membership reads the shared side), g' o phi once per pair:
+    109 grid-sized expression calls (258 when each pair sampled both sides)."""
+    grids, calls = _grid_calls(monkeypatch, "harness.rotation_average_coherence")
     assert len(grids) == 1
-    expected = collections.Counter()
-    for src in ROTATION_PANEL:
-        expected.update({(src, "f", "z"): 2, (src, "f'", "z"): 1})
-    witnessed = "log(2/(1-0.999*z))"  # the one symbol whose B0 membership is not read
-    for g_src in ("z^2", "complex(0.25,-0.5)", "log(2/(1-0.9*z))", witnessed):
-        expected.update({(g_src, "f'", "z"): 1 + (g_src != witnessed), (g_src, "f'", "phi(z)"): 15})
+    expected = _each(ROTATION_PANEL, *_MAP)
+    for g_src in ("z^2", "complex(0.25,-0.5)", "log(2/(1-0.9*z))", "log(2/(1-0.999*z))"):
+        expected.update({(g_src, "f'", "z"): 1, (g_src, "f'", "w"): 15})
     assert calls == expected
-    assert sum(calls.values()) == 112
+    assert sum(calls.values()) == 109
 
 
 def test_unknown_suite_rejected():
