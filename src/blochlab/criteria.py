@@ -24,13 +24,15 @@ When the sup of ``|phi|``, estimated from the map's own samples
 (``diskgeom.sup_modulus_estimate``), stays below ``1 - 2**-K``, the limit
 set ``|phi(z)| -> 1`` is empty and limit conditions hold vacuously.
 
-A set joins a map side (:class:`MapFields`: ``phi``, ``phi'`` and the
-``|phi(z)|`` shells) and a symbol side (:class:`SymbolFields`: ``g``,
-``g'``, the fields of :data:`SYMBOL_KINDS` and their ``|z|`` reports), and
-samples only ``g o phi`` and ``g' o phi`` itself.  Sets joined from shared
-sides (``FieldSet.from_sides``, as ``harness.run_classification`` builds
-them) sample each map once, each symbol once and each pair's compositions
-once over a whole panel.
+A set joins a map side (:class:`MapFields`: ``phi``, ``phi'``, the
+``|phi(z)|`` shells and each test function's commutator factor) and a
+symbol side (:class:`SymbolFields`: ``g``, ``g'``, the fields of
+:data:`SYMBOL_KINDS` and their ``|z|`` reports), and samples only
+``g o phi`` and ``g' o phi`` itself.  Sets joined from shared sides
+(``FieldSet.from_sides``, as ``harness.run_classification`` builds them)
+sample each map once, each symbol once and each pair's compositions once
+over a whole panel.  ``operators`` reads its samples from these classes,
+so this module imports nothing from it.
 
 :func:`classify` reduces reports to a :class:`Verdict` per named statement.
 :data:`THEOREMS` names every report a statement reads: its hypothesis check,
@@ -46,6 +48,7 @@ vacuous boundary); anything else is Inconclusive.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -59,7 +62,6 @@ from .diskgeom import (
     shell_segments,
     sup_modulus_estimate,
 )
-from .operators import MapSamples, PairSamples, SymbolSamples
 
 ONE_SIDED_NOTE = "sampled maxima are lower bounds of true suprema"
 
@@ -81,6 +83,11 @@ PHI_BOUNDARY_KINDS = frozenset(
 
 #: Kinds that are fields of the symbol alone: every kind that reads no map.
 SYMBOL_KINDS = frozenset(CriterionKind) - PHI_BOUNDARY_KINDS
+
+
+class OperatorKind(enum.Enum):
+    COMMUTATOR_J = "commutator_j"
+    COMMUTATOR_I = "commutator_i"
 
 
 class Conclusion(enum.Enum):
@@ -202,8 +209,65 @@ def _reduce(kind, bucket_by, values, grid, segments, vacuous) -> CriterionReport
     )
 
 
-class MapFields(MapSamples):
-    """One map's samples on a grid and its ``|phi(z)|`` shells, shared by every symbol paired with it."""
+class Points:
+    """Points ``z`` of no grid, read as a grid is: ``points`` and their ``1 - |z|^2``."""
+
+    def __init__(self, z):
+        self.points = z
+
+    @cached_property
+    def one_minus(self):
+        return 1.0 - np.abs(self.points) ** 2
+
+
+def _check_side(what: str, held, fn, held_grid, grid: DiskGrid) -> None:
+    """``ValueError`` unless a side's ``held`` and ``held_grid`` are this very ``fn`` and grid."""
+    if held is not fn or held_grid.points is not grid.points:
+        raise ValueError(f"fields were sampled for another {what} or grid")
+
+
+class MapFields:
+    """One map ``phi`` at the points of ``grid``, each sample taken on first use.
+
+    ``grid`` is a :class:`DiskGrid`, or :class:`Points`.  No sample depends
+    on a symbol, so one map's samples and ``|phi(z)|`` shells serve every
+    symbol paired with it.  Neither does a test function's factor in the
+    commutator derivatives (:meth:`factor`), so it too is taken once per map.
+    """
+
+    def __init__(self, phi, grid):
+        self.phi, self.grid = phi, grid
+        # weak keys: a test function's factors go when the function is collected
+        self._factors = weakref.WeakKeyDictionary()
+
+    @cached_property
+    def w(self):
+        return self.phi(self.grid.points)
+
+    @cached_property
+    def one_minus_w(self):
+        return 1.0 - np.abs(self.w) ** 2
+
+    @cached_property
+    def dphi(self):
+        return self.phi.deriv(self.grid.points)
+
+    @cached_property
+    def phi_sharp(self):
+        """``|phi#(z)|`` with ``phi#(z) = (1 - |z|^2) / (1 - |phi(z)|^2) * phi'(z)``."""
+        return np.abs(self.grid.one_minus / self.one_minus_w * self.dphi)
+
+    def factor(self, kind: OperatorKind, f):
+        """``phi' f'(phi)`` (I-type) or ``f(phi)`` (J-type) at the points, taken on first use.
+
+        The factors are keyed by ``kind`` and by the object ``f``, and kept
+        only while ``f`` is alive.
+        """
+        by_kind = self._factors.setdefault(f, {})
+        if kind not in by_kind:
+            i_type = kind is OperatorKind.COMMUTATOR_I
+            by_kind[kind] = self.dphi * f.deriv(self.w) if i_type else f(self.w)
+        return by_kind[kind]
 
     @cached_property
     def phi_shells(self) -> tuple[ShellSegments, bool]:
@@ -214,18 +278,27 @@ class MapFields(MapSamples):
         return shell_segments(shell_for_modulus(moduli, max_shell), max_shell), vacuous
 
 
-class SymbolFields(SymbolSamples):
-    """One symbol's samples on a grid, its fields and their ``|z|`` reports.
+class SymbolFields:
+    """One symbol ``g`` at the points of ``grid``, its fields and their ``|z|`` reports.
 
-    The fields of :data:`SYMBOL_KINDS` are those of the symbol alone: each is
-    computed once, and its ``|z|`` report is one object shared by every map
-    paired with the symbol.
+    No sample depends on a map, so one symbol's samples serve every map
+    paired with it.  The fields of :data:`SYMBOL_KINDS` are those of the
+    symbol alone: each is computed once, and its ``|z|`` report is one
+    object shared by every map paired with the symbol.
     """
 
     def __init__(self, g, grid):
-        super().__init__(g, grid)
+        self.g, self.grid = g, grid
         self._values: dict = {}
         self._reports: dict = {}
+
+    @cached_property
+    def g_z(self):
+        return self.g(self.grid.points)
+
+    @cached_property
+    def dg_z(self):
+        return self.g.deriv(self.grid.points)
 
     def values(self, kind: CriterionKind) -> np.ndarray:
         key = CriterionKind.LG if kind is CriterionKind.LG_LOG_BOUNDEDNESS else kind
@@ -249,36 +322,8 @@ class SymbolFields(SymbolSamples):
         return self._reports[kind]
 
 
-class _Samples(PairSamples):
-    """The pair's primitive samples at the points ``z`` and the fields over them."""
-
-    _sides = (MapFields, SymbolFields)
-
-    @cached_property
-    def _kj(self):
-        return self.one_minus * np.abs(self.dg_jump)
-
-    def field(self, kind: CriterionKind):
-        """The field ``kind`` at the points, from the samples."""
-        if kind in PHI_BOUNDARY_KINDS and self.phi is None:
-            raise ValueError(f"criterion {kind.value} requires a self-map")
-        if kind is CriterionKind.KI:
-            return self.phi_sharp * np.abs(self.g_jump)
-        if kind is CriterionKind.KJ:
-            return self._kj
-        if kind is CriterionKind.KJLOG:
-            return self._kj * np.log(2.0 / self.one_minus_w)
-        return self.symbol_side.values(kind)
-
-
-def criterion_value(kind: CriterionKind, phi, g, z):
-    """Pointwise criterion value; vectorized over ``z`` arrays."""
-    out = _Samples(phi, g, np.asarray(z, dtype=complex)).field(kind)
-    return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
-
-
-class FieldSet(_Samples):
-    """The fields of one pair ``(phi, g)`` on one grid, sampled on first use.
+class FieldSet:
+    """The samples and fields of one pair ``(phi, g)`` on one grid, each taken on first use.
 
     The pair joins a :class:`MapFields` and a :class:`SymbolFields`: the
     samples of ``phi`` and its ``|phi(z)|`` shells are the map's, the
@@ -287,26 +332,60 @@ class FieldSet(_Samples):
     them are the pair's own.  ``FieldSet(phi, g, grid)`` samples both sides
     for this pair alone; ``FieldSet.from_sides`` shares sides across pairs,
     as ``run_classification`` does for a whole panel.  Each field and each
-    report is computed once.  Pass a set as ``fields`` to
-    ``commutator_seminorm`` to share it across test functions; the map side
-    holds each test function's factor, so sets joined from one map side
-    sample a test function once for all their symbols.
+    report is computed once.  A set may sit on bare :class:`Points`, as
+    :func:`criterion_value` builds it: its fields read there, but a report
+    needs a grid.  Pass a set as ``fields`` to ``commutator_seminorm`` to
+    share it across test functions; the map side holds each test function's
+    factor, so sets joined from one map side sample a test function once
+    for all their symbols.
     """
 
-    def __init__(self, phi, g, grid: DiskGrid):
+    def __init__(self, phi, g, grid):
         self._join(MapFields(phi, grid), SymbolFields(g, grid))
 
+    @classmethod
+    def from_sides(cls, map_side: MapFields, symbol_side: SymbolFields) -> "FieldSet":
+        """The set of one map's and one symbol's samples, shared and not copied."""
+        fields = cls.__new__(cls)
+        fields._join(map_side, symbol_side)
+        return fields
+
     def _join(self, map_side: MapFields, symbol_side: SymbolFields) -> None:
-        super()._join(map_side, symbol_side)
-        self.grid = map_side.grid
+        self.map_side, self.symbol_side = map_side, symbol_side
+        self.phi, self.g, self.grid = map_side.phi, symbol_side.g, map_side.grid
         self._values: dict = {}
         self._reports: dict = {}
 
+    def check_pair(self, phi, g, grid: DiskGrid) -> None:
+        """``ValueError`` unless both sides are the samples of this very ``phi``, ``g`` and grid."""
+        _check_side("map", self.phi, phi, self.grid, grid)
+        _check_side("symbol", self.g, g, self.symbol_side.grid, grid)
+
+    @cached_property
+    def g_jump(self):
+        """``g(phi(z)) - g(z)``, the I-type jump."""
+        return self.g(self.map_side.w) - self.symbol_side.g_z
+
+    @cached_property
+    def dg_jump(self):
+        """``g'(phi(z)) phi'(z) - g'(z)``, the J-type jump."""
+        return self.g.deriv(self.map_side.w) * self.map_side.dphi - self.symbol_side.dg_z
+
     def values(self, kind: CriterionKind) -> np.ndarray:
-        key = CriterionKind.LG if kind is CriterionKind.LG_LOG_BOUNDEDNESS else kind
-        if key not in self._values:
-            self._values[key] = self.field(key)
-        return self._values[key]
+        """The field ``kind`` at the points, from the samples."""
+        if kind not in PHI_BOUNDARY_KINDS:
+            return self.symbol_side.values(kind)
+        if self.phi is None:
+            raise ValueError(f"criterion {kind.value} requires a self-map")
+        if kind not in self._values:
+            if kind is CriterionKind.KI:
+                self._values[kind] = self.map_side.phi_sharp * np.abs(self.g_jump)
+            elif kind is CriterionKind.KJ:
+                self._values[kind] = self.grid.one_minus * np.abs(self.dg_jump)
+            else:
+                kj = self.values(CriterionKind.KJ)
+                self._values[kind] = kj * np.log(2.0 / self.map_side.one_minus_w)
+        return self._values[kind]
 
     def report(self, kind: CriterionKind, bucket_by: str) -> CriterionReport:
         """The field reduced over shells of ``|phi(z)|`` (``"phi"``) or ``|z|`` (``"z"``)."""
@@ -321,6 +400,12 @@ class FieldSet(_Samples):
             segments, vacuous = self.map_side.phi_shells if bucket_by == "phi" else (grid.segments, False)
             self._reports[key] = _reduce(kind, bucket_by, self.values(kind), grid, segments, vacuous)
         return self._reports[key]
+
+
+def criterion_value(kind: CriterionKind, phi, g, z):
+    """Pointwise criterion value; vectorized over ``z`` arrays."""
+    out = FieldSet(phi, g, Points(np.asarray(z, dtype=complex))).values(kind)
+    return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
 def evaluate_criterion(kind: CriterionKind, phi, g, grid: DiskGrid) -> CriterionReport:
@@ -443,8 +528,7 @@ def little_bloch_membership(
     sampled here.
     """
     fields = SymbolFields(g, grid) if fields is None else fields
-    if fields.g is not g or fields.grid.points is not grid.points:
-        raise ValueError("fields were sampled for another symbol or grid")
+    _check_side("symbol", fields.g, g, fields.grid, grid)
     report = fields.report(CriterionKind.BLOCH)
     return _MEMBERSHIP[compact_conclusion(report, thresholds)]
 

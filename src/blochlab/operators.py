@@ -27,42 +27,29 @@ start at once on numpy arrays, and keep the polished value only where it
 beats the sampled one.  ``commutator_seminorm`` and criterion suprema stay
 pure grid maxima so that grid refinement is exactly monotone.
 
-:class:`PairSamples` holds the grid samples of one pair ``(phi, g)``, each
-taken on first use.  It joins the samples of the map alone
-(:class:`MapSamples`) and of the symbol alone (:class:`SymbolSamples`),
-which :meth:`PairSamples.from_sides` shares across pairs, and takes only
-``g o phi`` and ``g' o phi`` itself.  ``criteria.FieldSet`` extends it with
-the criterion fields; ``commutator_seminorm`` and ``criteria.classify`` read
-it when given one, after :meth:`PairSamples.check_pair` confirms that both
-sides are this pair's on this grid.
-
-The test function's factor in each derivative, ``phi' f'(phi)`` or
-``f(phi)``, reads no symbol, so the map side holds it once per test function
-and kind (:meth:`MapSamples.factor`) and each pair multiplies it by its own
-jump, in the order the formulas above are written.  The factors sit under
-weak keys: an entry goes when its test function is collected.
+The samples of a pair ``(phi, g)`` are ``criteria.FieldSet``'s:
+:func:`commutator_derivative` builds one at bare points, and
+``commutator_seminorm`` reads one when given it, after
+``FieldSet.check_pair`` confirms that both of its sides are this pair's on
+this grid.  The test function's factor in each derivative, ``phi' f'(phi)``
+or ``f(phi)``, reads no symbol, so the map side (``criteria.MapFields``)
+holds it once per test function and kind, under weak keys, and each pair
+multiplies it by its own jump, in the order the formulas above are written.
 """
 
 from __future__ import annotations
 
-import enum
-import weakref
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
+from .criteria import FieldSet, OperatorKind, Points
 from .diskgeom import DiskGrid
 
 QUAD_TOL = 1e-12
 QUAD_MAX_PANELS = 40
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-class OperatorKind(enum.Enum):
-    COMMUTATOR_J = "commutator_j"
-    COMMUTATOR_I = "commutator_i"
 
 
 class QuadratureError(RuntimeError):
@@ -150,160 +137,15 @@ def commutator_value(kind: OperatorKind, phi, g, f, z):
 
 def commutator_derivative(kind: OperatorKind, phi, g, f, z):
     """Closed-form derivative of the commutator (no quadrature)."""
-    return _commutator_derivative(kind, PairSamples(phi, g, z), f)
+    return _commutator_derivative(kind, FieldSet(phi, g, Points(z)), f)
 
 
-def _commutator_derivative(kind: OperatorKind, s: PairSamples, f):
+def _commutator_derivative(kind: OperatorKind, s: FieldSet, f):
     if kind is OperatorKind.COMMUTATOR_I:
         return s.map_side.factor(kind, f) * s.g_jump
     if kind is OperatorKind.COMMUTATOR_J:
         return s.map_side.factor(kind, f) * s.dg_jump
     raise ValueError(f"kind must be a commutator kind, got {kind}")
-
-
-class _Points:
-    """Points ``z`` of no grid, read as a grid is: ``points`` and their ``1 - |z|^2``."""
-
-    def __init__(self, z):
-        self.points = z
-
-    @cached_property
-    def one_minus(self):
-        return 1.0 - np.abs(self.points) ** 2
-
-
-class MapSamples:
-    """One map ``phi`` at the points of ``grid``, each sample taken on first use.
-
-    ``grid`` is a :class:`DiskGrid`, or any points with their ``one_minus``.
-    No sample depends on a symbol, so one map's samples serve every symbol
-    paired with it.  Neither does a test function's factor in the commutator
-    derivatives (:meth:`factor`), so it too is taken once per map.
-    """
-
-    def __init__(self, phi, grid):
-        self.phi, self.grid = phi, grid
-        # weak keys: a test function's factors go when the function is collected
-        self._factors = weakref.WeakKeyDictionary()
-
-    @cached_property
-    def w(self):
-        return self.phi(self.grid.points)
-
-    @cached_property
-    def one_minus_w(self):
-        return 1.0 - np.abs(self.w) ** 2
-
-    @cached_property
-    def dphi(self):
-        return self.phi.deriv(self.grid.points)
-
-    @cached_property
-    def phi_sharp(self):
-        """``|phi#(z)|`` with ``phi#(z) = (1 - |z|^2) / (1 - |phi(z)|^2) * phi'(z)``."""
-        return np.abs(self.grid.one_minus / self.one_minus_w * self.dphi)
-
-    def factor(self, kind: OperatorKind, f):
-        """``phi' f'(phi)`` (I-type) or ``f(phi)`` (J-type) at the points, taken on first use.
-
-        The factors are keyed by ``kind`` and by the object ``f``, and kept
-        only while ``f`` is alive.
-        """
-        by_kind = self._factors.setdefault(f, {})
-        if kind not in by_kind:
-            i_type = kind is OperatorKind.COMMUTATOR_I
-            by_kind[kind] = self.dphi * f.deriv(self.w) if i_type else f(self.w)
-        return by_kind[kind]
-
-
-class SymbolSamples:
-    """One symbol ``g`` at the points of ``grid``, each sample taken on first use.
-
-    No sample depends on a map, so one symbol's samples serve every map
-    paired with it.
-    """
-
-    def __init__(self, g, grid):
-        self.g, self.grid = g, grid
-
-    @cached_property
-    def g_z(self):
-        return self.g(self.grid.points)
-
-    @cached_property
-    def dg_z(self):
-        return self.g.deriv(self.grid.points)
-
-
-class PairSamples:
-    """The primitives of one pair ``(phi, g)`` at ``z``, each taken on first use.
-
-    ``z`` is one point or an array of points.  The criterion fields and the
-    commutator derivatives are formulas over these samples.  A pair joins a
-    map side (:class:`MapSamples`) and a symbol side (:class:`SymbolSamples`)
-    and samples only ``g o phi`` and ``g' o phi`` itself, so ``phi``,
-    ``phi'``, ``g``, ``g'``, ``g o phi`` and ``g' o phi`` are each evaluated
-    once however many fields or test functions read them.  Pairs made with
-    :meth:`from_sides` share their sides with other pairs, and with the map
-    side the factor of each test function: a test function is sampled once
-    per map and kind, however many symbols it is paired with, for as long as
-    it lives.
-    """
-
-    #: the classes of the sides that ``PairSamples(phi, g, z)`` samples
-    _sides = (MapSamples, SymbolSamples)
-
-    def __init__(self, phi, g, z):
-        map_side, symbol_side = self._sides
-        points = _Points(z)
-        self._join(map_side(phi, points), symbol_side(g, points))
-
-    @classmethod
-    def from_sides(cls, map_side: MapSamples, symbol_side: SymbolSamples) -> "PairSamples":
-        """The pair of one map's and one symbol's samples, shared and not copied."""
-        pair = cls.__new__(cls)
-        pair._join(map_side, symbol_side)
-        return pair
-
-    def _join(self, map_side, symbol_side) -> None:
-        self.map_side, self.symbol_side = map_side, symbol_side
-        self.phi, self.g, self.z = map_side.phi, symbol_side.g, map_side.grid.points
-
-    def check_pair(self, phi, g, grid: DiskGrid) -> None:
-        """``ValueError`` unless both sides are the samples of this very ``phi``, ``g`` and grid."""
-        if (
-            self.phi is not phi
-            or self.g is not g
-            or self.z is not grid.points
-            or self.symbol_side.grid.points is not grid.points
-        ):
-            raise ValueError("fields were sampled for another (phi, g) pair or grid")
-
-    one_minus = property(lambda self: self.map_side.grid.one_minus)
-    w = property(lambda self: self.map_side.w)
-    one_minus_w = property(lambda self: self.map_side.one_minus_w)
-    dphi = property(lambda self: self.map_side.dphi)
-    phi_sharp = property(lambda self: self.map_side.phi_sharp)
-    g_z = property(lambda self: self.symbol_side.g_z)
-    dg_z = property(lambda self: self.symbol_side.dg_z)
-
-    @cached_property
-    def g_w(self):
-        return self.g(self.w)
-
-    @cached_property
-    def dg_w(self):
-        return self.g.deriv(self.w)
-
-    @cached_property
-    def g_jump(self):
-        """``g(phi(z)) - g(z)``, the I-type factor."""
-        return self.g_w - self.g_z
-
-    @cached_property
-    def dg_jump(self):
-        """``g'(phi(z)) phi'(z) - g'(z)``, the J-type factor."""
-        return self.dg_w * self.dphi - self.dg_z
 
 
 # --------------------------------------------------------------------------
@@ -401,7 +243,7 @@ def hinf_norm(f, grid: DiskGrid) -> SupEstimate:
 
 
 def commutator_seminorm(
-    kind: OperatorKind, phi, g, f, grid: DiskGrid, fields: PairSamples | None = None
+    kind: OperatorKind, phi, g, f, grid: DiskGrid, fields: FieldSet | None = None
 ) -> SupEstimate:
     """Grid max of ``(1 - |z|^2) |d/dz commutator|`` (pure grid, no polish).
 
@@ -409,7 +251,7 @@ def commutator_seminorm(
     pair is sampled here.  Either way only ``f`` is evaluated per call, and
     only on the first call with this ``f`` and ``kind`` on this map side.
     """
-    s = PairSamples(phi, g, grid.points) if fields is None else fields
+    s = FieldSet(phi, g, grid) if fields is None else fields
     s.check_pair(phi, g, grid)
-    vals = s.one_minus * np.abs(_commutator_derivative(kind, s, f))
-    return _grid_max(vals, s.z)
+    vals = grid.one_minus * np.abs(_commutator_derivative(kind, s, f))
+    return _grid_max(vals, grid.points)

@@ -38,10 +38,10 @@ from .criteria import (
     FieldSet,
     MapFields,
     Membership,
+    Points,
     SymbolFields,
     classify,
     compact_conclusion,
-    criterion_value,
     evaluate_criterion,  # noqa: F401  (bench/tests patch verify.evaluate_criterion)
     little_bloch_membership,
 )
@@ -71,7 +71,6 @@ from .harness import (
     to_json,
 )
 from .operators import (
-    MapSamples,
     OperatorKind,
     apply_Ig,
     apply_Jg,
@@ -586,15 +585,16 @@ def _necessity_peak_lower_bound():
         outer = int(shells.max())
         witnesses = grid.points[shells == outer]
         stride = max(1, math.ceil(witnesses.size / 64))
-        witnesses = witnesses[::stride]
+        witnesses = Points(witnesses[::stride])
+        at_witnesses = MapFields(phi, witnesses)
         peaks = []
-        for w in witnesses:
+        for w in witnesses.points:
             a = complex(phi(complex(w)))
             peaks.append((a, make_test_fn(PeakH(a))))
         for symbol in symbols:
             fields = FieldSet.from_sides(map_side, symbol)
             g = symbol.g
-            ki = criterion_value(CriterionKind.KI, phi, g, witnesses)
+            ki = FieldSet.from_sides(at_witnesses, SymbolFields(g, witnesses)).values(CriterionKind.KI)
             for (a, peak), ki_w in zip(peaks, ki):
                 lhs = float(
                     commutator_seminorm(
@@ -738,7 +738,7 @@ def _schwarz_pick_random_maps():
     worst = -math.inf
     for src in _random_self_map_sources(100, rng):
         phi = validate_self_map(analytic(src), grid)
-        worst = max(worst, float(np.max(MapSamples(phi, grid).phi_sharp)))
+        worst = max(worst, float(np.max(MapFields(phi, grid).phi_sharp)))
     passed = worst <= 1.0 + 1e-12
     return (
         passed,
@@ -753,7 +753,7 @@ def _schwarz_automorphism_equality():
     grid = make_grid()
     worst = 0.0
     for src in AUTOMORPHISM_PANEL:
-        sharp = MapSamples(validate_self_map(analytic(src), grid), grid).phi_sharp
+        sharp = MapFields(validate_self_map(analytic(src), grid), grid).phi_sharp
         worst = max(worst, float(np.max(np.abs(sharp - 1.0))))
     passed = worst <= 1e-9
     return (

@@ -17,8 +17,8 @@ from blochlab import (
     schwarz_pick_modulus_bound,
     validate_self_map,
 )
+from blochlab.criteria import MapFields
 from blochlab.diskgeom import MAX_SHELL_LIMIT, shell_for_modulus, shell_radius
-from blochlab.operators import PairSamples
 
 disk_points = st.complex_numbers(max_magnitude=0.95, allow_nan=False, allow_infinity=False)
 
@@ -158,18 +158,18 @@ def test_halving_map_hyperbolic_derivative_profile(grid6):
     pts = grid6.points
     r2 = np.abs(pts) ** 2
     expected = 0.5 * (1.0 - r2) / (1.0 - r2 / 4.0)
-    assert np.allclose(PairSamples(phi, None, pts).phi_sharp, expected, rtol=1e-13, atol=0)
+    assert np.allclose(MapFields(phi, grid6).phi_sharp, expected, rtol=1e-13, atol=0)
 
 
 def test_automorphism_attains_hyperbolic_equality(grid6):
     phi = validate_self_map(analytic("mobius(0.3i)"), grid6)
-    vals = PairSamples(phi, None, grid6.points).phi_sharp
+    vals = MapFields(phi, grid6).phi_sharp
     assert np.max(np.abs(vals - 1.0)) <= 1e-9
 
 
 def test_contraction_stays_below_hyperbolic_equality(grid6):
     phi = validate_self_map(analytic("(z+0.3)/2"), grid6)
-    vals = PairSamples(phi, None, grid6.points).phi_sharp
+    vals = MapFields(phi, grid6).phi_sharp
     assert float(vals.max()) <= 1.0 + 1e-12
 
 

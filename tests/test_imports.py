@@ -51,6 +51,20 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert found == []
 
 
+def test_criteria_imports_nothing_from_operators():
+    # criteria holds the samples operators reads, so it sits below operators
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE / "criteria.py").read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [f"{node.lineno} {n}" for n in names if "operators" in n.split(".")]
+    assert found == []
+
+
 def test_package_exports_exactly_what_it_imports():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     imported = [

@@ -30,8 +30,8 @@ from blochlab import (
     hinf_norm,
     make_grid,
 )
-from blochlab.criteria import FieldSet, MapFields, SymbolFields
-from blochlab.operators import QUAD_TOL, MapSamples, PairSamples, SymbolSamples, _integrate_radial
+from blochlab.criteria import FieldSet, MapFields, Points, SymbolFields
+from blochlab.operators import QUAD_TOL, _integrate_radial
 from blochlab.testfns import PeakH, make_test_fn
 
 POINTS = [0.3, -0.4 + 0.2j, 0.7j, 0.55 - 0.35j]
@@ -352,7 +352,7 @@ def test_shared_samples_evaluate_the_pair_once(monkeypatch, grid6, self_map):
     f_j = [analytic(src) for src in HINF_F_CORPUS]
     monkeypatch.setattr(AnalyticFn, "__call__", counting(AnalyticFn.__call__, "f"))
     monkeypatch.setattr(AnalyticFn, "deriv", counting(AnalyticFn.deriv, "f'"))
-    fields = PairSamples(phi, g, grid6.points)
+    fields = FieldSet(phi, g, Points(grid6.points))
     for f in f_i:
         commutator_seminorm(OperatorKind.COMMUTATOR_I, phi, g, f, grid6, fields=fields)
     for f in f_j:
@@ -430,10 +430,10 @@ def test_streamed_test_functions_leave_no_factors_behind(grid6, self_map):
 
 def test_seminorm_rejects_samples_of_another_pair(grid5, grid6, self_map):
     phi, g, f = self_map("z/2"), analytic("z"), analytic("z^2")
-    other = PairSamples(phi, analytic("z"), grid6.points)
+    other = FieldSet(phi, analytic("z"), Points(grid6.points))
     with pytest.raises(ValueError, match="another"):
         commutator_seminorm(OperatorKind.COMMUTATOR_I, phi, g, f, grid6, fields=other)
-    inner = PairSamples(phi, g, grid6.shells()[0])
+    inner = FieldSet(phi, g, Points(grid6.shells()[0]))
     with pytest.raises(ValueError, match="another"):
         commutator_seminorm(OperatorKind.COMMUTATOR_J, phi, g, f, grid6, fields=inner)
     # classify reads the same check: another map's fields, or another grid's
@@ -461,16 +461,10 @@ def test_joined_sides_must_be_this_pairs_on_this_grid(grid5, grid6, self_map):
             classify("T3.2", phi, g, grid6, fields=fields)
         with pytest.raises(ValueError, match="another"):
             commutator_seminorm(OperatorKind.COMMUTATOR_J, phi, g, f, grid6, fields=fields)
-    for map_side, symbol_side in ((MapSamples(phi, grid5), SymbolSamples(g, grid6)),
-                                  (MapSamples(phi, grid6), SymbolSamples(g, grid5))):
-        with pytest.raises(ValueError, match="another"):
-            commutator_seminorm(OperatorKind.COMMUTATOR_I, phi, g, f, grid6,
-                                fields=PairSamples.from_sides(map_side, symbol_side))
 
-    joined = PairSamples.from_sides(MapSamples(phi, grid6), SymbolSamples(g, grid6))
-    alone = PairSamples(phi, g, grid6.points)
+    joined = FieldSet.from_sides(MapFields(phi, grid6), SymbolFields(g, grid6))
+    alone = FieldSet(phi, g, grid6)
     for kind in OperatorKind:
         assert (commutator_seminorm(kind, phi, g, f, grid6, fields=joined)
                 == commutator_seminorm(kind, phi, g, f, grid6, fields=alone))
-    shared = FieldSet.from_sides(MapFields(phi, grid6), SymbolFields(g, grid6))
-    assert classify("T3.2", phi, g, grid6, fields=shared) == classify("T3.2", phi, g, grid6)
+    assert classify("T3.2", phi, g, grid6, fields=joined) == classify("T3.2", phi, g, grid6)

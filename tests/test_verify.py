@@ -214,9 +214,11 @@ def _grid_calls(monkeypatch, name: str):
     A call is keyed by the function's source (the function itself where it
     has none), its derivative order (``"f"`` or ``"f'"``) and its points:
     ``"z"`` for a grid's own points, ``"w"`` for any other set of that size,
-    such as ``phi(z)``.  The check's golden row must hold.
+    such as ``phi(z)``.  Calls on a 1-D set of points of any other size,
+    such as a check's witnesses, are counted apart, by the same key with
+    ``"few"`` as its points.  The check's golden row must hold.
     """
-    grids, calls = [], collections.Counter()
+    grids, calls, few = [], collections.Counter(), collections.Counter()
 
     def making(*args):
         grids.append(make_grid(*args))
@@ -227,6 +229,8 @@ def _grid_calls(monkeypatch, name: str):
             if any(np.size(z) == grid.size for grid in grids):
                 points = "z" if any(z is grid.points for grid in grids) else "w"
                 calls[(vars(self).get("source", self), label, points)] += 1
+            elif np.ndim(z) == 1:
+                few[(vars(self).get("source", self), label, "few")] += 1
             return method(self, z)
 
         return wrapper
@@ -237,7 +241,7 @@ def _grid_calls(monkeypatch, name: str):
     result = verify._run_check(name)
     monkeypatch.undo()
     assert _golden_row(result) == GOLDEN[name]
-    return grids, calls
+    return grids, calls, few
 
 
 def _each(sources, *calls) -> collections.Counter:
@@ -259,35 +263,45 @@ _ALL_SYMBOLS = list(dict.fromkeys(G_CORPUS + POLYNOMIAL_G_CORPUS))
 _STEEP = "log(2/(1-0.999*z))"  # the one symbol that is no little-Bloch member
 _CONSTANT = ("1", "complex(0.25,-0.5)")
 
-#: (check, its calls by a named function, peak functions each sampled once, total calls)
+#: necessity_peak_lower_bound at its witnesses: phi and phi' once per map, g and g o phi
+#: once per pair
+_WITNESSES = (_each(TEN_MAP_PANEL, ("f", "few", 1), ("f'", "few", 1))
+              + _each(G_CORPUS, ("f", "few", 2 * len(TEN_MAP_PANEL))))
+
+#: (check, its calls by a named function, peak functions each sampled once, total calls,
+#: its calls on smaller point sets)
 _PAIR_LOOP_CALLS = [
-    ("operators.chain_bound_I", _TEN_MAPS + _KI_SYMBOLS + _BLOCH_TESTS, 0, 195),
+    ("operators.chain_bound_I", _TEN_MAPS + _KI_SYMBOLS + _BLOCH_TESTS, 0, 195, {}),
     # "w": each map's phi(z) and hinf_norm's circle, which is as large as the grid
     ("operators.chain_bound_J",
-     _TEN_MAPS + _KJ_SYMBOLS + _each(HINF_F_CORPUS, ("f", "z", 1), ("f", "w", 11)), 0, 201),
-    ("criteria.bounded_implies_chain", _TEN_MAPS + _KI_SYMBOLS + _BLOCH_TESTS, 0, 195),
-    ("criteria.necessity_peak_lower_bound", _TEN_MAPS + _KI_SYMBOLS, 602, 731),
+     _TEN_MAPS + _KJ_SYMBOLS + _each(HINF_F_CORPUS, ("f", "z", 1), ("f", "w", 11)), 0, 201, {}),
+    ("criteria.bounded_implies_chain", _TEN_MAPS + _KI_SYMBOLS + _BLOCH_TESTS, 0, 195, {}),
+    ("criteria.necessity_peak_lower_bound", _TEN_MAPS + _KI_SYMBOLS, 602, 731, _WITNESSES),
     ("criteria.little_bloch_sufficiency",
      _TEN_MAPS + _each(_ALL_SYMBOLS, ("f'", "z", 1))
-     + _each([s for s in _ALL_SYMBOLS if s != _STEEP], ("f'", "w", len(TEN_MAP_PANEL))), 0, 152),
+     + _each([s for s in _ALL_SYMBOLS if s != _STEEP], ("f'", "w", len(TEN_MAP_PANEL))),
+     0, 152, {}),
     # each non-constant symbol finds its witness at the first automorphism
     ("criteria.rigidity_nonconstant_g",
      _each(AUTOMORPHISM_PANEL, *_MAP) + _each(G_CORPUS, ("f", "z", 1))
      + _each(_CONSTANT, ("f", "w", len(AUTOMORPHISM_PANEL)))
-     + _each([s for s in G_CORPUS if s not in _CONSTANT], ("f", "w", 1)), 0, 56),
+     + _each([s for s in G_CORPUS if s not in _CONSTANT], ("f", "w", 1)), 0, 56, {}),
 ]
 
 
-@pytest.mark.parametrize("name, named, peaks, total", _PAIR_LOOP_CALLS,
+@pytest.mark.parametrize("name, named, peaks, total, witnesses", _PAIR_LOOP_CALLS,
                          ids=[row[0] for row in _PAIR_LOOP_CALLS])
 def test_pair_loops_sample_each_map_symbol_and_test_function_once(monkeypatch, name, named,
-                                                                  peaks, total):
+                                                                  peaks, total, witnesses):
     """Each map and each symbol once per check, each pair's compositions once, each test
     function once per map.  The two chain bounds, bounded_implies_chain,
     necessity_peak_lower_bound and little_bloch_sufficiency make 1,474 grid-sized calls
     (8,261 when each pair sampled both sides and each test function per pair); rigidity 56
-    (100)."""
-    _, calls = _grid_calls(monkeypatch, name)
+    (100).  necessity_peak_lower_bound makes 200 calls at its witnesses (360 when each pair
+    sampled its map there), and no other check calls on a smaller set of points."""
+    _, calls, few = _grid_calls(monkeypatch, name)
+    assert few == witnesses
+    assert sum(few.values()) == (200 if witnesses else 0)
     assert collections.Counter({k: n for k, n in calls.items() if isinstance(k[0], str)}) == named
     unnamed = [(k[1:], n) for k, n in calls.items() if not isinstance(k[0], str)]
     assert len(unnamed) == peaks and set(unnamed) <= {(("f'", "w"), 1)}
@@ -298,7 +312,7 @@ def test_rotation_check_samples_each_rotation_and_symbol_once(monkeypatch):
     """rotation_average_coherence: phi and phi' once per rotation (and its validation),
     g' once per symbol (B0 membership reads the shared side), g' o phi once per pair:
     109 grid-sized expression calls (258 when each pair sampled both sides)."""
-    grids, calls = _grid_calls(monkeypatch, "harness.rotation_average_coherence")
+    grids, calls, _ = _grid_calls(monkeypatch, "harness.rotation_average_coherence")
     assert len(grids) == 1
     expected = _each(ROTATION_PANEL, *_MAP)
     for g_src in ("z^2", "complex(0.25,-0.5)", "log(2/(1-0.9*z))", "log(2/(1-0.999*z))"):
