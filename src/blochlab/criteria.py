@@ -209,17 +209,6 @@ def _reduce(kind, bucket_by, values, grid, segments, vacuous) -> CriterionReport
     )
 
 
-class Points:
-    """Points ``z`` of no grid, read as a grid is: ``points`` and their ``1 - |z|^2``."""
-
-    def __init__(self, z):
-        self.points = z
-
-    @cached_property
-    def one_minus(self):
-        return 1.0 - np.abs(self.points) ** 2
-
-
 def _check_side(what: str, held, fn, held_grid, grid: DiskGrid) -> None:
     """``ValueError`` unless a side's ``held`` and ``held_grid`` are this very ``fn`` and grid."""
     if held is not fn or held_grid.points is not grid.points:
@@ -229,8 +218,8 @@ def _check_side(what: str, held, fn, held_grid, grid: DiskGrid) -> None:
 class MapFields:
     """One map ``phi`` at the points of ``grid``, each sample taken on first use.
 
-    ``grid`` is a :class:`DiskGrid`, or :class:`Points`.  No sample depends
-    on a symbol, so one map's samples and ``|phi(z)|`` shells serve every
+    ``grid`` is a :class:`DiskGrid` of any points.  No sample depends on a
+    symbol, so one map's samples and ``|phi(z)|`` shells serve every
     symbol paired with it.  Neither does a test function's factor in the
     commutator derivatives (:meth:`factor`), so it too is taken once per map.
     """
@@ -332,9 +321,9 @@ class FieldSet:
     them are the pair's own.  ``FieldSet(phi, g, grid)`` samples both sides
     for this pair alone; ``FieldSet.from_sides`` shares sides across pairs,
     as ``run_classification`` does for a whole panel.  Each field and each
-    report is computed once.  A set may sit on bare :class:`Points`, as
-    :func:`criterion_value` builds it: its fields read there, but a report
-    needs a grid.  Pass a set as ``fields`` to ``commutator_seminorm`` to
+    report is computed once.  A grid is its points, so a set on any point
+    set, such as the one :func:`criterion_value` builds, reads its fields
+    and reports there.  Pass a set as ``fields`` to ``commutator_seminorm`` to
     share it across test functions; the map side holds each test function's
     factor, so sets joined from one map side sample a test function once
     for all their symbols.
@@ -404,7 +393,7 @@ class FieldSet:
 
 def criterion_value(kind: CriterionKind, phi, g, z):
     """Pointwise criterion value; vectorized over ``z`` arrays."""
-    out = FieldSet(phi, g, Points(np.asarray(z, dtype=complex))).values(kind)
+    out = FieldSet(phi, g, DiskGrid(np.asarray(z, dtype=complex))).values(kind)
     return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 

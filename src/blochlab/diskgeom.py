@@ -6,8 +6,8 @@ midpoint radius ``1 - 0.75 * 2**-k`` with ``base_angular * (k + 1)``
 equispaced angles.  Refining ``max_shell`` only appends shells, so a refined
 grid is a strict superset of the coarse one — sup estimates over the grid are
 monotone under refinement by construction.
-A :class:`DiskGrid` stores its points and per-shell angular counts and reads
-every other layout number from those counts.
+A :class:`DiskGrid` is its points: any point set reads its ``|z|`` shells
+by the rule that reads ``|phi(z)|`` shells, and every layout number from them.
 """
 
 from __future__ import annotations
@@ -83,11 +83,12 @@ class ShellSegments:
 
 
 def shell_segments(shells: np.ndarray, max_shell: int) -> ShellSegments:
-    """Segments of the per-point shell indices ``shells`` (one stable sort)."""
+    """Segments of the per-point shell indices ``shells`` (one stable sort, none if they are in order)."""
     counts = np.bincount(shells, minlength=max_shell + 1)
     nonempty = np.flatnonzero(counts)
     starts = (np.cumsum(counts) - counts)[nonempty]
-    return ShellSegments(np.argsort(shells, kind="stable"), starts, tuple(nonempty.tolist()))
+    order = None if np.all(shells[1:] >= shells[:-1]) else np.argsort(shells, kind="stable")
+    return ShellSegments(order, starts, tuple(nonempty.tolist()))
 
 
 def shell_maxima(values: np.ndarray, segments: ShellSegments):
@@ -102,39 +103,46 @@ def shell_maxima(values: np.ndarray, segments: ShellSegments):
 
 @dataclass(eq=False)
 class DiskGrid:
-    """Deterministic boundary-shell sample of the disk: ``angular_counts[k]`` points on shell ``k``, in order."""
+    """A sample of the disk, which is its points alone.
+
+    ``max_shell`` is the deepest of their nonempty ``|z|`` shells and ``angular_counts`` counts each.
+    """
 
     points: np.ndarray
-    angular_counts: tuple[int, ...]
 
     @property
     def size(self) -> int:
         return self.points.size
 
+    @cached_property
+    def segments(self) -> ShellSegments:
+        """The ``|z|`` shells; ``order`` is ``None`` on a shell-major grid."""
+        return shell_segments(shell_for_modulus(np.abs(self.points), MAX_SHELL_LIMIT), MAX_SHELL_LIMIT)
+
     @property
     def max_shell(self) -> int:
-        return len(self.angular_counts) - 1
+        return self.segments.shells[-1]
+
+    @cached_property
+    def angular_counts(self) -> tuple[int, ...]:
+        return tuple(np.diff(self.segments.starts, append=self.size).tolist())
 
     @property
     def base_angular(self) -> int:
         return self.angular_counts[0]
 
     @cached_property
-    def segments(self) -> ShellSegments:
-        """The ``|z|`` shells: the grid is shell-major, so no reordering."""
-        starts = np.cumsum((0,) + self.angular_counts[:-1])
-        return ShellSegments(None, starts, tuple(range(self.max_shell + 1)))
-
-    @cached_property
     def one_minus(self) -> np.ndarray:
-        """``1 - |z|^2`` at every point, read-only like :attr:`points`."""
-        out = 1.0 - np.abs(self.points) ** 2
+        """``1 - |z|^2`` at every point (an array even for one point), read-only like :attr:`points`."""
+        out = np.asarray(1.0 - np.abs(self.points) ** 2)
         out.flags.writeable = False
         return out
 
     def shells(self) -> list[np.ndarray]:
-        """Per-shell views of :attr:`points`."""
-        return np.split(self.points, self.segments.starts[1:])
+        """The points of each nonempty shell, by shell index."""
+        order = self.segments.order
+        points = self.points if order is None else self.points[order]
+        return np.split(points, self.segments.starts[1:])
 
     def __repr__(self) -> str:
         return f"DiskGrid(max_shell={self.max_shell}, base_angular={self.base_angular}, size={self.size})"
@@ -172,7 +180,7 @@ def make_grid(max_shell: int = DEFAULT_MAX_SHELL, base_angular: int = DEFAULT_BA
         [shell_radius(k) * np.exp(1j * (2.0 * np.pi * np.arange(m) / m)) for k, m in enumerate(counts)]
     )
     points.flags.writeable = False
-    return DiskGrid(points, counts)
+    return DiskGrid(points)
 
 
 def sup_modulus_estimate(moduli: np.ndarray, grid: DiskGrid) -> float:

@@ -28,7 +28,7 @@ beats the sampled one.  ``commutator_seminorm`` and criterion suprema stay
 pure grid maxima so that grid refinement is exactly monotone.
 
 The samples of a pair ``(phi, g)`` are ``criteria.FieldSet``'s:
-:func:`commutator_derivative` builds one at bare points, and
+:func:`commutator_derivative` builds one on a ``DiskGrid`` of ``z``, and
 ``commutator_seminorm`` reads one when given it, after
 ``FieldSet.check_pair`` confirms that both of its sides are this pair's on
 this grid.  The test function's factor in each derivative, ``phi' f'(phi)``
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import FieldSet, OperatorKind, Points
+from .criteria import FieldSet, OperatorKind
 from .diskgeom import DiskGrid
 
 QUAD_TOL = 1e-12
@@ -137,7 +137,7 @@ def commutator_value(kind: OperatorKind, phi, g, f, z):
 
 def commutator_derivative(kind: OperatorKind, phi, g, f, z):
     """Closed-form derivative of the commutator (no quadrature)."""
-    return _commutator_derivative(kind, FieldSet(phi, g, Points(z)), f)
+    return _commutator_derivative(kind, FieldSet(phi, g, DiskGrid(z)), f)
 
 
 def _commutator_derivative(kind: OperatorKind, s: FieldSet, f):

@@ -38,7 +38,6 @@ from .criteria import (
     FieldSet,
     MapFields,
     Membership,
-    Points,
     SymbolFields,
     classify,
     compact_conclusion,
@@ -47,6 +46,7 @@ from .criteria import (
 )
 from .diskgeom import (
     DEFAULT_MAX_SHELL,
+    DiskGrid,
     make_grid,
     schwarz_pick_modulus_bound,
     shell_for_modulus,
@@ -585,7 +585,7 @@ def _necessity_peak_lower_bound():
         outer = int(shells.max())
         witnesses = grid.points[shells == outer]
         stride = max(1, math.ceil(witnesses.size / 64))
-        witnesses = Points(witnesses[::stride])
+        witnesses = DiskGrid(witnesses[::stride])
         at_witnesses = MapFields(phi, witnesses)
         peaks = []
         for w in witnesses.points:
@@ -949,12 +949,12 @@ def _hospital_slack(k: int, phi0_modulus: float) -> float:
 @_check("harness.hospital_ratio_panel", "theorems")
 def _hospital_ratio_panel():
     grid = make_grid()
-    den = np.log(2.0 / (1.0 - np.abs(grid.points) ** 2))
+    den = np.log(2.0 / grid.one_minus)
     min_margin = math.inf
     failures = []
     for src in TEN_MAP_PANEL + ROTATION_PANEL:
         phi = validate_self_map(analytic(src), grid)
-        ratio = np.log(2.0 / (1.0 - np.abs(phi(grid.points)) ** 2)) / den
+        ratio = np.log(2.0 / MapFields(phi, grid).one_minus_w) / den
         s = abs(complex(phi(0.0)))
         max_excess = max(shell_max - (1.0 + _hospital_slack(k, s))
                          for k, shell_max in shell_maxima(ratio, grid.segments))
@@ -986,8 +986,7 @@ def _rotation_average_coherence():
     rotations = [(t, MapFields(validate_self_map(analytic(src), grid), grid))
                  for t, src in zip(ROTATION_ANGLES, ROTATION_PANEL)]
     inner = np.abs(grid.points) <= 0.75
-    pts = grid.points[inner]
-    one_minus = 1.0 - np.abs(pts) ** 2
+    pts, one_minus = grid.points[inner], grid.one_minus[inner]
     rows = []
     worst_defect = -math.inf
     all_consistent = True
@@ -1011,7 +1010,7 @@ def _rotation_average_coherence():
         else:
             rows.append(f"{g_src}: ConsistentWithB0")
         series = coeffs_from_samples(g, radius=0.5, count=recovery_count(64), degree=64)
-        dg = g.deriv(pts)
+        dg = symbol.dg_z[inner]
         aliased = np.zeros(pts.shape, dtype=complex)
         for n in range(16, series.degree_bound + 1, 16):
             aliased += n * series.coeffs[n] * pts ** (n - 1)

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from blochlab import verify
+from blochlab import make_grid, verify
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
@@ -32,6 +32,13 @@ def test_every_traced_function_resolves():
         module = importlib.import_module(f"blochlab.{module_name}")
         assert callable(getattr(module, function_name)), (module_name, function_name)
     assert callable(verify.evaluate_criterion)
+
+
+def test_grid_keys_read_the_layout_a_grid_derives():
+    # the benchmark keys its spans by grid layout, which a grid reads from its points
+    tracer = _load("tracer")
+    assert tracer._grid_key(make_grid()) == (14, 64, 7680)
+    assert tracer._grid_key(make_grid(6, 128)) == (6, 128, 3584)
 
 
 def test_reference_lists_every_check_in_registry_order():

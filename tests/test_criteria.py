@@ -18,7 +18,7 @@ from blochlab import (
     validate_self_map,
 )
 from blochlab.criteria import PHI_BOUNDARY_KINDS, FieldSet, SymbolFields
-from blochlab.diskgeom import shell_for_modulus, shell_maxima, shell_segments
+from blochlab.diskgeom import DiskGrid, shell_for_modulus, shell_maxima, shell_segments
 
 
 # --------------------------------------------------------------------------
@@ -220,6 +220,28 @@ def test_field_set_matches_per_shell_mask_loop(grid8, phi_src, validated, bucket
         w = phi(pts)
         ratio = np.log(2.0 / (1.0 - np.abs(w) ** 2)) / np.log(2.0 / (1.0 - np.abs(pts) ** 2))
         assert shell_maxima(ratio, grid8.segments) == _mask_loop_reduction(ratio, phi, grid8, "z")[0]
+
+
+@pytest.mark.parametrize(
+    "phi_src, g_src",
+    [("mobius(0.8)", "log(2/(1-0.999*z))"), ("z/2", "log(2/(1-0.9*z))"),
+     ("(z+0.3)/2", "1-mobius(0.7)"), ("-mobius(0.7)", "z^2")],
+)
+def test_any_point_set_reports_by_the_grid_rule(grid8, phi_src, g_src):
+    """The grid's points in a shuffled order read the grid's shells and reports."""
+    shuffled = DiskGrid(grid8.points[np.random.default_rng(21).permutation(grid8.size)])
+    assert shuffled.segments.order is not None
+    assert (shuffled.max_shell, shuffled.angular_counts) == (grid8.max_shell, grid8.angular_counts)
+    for ours, theirs in zip(shuffled.shells(), grid8.shells(), strict=True):
+        assert np.array_equal(np.sort_complex(ours), np.sort_complex(theirs))
+    phi, g = validate_self_map(analytic(phi_src), grid8), analytic(g_src)
+    on_grid, on_points = FieldSet(phi, g, grid8), FieldSet(phi, g, shuffled)
+    for kind in CriterionKind:
+        for bucket_by in ("phi", "z"):
+            expected, report = on_grid.report(kind, bucket_by), on_points.report(kind, bucket_by)
+            read = [(r.shell_sups, r.sup_value, r.boundary_limsup_estimate, r.vacuous_boundary)
+                    for r in (expected, report)]
+            assert repr(read[0]) == repr(read[1]), (kind, bucket_by)
 
 
 def test_hypothesis_fields_match_per_shell_mask_loop(grid8, self_map):

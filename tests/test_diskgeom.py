@@ -1,5 +1,7 @@
 """Shell grids, self-map validation, and hyperbolic-geometry inequalities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from blochlab import (
     AUTOMORPHISM_PANEL,
     ROTATION_PANEL,
     SHRINKER_PANEL,
+    DiskGrid,
     NotASelfMap,
     analytic,
     hinf_norm,
@@ -38,6 +41,21 @@ def test_grid_shape_and_order(grid6):
     for k, shell in enumerate(grid6.shells()):
         assert shell.size == counts[k]
         assert np.allclose(np.abs(shell), shell_radius(k), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("base_angular", [64, 1024])
+def test_every_grid_reads_the_layout_it_was_built_with(base_angular):
+    """The layout read from the points' |z| shells is make_grid's, at every depth, with no reorder."""
+    for max_shell in range(4, MAX_SHELL_LIMIT + 1):
+        grid = make_grid(max_shell, base_angular)
+        counts = tuple(base_angular * (k + 1) for k in range(max_shell + 1))
+        assert (grid.max_shell, grid.angular_counts, grid.base_angular) == (max_shell, counts, base_angular)
+        assert all(type(n) is int for n in (grid.max_shell, grid.base_angular, *grid.angular_counts))
+        assert grid.segments.order is None
+
+
+def test_a_grid_holds_its_points_alone():
+    assert [field.name for field in dataclasses.fields(DiskGrid)] == ["points"]
 
 
 def test_shell_radii_approach_boundary():

@@ -15,6 +15,7 @@ from blochlab import (
     HINF_F_CORPUS,
     TEN_MAP_PANEL,
     AnalyticFn,
+    DiskGrid,
     OperatorKind,
     QuadratureError,
     SupEstimate,
@@ -30,7 +31,7 @@ from blochlab import (
     hinf_norm,
     make_grid,
 )
-from blochlab.criteria import FieldSet, MapFields, Points, SymbolFields
+from blochlab.criteria import FieldSet, MapFields, SymbolFields
 from blochlab.operators import QUAD_TOL, _integrate_radial
 from blochlab.testfns import PeakH, make_test_fn
 
@@ -352,7 +353,7 @@ def test_shared_samples_evaluate_the_pair_once(monkeypatch, grid6, self_map):
     f_j = [analytic(src) for src in HINF_F_CORPUS]
     monkeypatch.setattr(AnalyticFn, "__call__", counting(AnalyticFn.__call__, "f"))
     monkeypatch.setattr(AnalyticFn, "deriv", counting(AnalyticFn.deriv, "f'"))
-    fields = FieldSet(phi, g, Points(grid6.points))
+    fields = FieldSet(phi, g, DiskGrid(grid6.points))
     for f in f_i:
         commutator_seminorm(OperatorKind.COMMUTATOR_I, phi, g, f, grid6, fields=fields)
     for f in f_j:
@@ -430,10 +431,10 @@ def test_streamed_test_functions_leave_no_factors_behind(grid6, self_map):
 
 def test_seminorm_rejects_samples_of_another_pair(grid5, grid6, self_map):
     phi, g, f = self_map("z/2"), analytic("z"), analytic("z^2")
-    other = FieldSet(phi, analytic("z"), Points(grid6.points))
+    other = FieldSet(phi, analytic("z"), DiskGrid(grid6.points))
     with pytest.raises(ValueError, match="another"):
         commutator_seminorm(OperatorKind.COMMUTATOR_I, phi, g, f, grid6, fields=other)
-    inner = FieldSet(phi, g, Points(grid6.shells()[0]))
+    inner = FieldSet(phi, g, DiskGrid(grid6.shells()[0]))
     with pytest.raises(ValueError, match="another"):
         commutator_seminorm(OperatorKind.COMMUTATOR_J, phi, g, f, grid6, fields=inner)
     # classify reads the same check: another map's fields, or another grid's

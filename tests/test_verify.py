@@ -311,9 +311,11 @@ def test_pair_loops_sample_each_map_symbol_and_test_function_once(monkeypatch, n
 def test_rotation_check_samples_each_rotation_and_symbol_once(monkeypatch):
     """rotation_average_coherence: phi and phi' once per rotation (and its validation),
     g' once per symbol (B0 membership reads the shared side), g' o phi once per pair:
-    109 grid-sized expression calls (258 when each pair sampled both sides)."""
-    grids, calls, _ = _grid_calls(monkeypatch, "harness.rotation_average_coherence")
-    assert len(grids) == 1
+    109 grid-sized expression calls (258 when each pair sampled both sides).  The
+    averaging bound reads g' and 1-|z|^2 at its inner points from the symbol side and
+    the grid, so no call is made on a smaller point set (4 when it sampled g' there)."""
+    grids, calls, few = _grid_calls(monkeypatch, "harness.rotation_average_coherence")
+    assert len(grids) == 1 and not few
     expected = _each(ROTATION_PANEL, *_MAP)
     for g_src in ("z^2", "complex(0.25,-0.5)", "log(2/(1-0.9*z))", "log(2/(1-0.999*z))"):
         expected.update({(g_src, "f'", "z"): 1, (g_src, "f'", "w"): 15})
