@@ -117,7 +117,7 @@ class DiskGrid:
     @cached_property
     def segments(self) -> ShellSegments:
         """The ``|z|`` shells; ``order`` is ``None`` on a shell-major grid."""
-        return shell_segments(shell_for_modulus(np.abs(self.points), MAX_SHELL_LIMIT), MAX_SHELL_LIMIT)
+        return shell_segments(shell_for_modulus(np.abs(self.points).ravel(), MAX_SHELL_LIMIT), MAX_SHELL_LIMIT)
 
     @property
     def max_shell(self) -> int:

@@ -56,6 +56,8 @@ def test_every_grid_reads_the_layout_it_was_built_with(base_angular):
 
 def test_a_grid_holds_its_points_alone():
     assert [field.name for field in dataclasses.fields(DiskGrid)] == ["points"]
+    # criterion_value builds a grid of one point for a scalar z; it has a layout too
+    assert repr(DiskGrid(np.asarray(0.5j))) == "DiskGrid(max_shell=1, base_angular=1, size=1)"
 
 
 def test_shell_radii_approach_boundary():
