@@ -61,6 +61,7 @@ from .diskgeom import (
     shell_maxima,
     shell_segments,
     sup_modulus_estimate,
+    validate_self_map_samples,
 )
 
 ONE_SIDED_NOTE = "sampled maxima are lower bounds of true suprema"
@@ -228,6 +229,14 @@ class MapFields:
         self.phi, self.grid = phi, grid
         # weak keys: a test function's factors go when the function is collected
         self._factors = weakref.WeakKeyDictionary()
+
+    @classmethod
+    def validated(cls, fn, grid) -> "MapFields":
+        """The side of ``fn`` validated on ``grid`` as a self-map; validation's samples are its :attr:`w`."""
+        w = fn(grid.points)
+        side = cls(validate_self_map_samples(fn, grid, w), grid)
+        side.w = w
+        return side
 
     @cached_property
     def w(self):

@@ -245,7 +245,12 @@ def validate_self_map(fn: AnalyticFn, grid: DiskGrid) -> SelfMap:
     Raises :class:`NotASelfMap` with the first offending grid point
     otherwise; a non-finite sample (NaN) offends.
     """
-    moduli = np.abs(fn(grid.points))
+    return validate_self_map_samples(fn, grid, fn(grid.points))
+
+
+def validate_self_map_samples(fn: AnalyticFn, grid: DiskGrid, w: np.ndarray) -> SelfMap:
+    """:func:`validate_self_map` from ``w``, the samples of ``fn`` at the grid's points."""
+    moduli = np.abs(w)
     bad = np.flatnonzero(~(moduli < 1.0))
     if bad.size:
         j = int(bad[0])

@@ -13,8 +13,11 @@ and through closed-form derivative identities (:func:`commutator_derivative`)::
     d/dz (C_phi J_g - J_g C_phi) f = f(phi(z)) ((g o phi)'(z) - g'(z))
 
 Integrals run along the radial segment [0, z] with adaptive bisection on
-16-point Gauss-Legendre panels (absolute tolerance 1e-12).  Each point of an
-array ``z`` is bisected on its own, and each has its own budget of 40 panels.
+Gauss-Kronrod panels (QUADPACK's G10/K21 pair): each panel samples the
+integrand once, on its 21 Kronrod nodes, takes the K21 value and accepts it
+where the embedded rule's error estimate ``|K21 - G10|`` is at most 1e-12
+times the panel's width.  Each point of an array ``z`` is bisected on its
+own, and each has its own budget of 40 panels.
 
 Norm estimators are sampled maxima and therefore lower bounds of the true
 suprema.  ``bloch_seminorm`` additionally polishes its four best grid points
@@ -35,6 +38,8 @@ this grid.  The test function's factor in each derivative, ``phi' f'(phi)``
 or ``f(phi)``, reads no symbol, so the map side (``criteria.MapFields``)
 holds it once per test function and kind, under weak keys, and each pair
 multiplies it by its own jump, in the order the formulas above are written.
+``commutator_seminorm`` takes a whole family of test functions in one array
+pass, one function being a family of one.
 """
 
 from __future__ import annotations
@@ -49,7 +54,36 @@ from .diskgeom import DiskGrid
 QUAD_TOL = 1e-12
 QUAD_MAX_PANELS = 40
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# QUADPACK's QK21 (Piessens et al. 1983): the 21-point Kronrod rule on [-1, 1],
+# exact through degree 31, embeds the 10-point Gauss rule (degree 19) at its
+# odd-numbered nodes.  Row 0 weighs a panel's samples for K21, row 1 for the
+# error estimate K21 - G10.
+_XGK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+)
+_WGK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208980029600, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+_GK_NODES = np.concatenate((np.negative(_XGK), [0.0], _XGK[::-1]))
+_K21_WEIGHTS = np.concatenate((_WGK, _WGK[-2::-1]))
+_G10_WEIGHTS = np.zeros(21)
+_G10_WEIGHTS[1:10:2] = _WG
+_G10_WEIGHTS[11::2] = _WG[::-1]
+_GK_WEIGHTS = np.stack((_K21_WEIGHTS, _K21_WEIGHTS - _G10_WEIGHTS))
 
 
 class QuadratureError(RuntimeError):
@@ -66,6 +100,8 @@ class QuadratureError(RuntimeError):
 def _integrate_radial(h, z):
     """``integral_0^z h(w) dw`` along the radial segment, elementwise in ``z``.
 
+    Each panel samples ``h`` once, on its 21 Kronrod nodes, and is accepted
+    where ``|K21 - G10| <= QUAD_TOL * width`` or bisected, left half first.
     A pending panel carries the indices of the points still open on it; only
     those are sampled and bisected.  A point fails once the panels covering
     it, accepted plus pending, would exceed ``QUAD_MAX_PANELS``.
@@ -74,38 +110,33 @@ def _integrate_radial(h, z):
     scalar = zs.ndim == 0
     zv = np.atleast_1d(zs)
 
-    def seg(a: float, b: float, idx: np.ndarray) -> np.ndarray:
-        t = 0.5 * (a + b) + 0.5 * (b - a) * _GL_NODES
-        zi = zv[idx]
-        vals = np.asarray(h(t[:, None] * zi[None, :]), dtype=complex)
-        vals = np.broadcast_to(vals, (t.size, zi.size))
-        return 0.5 * (b - a) * (_GL_WEIGHTS @ vals) * zi
-
     total = np.zeros_like(zv)
     leaves = np.zeros(zv.size, dtype=int)
     pending = np.ones(zv.size, dtype=int)
-    every = np.arange(zv.size)
-    stack = [(0.0, 1.0, every, seg(0.0, 1.0, every))]
+    stack = [(0.0, 1.0, np.arange(zv.size))]
     while stack:
-        a, b, idx, whole = stack.pop()
+        a, b, idx = stack.pop()
         pending[idx] -= 1
-        m = 0.5 * (a + b)
-        left, right = seg(a, m, idx), seg(m, b, idx)
-        err = np.abs(whole - left - right)
+        t = 0.5 * (a + b) + 0.5 * (b - a) * _GK_NODES
+        zi = zv[idx]
+        vals = np.asarray(h(t[:, None] * zi[None, :]), dtype=complex)
+        vals = np.broadcast_to(vals, (t.size, zi.size))
+        kronrod, estimate = 0.5 * (b - a) * (_GK_WEIGHTS @ vals) * zi
+        err = np.abs(estimate)
         ok = err <= QUAD_TOL * (b - a)
         done = idx[ok]
-        total[done] = total[done] + left[ok] + right[ok]
-        leaves[done] += 2
+        total[done] = total[done] + kronrod[ok]
+        leaves[done] += 1
         if ok.all():
             continue
-        rest = ~ok
-        open_idx = idx[rest]
-        over = leaves[open_idx] + 2 * (pending[open_idx] + 2) > QUAD_MAX_PANELS
+        open_idx = idx[~ok]
+        over = leaves[open_idx] + pending[open_idx] + 2 > QUAD_MAX_PANELS
         if over.any():
-            raise QuadratureError(float(np.max(err[rest][over])), QUAD_MAX_PANELS)
+            raise QuadratureError(float(np.max(err[~ok][over])), QUAD_MAX_PANELS)
         pending[open_idx] += 2
-        stack.append((m, b, open_idx, right[rest]))
-        stack.append((a, m, open_idx, left[rest]))
+        m = 0.5 * (a + b)
+        stack.append((m, b, open_idx))
+        stack.append((a, m, open_idx))
     return complex(total[0]) if scalar else total
 
 
@@ -141,10 +172,15 @@ def commutator_derivative(kind: OperatorKind, phi, g, f, z):
 
 
 def _commutator_derivative(kind: OperatorKind, s: FieldSet, f):
+    return s.map_side.factor(kind, f) * _jump(kind, s)
+
+
+def _jump(kind: OperatorKind, s: FieldSet):
+    """The pair's jump in the derivative of ``kind``: ``g o phi - g`` or ``(g o phi)' - g'``."""
     if kind is OperatorKind.COMMUTATOR_I:
-        return s.map_side.factor(kind, f) * s.g_jump
+        return s.g_jump
     if kind is OperatorKind.COMMUTATOR_J:
-        return s.map_side.factor(kind, f) * s.dg_jump
+        return s.dg_jump
     raise ValueError(f"kind must be a commutator kind, got {kind}")
 
 
@@ -179,17 +215,17 @@ def _compass_max(field, x, step, stencil, xatol):
     ``xatol`` the best ``(point, value)`` over the starts is returned.
     """
     step, rows = np.full(x.shape, step, dtype=float), np.arange(x.size)
-    while True:
-        trial = x[:, None] + step[:, None] * stencil
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        while True:
+            trial = x[:, None] + step[:, None] * stencil
             vals = field(trial)
-        vals = np.where(np.isfinite(vals), vals, -np.inf)
-        best = np.argmax(vals, axis=1)
-        x, top = trial[rows, best], vals[rows, best]
-        step = np.where(best == 0, 0.5 * step, step)
-        if np.all(step < xatol):
-            j = int(np.argmax(top))
-            return x[j], float(top[j])
+            vals = np.where(np.isfinite(vals), vals, -np.inf)
+            best = np.argmax(vals, axis=1)
+            x, top = trial[rows, best], vals[rows, best]
+            step = np.where(best == 0, 0.5 * step, step)
+            if np.all(step < xatol):
+                j = int(np.argmax(top))
+                return x[j], float(top[j])
 
 
 # the centre first, then its eight neighbours on the square around it
@@ -197,12 +233,25 @@ _DISK_STENCIL = np.array([0j] + [complex(a, b) for a in (-1, 0, 1) for b in (-1,
 _ANGLE_STENCIL = np.array([0.0, -1.0, 1.0])
 
 
+def _top_four(vals: np.ndarray) -> np.ndarray:
+    """``np.argsort(vals, kind="stable")[::-1][:4]``, sorting only the values at or above the fourth largest.
+
+    The full stable sort puts every smaller value first, so its last four
+    indices are those of the stable sort of the rest, ties included.  Values
+    that are not all finite take the full sort.
+    """
+    if vals.size > 4 and np.isfinite(vals).all():
+        rest = np.flatnonzero(vals >= np.partition(vals, -4)[-4])
+        return rest[np.argsort(vals[rest], kind="stable")[::-1][:4]]
+    return np.argsort(vals, kind="stable")[::-1][:4]
+
+
 def bloch_seminorm(f, grid: DiskGrid) -> SupEstimate:
     """``sup (1 - |z|^2) |f'(z)|``: grid max plus local polish (lower bound)."""
     pts = grid.points
     vals = grid.one_minus * np.abs(f.deriv(pts))
     base = _grid_max(vals, pts)
-    starts = pts[np.argsort(vals, kind="stable")[::-1][:4]]
+    starts = pts[_top_four(vals)]
 
     def field(w):
         m = np.abs(w)
@@ -244,14 +293,28 @@ def hinf_norm(f, grid: DiskGrid) -> SupEstimate:
 
 def commutator_seminorm(
     kind: OperatorKind, phi, g, f, grid: DiskGrid, fields: FieldSet | None = None
-) -> SupEstimate:
+) -> SupEstimate | list[SupEstimate]:
     """Grid max of ``(1 - |z|^2) |d/dz commutator|`` (pure grid, no polish).
 
-    ``fields`` holds the samples of ``(phi, g)`` on ``grid``; without it the
-    pair is sampled here.  Either way only ``f`` is evaluated per call, and
-    only on the first call with this ``f`` and ``kind`` on this map side.
+    ``f`` is one test function, or a family of them as a list or tuple, whose
+    estimates come back as a list from one array pass: the map side's
+    factors, stacked, times the pair's jump, with one argmax per row.  Each
+    row equals the call on its function alone, bit for bit.  ``fields``
+    holds the samples of ``(phi, g)`` on ``grid``; without it the pair is
+    sampled here.  Either way only the test functions are evaluated per
+    call, and only on the first call with each function and ``kind`` on
+    this map side.
     """
+    family = f if isinstance(f, (list, tuple)) else [f]
     s = FieldSet(phi, g, grid) if fields is None else fields
     s.check_pair(phi, g, grid)
-    vals = grid.one_minus * np.abs(_commutator_derivative(kind, s, f))
-    return _grid_max(vals, grid.points)
+    jump = _jump(kind, s)
+    if not family:
+        return []
+    # in place, so that a pass allocates two family-sized arrays, not four
+    factors = np.stack([s.map_side.factor(kind, fn) for fn in family])
+    vals = np.abs(np.multiply(factors, jump, out=factors))
+    vals *= grid.one_minus
+    best = np.argmax(vals, axis=1)  # the first maximizer per row, as in _grid_max
+    out = [SupEstimate(float(v[j]), complex(grid.points[j])) for v, j in zip(vals, best)]
+    return out if family is f else out[0]

@@ -49,7 +49,6 @@ from .diskgeom import (
     DiskGrid,
     make_grid,
     schwarz_pick_modulus_bound,
-    shell_for_modulus,
     shell_maxima,
     shell_radius,
     validate_self_map,
@@ -179,7 +178,7 @@ def run_suite(suite: str = "all", name_filter: str | None = None) -> list[CheckR
 def _keep_freed_heap() -> None:
     """Let glibc keep freed memory in this worker instead of returning it.
 
-    Quadrature allocates and frees a ``(16, n)`` temporary per panel; with
+    Quadrature allocates and frees a ``(21, n)`` temporary per panel; with
     the defaults glibc trims the heap or unmaps each block, and the next
     panel faults the pages in again.  A trim threshold of 1 GiB and an mmap
     threshold of 32 MiB (glibc's 64-bit cap) keep the pages mapped.  Without
@@ -521,7 +520,8 @@ def _chain_margins(op, kind, f_corpus, norm, max_shell=DEFAULT_MAX_SHELL, keep=N
     the violations, the min margin and the number of pairs checked.
     """
     default_grid = make_grid()
-    tests = [(f, float(norm(f, default_grid))) for f in map(analytic, f_corpus)]
+    family = [analytic(src) for src in f_corpus]
+    norms = [float(norm(f, default_grid)) for f in family]
     grid = make_grid(max_shell)
     symbols = [SymbolFields(analytic(src), grid) for src in G_CORPUS]
     min_margin = math.inf
@@ -535,9 +535,9 @@ def _chain_margins(op, kind, f_corpus, norm, max_shell=DEFAULT_MAX_SHELL, keep=N
                 continue
             pairs += 1
             sup = fields.report(kind, "phi").sup_value
-            for f, f_norm in tests:
-                lhs = float(commutator_seminorm(op, phi, g, f, grid, fields=fields))
-                margin = sup * f_norm + CHAIN_TOL - lhs
+            seminorms = commutator_seminorm(op, phi, g, family, grid, fields=fields)
+            for f_norm, lhs in zip(norms, seminorms):
+                margin = sup * f_norm + CHAIN_TOL - lhs.value
                 min_margin = min(min_margin, margin)
                 violations += margin < 0
     return violations, min_margin, pairs
@@ -581,28 +581,23 @@ def _necessity_peak_lower_bound():
     for phi_src in TEN_MAP_PANEL:
         map_side = MapFields(validate_self_map(analytic(phi_src), grid), grid)
         phi = map_side.phi
-        shells = shell_for_modulus(np.abs(map_side.w), grid.max_shell)
-        outer = int(shells.max())
-        witnesses = grid.points[shells == outer]
+        # the outermost |phi| shell's points, in grid order
+        segments, _ = map_side.phi_shells
+        order = np.arange(grid.size) if segments.order is None else segments.order
+        witnesses = grid.points[order[segments.starts[-1]:]]
         stride = max(1, math.ceil(witnesses.size / 64))
         witnesses = DiskGrid(witnesses[::stride])
         at_witnesses = MapFields(phi, witnesses)
-        peaks = []
-        for w in witnesses.points:
-            a = complex(phi(complex(w)))
-            peaks.append((a, make_test_fn(PeakH(a))))
+        images = [complex(phi(complex(w))) for w in witnesses.points]
+        peaks = [make_test_fn(PeakH(a)) for a in images]
         for symbol in symbols:
             fields = FieldSet.from_sides(map_side, symbol)
             g = symbol.g
             ki = FieldSet.from_sides(at_witnesses, SymbolFields(g, witnesses)).values(CriterionKind.KI)
-            for (a, peak), ki_w in zip(peaks, ki):
-                lhs = float(
-                    commutator_seminorm(
-                        OperatorKind.COMMUTATOR_I, phi, g, peak, grid, fields=fields
-                    )
-                )
+            seminorms = commutator_seminorm(OperatorKind.COMMUTATOR_I, phi, g, peaks, grid, fields=fields)
+            for a, lhs, ki_w in zip(images, seminorms, ki):
                 rhs = abs(a) * float(ki_w) - NECESSITY_TOL
-                margin = lhs - rhs
+                margin = lhs.value - rhs
                 min_margin = min(min_margin, margin)
                 violations += margin < 0
                 checked += 1
@@ -737,8 +732,7 @@ def _schwarz_pick_random_maps():
     grid = make_grid()
     worst = -math.inf
     for src in _random_self_map_sources(100, rng):
-        phi = validate_self_map(analytic(src), grid)
-        worst = max(worst, float(np.max(MapFields(phi, grid).phi_sharp)))
+        worst = max(worst, float(np.max(MapFields.validated(analytic(src), grid).phi_sharp)))
     passed = worst <= 1.0 + 1e-12
     return (
         passed,
@@ -770,9 +764,9 @@ def _modulus_bound_panel():
     worst = -math.inf
     sources = list(TEN_MAP_PANEL) + _random_self_map_sources(100, rng)
     for src in sources:
-        phi = validate_self_map(analytic(src), grid)
-        actual = np.abs(phi(grid.points))
-        bound = schwarz_pick_modulus_bound(phi, grid.points)
+        side = MapFields.validated(analytic(src), grid)
+        actual = np.abs(side.w)
+        bound = schwarz_pick_modulus_bound(side.phi, grid.points)
         worst = max(worst, float(np.max(actual - bound)))
     passed = worst <= 1e-12
     return (

@@ -169,6 +169,24 @@ def test_validate_rejects_map_that_is_nan_on_the_grid(default_grid):
     assert np.isnan(excinfo.value.modulus)
 
 
+def test_a_validated_map_side_keeps_validations_samples(grid6):
+    """MapFields.validated: the same SelfMap as validate_self_map, validation's samples as w,
+    and the same refusal with the same witness."""
+    for src in ("z/2", "mobius(0.5)", "0.5+0.25i"):
+        side = MapFields.validated(analytic(src), grid6)
+        phi = validate_self_map(analytic(src), grid6)
+        assert (side.phi.sup_modulus_estimate, side.phi.is_automorphism) == (
+            phi.sup_modulus_estimate, phi.is_automorphism)
+        assert np.array_equal(side.w, phi(grid6.points))
+        assert np.array_equal(side.phi_sharp, MapFields(phi, grid6).phi_sharp)
+    for src in ("2*z", "z+1", "i"):
+        with pytest.raises(NotASelfMap) as refused:
+            MapFields.validated(analytic(src), grid6)
+        with pytest.raises(NotASelfMap) as expected:
+            validate_self_map(analytic(src), grid6)
+        assert str(refused.value) == str(expected.value)
+
+
 # --------------------------------------------------------------------------
 # hyperbolic derivative and modulus bounds
 

@@ -32,7 +32,17 @@ from blochlab import (
     make_grid,
 )
 from blochlab.criteria import FieldSet, MapFields, SymbolFields
-from blochlab.operators import QUAD_TOL, _integrate_radial
+from blochlab import operators
+from blochlab.operators import (
+    _G10_WEIGHTS,
+    _GK_NODES,
+    _K21_WEIGHTS,
+    QUAD_MAX_PANELS,
+    QUAD_TOL,
+    _integrate_radial,
+    _top_four,
+)
+from blochlab.verify import _identity_triples, _subsample
 from blochlab.testfns import PeakH, make_test_fn
 
 POINTS = [0.3, -0.4 + 0.2j, 0.7j, 0.55 - 0.35j]
@@ -123,7 +133,7 @@ def test_smooth_point_is_not_refined_for_a_steep_one():
     [("log(2/(1-0.999*z))", "mobius(0.5)"), ("z^3-z+0.5", "exp(z)"), ("mobius(0.3i)", "z^2")],
 )
 def test_batched_points_match_each_point_alone(g_src, f_src):
-    # not bit-for-bit: the Gauss-Legendre mat-vec rounds differently per batch width
+    # not bit-for-bit: the Kronrod mat-vec rounds differently per batch width
     g, f = analytic(g_src), analytic(f_src)
     radii = np.linspace(0.02, 0.95, 60)
     pts = radii * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 60, endpoint=False))
@@ -131,6 +141,86 @@ def test_batched_points_match_each_point_alone(g_src, f_src):
         batch = _integrate_radial(h, pts)
         alone = np.array([_integrate_radial(h, complex(p)) for p in pts])
         assert np.max(np.abs(batch - alone)) <= 1e-15
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def _gauss_legendre_reference(h, z):
+    """The former rule: 16-point Gauss-Legendre on a panel and on each half, bisected per point."""
+    zv = np.atleast_1d(np.asarray(z, dtype=complex))
+
+    def seg(a, b, idx):
+        t = 0.5 * (a + b) + 0.5 * (b - a) * _GL_NODES
+        zi = zv[idx]
+        vals = np.broadcast_to(np.asarray(h(t[:, None] * zi[None, :]), dtype=complex), (16, zi.size))
+        return 0.5 * (b - a) * (_GL_WEIGHTS @ vals) * zi
+
+    total, leaves, pending = np.zeros_like(zv), np.zeros(zv.size, dtype=int), np.ones(zv.size, dtype=int)
+    every = np.arange(zv.size)
+    stack = [(0.0, 1.0, every, seg(0.0, 1.0, every))]
+    while stack:
+        a, b, idx, whole = stack.pop()
+        pending[idx] -= 1
+        m = 0.5 * (a + b)
+        left, right = seg(a, m, idx), seg(m, b, idx)
+        ok = np.abs(whole - left - right) <= QUAD_TOL * (b - a)
+        done = idx[ok]
+        total[done] = total[done] + left[ok] + right[ok]
+        leaves[done] += 2
+        rest = idx[~ok]
+        assert not np.any(leaves[rest] + 2 * (pending[rest] + 2) > QUAD_MAX_PANELS)
+        pending[rest] += 2
+        if rest.size:
+            stack.append((m, b, rest, right[~ok]))
+            stack.append((a, m, rest, left[~ok]))
+    return total
+
+
+#: agreement of the Kronrod rule with the Gauss-Legendre reference, fixed before measuring
+#: (measured: 2.0e-15 on the identity triples, 6.3e-16 on the batched cases)
+REFERENCE_TOL = 1e-13
+
+
+@pytest.mark.parametrize(
+    "g_src, f_src",
+    [("log(2/(1-0.999*z))", "mobius(0.5)"), ("z^3-z+0.5", "exp(z)"), ("mobius(0.3i)", "z^2")],
+)
+def test_kronrod_rule_matches_the_gauss_legendre_reference(g_src, f_src):
+    g, f = analytic(g_src), analytic(f_src)
+    radii = np.linspace(0.02, 0.95, 60)
+    pts = radii * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 60, endpoint=False))
+    for h in (lambda u: f(u) * g.deriv(u), lambda u: f.deriv(u) * g(u)):
+        assert np.max(np.abs(_integrate_radial(h, pts) - _gauss_legendre_reference(h, pts))) <= REFERENCE_TOL
+
+
+def test_kronrod_rule_matches_the_reference_on_the_identity_triples(monkeypatch, self_map):
+    """Both integrals of both commutators at the identity check's 1,000 points, for its 20 triples."""
+    grid = make_grid(6)
+    pts = _subsample(grid.points, 1000)
+    worst = 0.0
+    for phi_src, g_src, f_src in _identity_triples():
+        phi, g, f = self_map(phi_src, grid), analytic(g_src), analytic(f_src)
+        for kind in OperatorKind:
+            kronrod = commutator_value(kind, phi, g, f, pts)
+            monkeypatch.setattr(operators, "_integrate_radial", _gauss_legendre_reference)
+            reference = commutator_value(kind, phi, g, f, pts)
+            monkeypatch.undo()
+            worst = max(worst, float(np.max(np.abs(kronrod - reference))))
+    assert 0.0 < worst <= REFERENCE_TOL
+
+
+def test_kronrod_constants_are_exact_to_their_degrees():
+    # K21 integrates polynomials through degree 31, G10 through degree 19, on [-1, 1]
+    x = _GK_NODES
+    assert abs(_K21_WEIGHTS @ x**30 - 2.0 / 31.0) <= 1e-15
+    assert abs(_G10_WEIGHTS @ x**18 - 2.0 / 19.0) <= 1e-15
+    assert abs(_K21_WEIGHTS @ x**31) <= 1e-15 and abs(_G10_WEIGHTS @ x**19) <= 1e-15
+    # G10 sits on the odd-numbered Kronrod nodes and weighs no other
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    assert np.allclose(x[1::2], nodes, rtol=0.0, atol=1e-15)
+    assert np.allclose(_G10_WEIGHTS[1::2], weights, rtol=0.0, atol=1e-15)
+    assert not np.any(_G10_WEIGHTS[::2])
 
 
 def test_one_failing_point_fails_the_batch():
@@ -191,13 +281,13 @@ class _CountingAwayFrom:
 @pytest.mark.parametrize("kind", [OperatorKind.COMMUTATOR_I, OperatorKind.COMMUTATOR_J])
 def test_constant_map_integrates_its_one_point_once(kind):
     # phi(z) = w for every z: the first integral samples f on [0, w) once,
-    # with 3 panels of 16 nodes; the second samples f only at w itself
+    # on one panel of 21 Kronrod nodes; the second samples f only at w itself
     w = 0.5 + 0.25j
     phi, g, f = analytic("0.5+0.25i"), analytic("log(2/(1-0.9*z))"), analytic("mobius(0.5)")
     z = make_grid(6, 64).points
     counting = _CountingAwayFrom(f, w)
     values = commutator_value(kind, phi, g, counting, z)
-    assert counting.count == 48
+    assert counting.count == 21
     assert values.shape == z.shape
     alone = np.array([commutator_value(kind, phi, g, f, complex(p)) for p in z[::7]])
     assert np.max(np.abs(values[::7] - alone)) <= 1e-15
@@ -272,6 +362,19 @@ def test_bloch_seminorm_polish_survives_a_pole_on_the_grid(grid6):
     assert est.value == np.inf and est.arg == 0.25
 
 
+def test_top_four_is_the_stable_argsort_head():
+    """The polish starts: the four largest values' indices in the full stable argsort's
+    reversed order, ties and non-finite values included."""
+    rng = np.random.default_rng(0)
+    for trial in range(2000):
+        vals = rng.integers(0, 4, size=int(rng.integers(1, 40))).astype(float)
+        if trial % 3 == 1:
+            vals = rng.normal(size=vals.size)
+        elif trial % 3 == 2:
+            vals[rng.integers(0, vals.size)] = (np.nan, np.inf, -np.inf)[trial % 9 // 3]
+        assert np.array_equal(_top_four(vals), np.argsort(vals, kind="stable")[::-1][:4])
+
+
 def test_hinf_norm_of_identity_hugs_boundary(grid6):
     value = float(hinf_norm(analytic("z"), grid6))
     assert 0.999 <= value <= 1.0 + 1e-12
@@ -334,6 +437,29 @@ def test_shared_samples_give_the_same_seminorm(grid6, self_map, fn):
                     direct = (1.0 - np.abs(pts) ** 2) * np.abs(np.broadcast_to(d, pts.shape))
                     j = int(np.argmax(direct))
                     assert shared == alone == SupEstimate(float(direct[j]), complex(pts[j]))
+
+
+def test_a_family_pass_equals_each_function_alone(grid6, self_map, fn):
+    """One call on a test-function family gives, row by row, each function's own call, bit for bit."""
+    symbols = [SymbolFields(fn(g_src), grid6) for g_src in G_CORPUS]
+    peaks = [make_test_fn(PeakH(0.9 * complex(math.cos(k), math.sin(k)))) for k in range(7)]
+    for phi_src in TEN_MAP_PANEL:
+        phi = self_map(phi_src)
+        map_side = MapFields(phi, grid6)
+        for symbol in symbols:
+            fields = FieldSet.from_sides(map_side, symbol)
+            for kind, corpus in ((OperatorKind.COMMUTATOR_I, BLOCH_F_CORPUS),
+                                 (OperatorKind.COMMUTATOR_J, HINF_F_CORPUS)):
+                family = [fn(src) for src in corpus] + peaks
+                rows = commutator_seminorm(kind, phi, symbol.g, family, grid6, fields=fields)
+                alone = [commutator_seminorm(kind, phi, symbol.g, f, grid6) for f in family]
+                assert rows == alone
+    phi, g = self_map("z/2"), analytic("z")
+    assert commutator_seminorm(OperatorKind.COMMUTATOR_I, phi, g, [], grid6) == []
+    one = commutator_seminorm(OperatorKind.COMMUTATOR_J, phi, g, (peaks[0],), grid6)
+    assert one == [commutator_seminorm(OperatorKind.COMMUTATOR_J, phi, g, peaks[0], grid6)]
+    with pytest.raises(ValueError, match="commutator kind"):
+        commutator_seminorm("volterra_j", phi, g, peaks, grid6)
 
 
 def test_shared_samples_evaluate_the_pair_once(monkeypatch, grid6, self_map):

@@ -31,6 +31,7 @@ from blochlab import (
     AnalyticFn,
     available_checks,
     make_grid,
+    operators,
     run_suite,
     verify,
 )
@@ -321,6 +322,41 @@ def test_rotation_check_samples_each_rotation_and_symbol_once(monkeypatch):
         expected.update({(g_src, "f'", "z"): 1, (g_src, "f'", "w"): 15})
     assert calls == expected
     assert sum(calls.values()) == 109
+
+
+_RANDOM_MAPS = verify._random_self_map_sources(100, np.random.default_rng(verify.SEED))
+
+
+@pytest.mark.parametrize("name, named", [
+    ("diskgeom.schwarz_pick_random_maps", _each(_RANDOM_MAPS, ("f", "z", 1), ("f'", "z", 1))),
+    ("diskgeom.modulus_bound_panel", _each(list(TEN_MAP_PANEL) + _RANDOM_MAPS, ("f", "z", 1))),
+], ids=["schwarz_pick_random_maps", "modulus_bound_panel"])
+def test_map_checks_sample_each_map_once(monkeypatch, name, named):
+    """Validation's samples of phi serve as the map side's: one phi call per map on the grid
+    (two when the check sampled phi again after validating it), and phi' once for phi#."""
+    grids, calls, few = _grid_calls(monkeypatch, name)
+    assert len(grids) == 1 and not few
+    assert calls == named
+
+
+def test_identity_check_samples_at_most_four_and_a_half_million_integrand_points(monkeypatch):
+    """21 samples per accepted panel where the old rule took 48 (16 on the panel, 16 on each half):
+    4,422,768 integrand samples (7,968,512 with Gauss-Legendre on a panel and its halves)."""
+    samples = [0]
+    integrate = operators._integrate_radial
+
+    def counting(h, z):
+        def sampled(u):
+            samples[0] += np.size(u)
+            return h(u)
+
+        return integrate(sampled, z)
+
+    monkeypatch.setattr(operators, "_integrate_radial", counting)
+    result = verify._run_check("operators.commutator_derivative_identity")
+    monkeypatch.undo()
+    assert _golden_row(result) == GOLDEN["operators.commutator_derivative_identity"]
+    assert 0 < samples[0] <= 4_500_000
 
 
 def test_unknown_suite_rejected():
