@@ -38,8 +38,8 @@ this grid.  The test function's factor in each derivative, ``phi' f'(phi)``
 or ``f(phi)``, reads no symbol, so the map side (``criteria.MapFields``)
 holds it once per test function and kind, under weak keys, and each pair
 multiplies it by its own jump, in the order the formulas above are written.
-``commutator_seminorm`` takes a whole family of test functions in one array
-pass, one function being a family of one.
+``commutator_seminorms`` takes a whole family of test functions in one array
+pass; ``commutator_seminorm`` is its family of one.
 """
 
 from __future__ import annotations
@@ -233,25 +233,12 @@ _DISK_STENCIL = np.array([0j] + [complex(a, b) for a in (-1, 0, 1) for b in (-1,
 _ANGLE_STENCIL = np.array([0.0, -1.0, 1.0])
 
 
-def _top_four(vals: np.ndarray) -> np.ndarray:
-    """``np.argsort(vals, kind="stable")[::-1][:4]``, sorting only the values at or above the fourth largest.
-
-    The full stable sort puts every smaller value first, so its last four
-    indices are those of the stable sort of the rest, ties included.  Values
-    that are not all finite take the full sort.
-    """
-    if vals.size > 4 and np.isfinite(vals).all():
-        rest = np.flatnonzero(vals >= np.partition(vals, -4)[-4])
-        return rest[np.argsort(vals[rest], kind="stable")[::-1][:4]]
-    return np.argsort(vals, kind="stable")[::-1][:4]
-
-
 def bloch_seminorm(f, grid: DiskGrid) -> SupEstimate:
     """``sup (1 - |z|^2) |f'(z)|``: grid max plus local polish (lower bound)."""
     pts = grid.points
     vals = grid.one_minus * np.abs(f.deriv(pts))
     base = _grid_max(vals, pts)
-    starts = pts[_top_four(vals)]
+    starts = pts[np.argsort(vals, kind="stable")[::-1][:4]]
 
     def field(w):
         m = np.abs(w)
@@ -293,28 +280,33 @@ def hinf_norm(f, grid: DiskGrid) -> SupEstimate:
 
 def commutator_seminorm(
     kind: OperatorKind, phi, g, f, grid: DiskGrid, fields: FieldSet | None = None
-) -> SupEstimate | list[SupEstimate]:
+) -> SupEstimate:
     """Grid max of ``(1 - |z|^2) |d/dz commutator|`` (pure grid, no polish).
 
-    ``f`` is one test function, or a family of them as a list or tuple, whose
-    estimates come back as a list from one array pass: the map side's
-    factors, stacked, times the pair's jump, with one argmax per row.  Each
-    row equals the call on its function alone, bit for bit.  ``fields``
-    holds the samples of ``(phi, g)`` on ``grid``; without it the pair is
-    sampled here.  Either way only the test functions are evaluated per
-    call, and only on the first call with each function and ``kind`` on
-    this map side.
+    ``fields`` holds the samples of ``(phi, g)`` on ``grid``; without it
+    the pair is sampled here.  Either way only ``f`` is evaluated per call,
+    and only on the first call with ``f`` and ``kind`` on this map side.
     """
-    family = f if isinstance(f, (list, tuple)) else [f]
+    return commutator_seminorms(kind, phi, g, [f], grid, fields)[0]
+
+
+def commutator_seminorms(
+    kind: OperatorKind, phi, g, family, grid: DiskGrid, fields: FieldSet | None = None
+) -> list[SupEstimate]:
+    """:func:`commutator_seminorm` of each test function in ``family``, from one array pass.
+
+    The map side's factors, stacked, times the pair's jump, with one argmax
+    per row; each row equals the call on its function alone, bit for bit.
+    """
     s = FieldSet(phi, g, grid) if fields is None else fields
     s.check_pair(phi, g, grid)
     jump = _jump(kind, s)
     if not family:
         return []
-    # in place, so that a pass allocates two family-sized arrays, not four
-    factors = np.stack([s.map_side.factor(kind, fn) for fn in family])
+    # complex, so that the product goes in place (a real map's factor of a real
+    # test function is real); a pass allocates two family-sized arrays, not four
+    factors = np.stack([s.map_side.factor(kind, fn) for fn in family], dtype=complex)
     vals = np.abs(np.multiply(factors, jump, out=factors))
     vals *= grid.one_minus
     best = np.argmax(vals, axis=1)  # the first maximizer per row, as in _grid_max
-    out = [SupEstimate(float(v[j]), complex(grid.points[j])) for v, j in zip(vals, best)]
-    return out if family is f else out[0]
+    return [SupEstimate(float(v[j]), complex(grid.points[j])) for v, j in zip(vals, best)]

@@ -75,7 +75,7 @@ from .operators import (
     apply_Jg,
     bloch_seminorm,
     commutator_derivative,
-    commutator_seminorm,
+    commutator_seminorms,
     commutator_value,
     hinf_norm,
 )
@@ -527,7 +527,7 @@ def _chain_margins(op, kind, f_corpus, norm, max_shell=DEFAULT_MAX_SHELL, keep=N
     min_margin = math.inf
     violations = pairs = 0
     for phi_src in TEN_MAP_PANEL:
-        map_side = MapFields(validate_self_map(analytic(phi_src), grid), grid)
+        map_side = MapFields.validated(analytic(phi_src), grid)
         for symbol in symbols:
             fields = FieldSet.from_sides(map_side, symbol)
             phi, g = fields.phi, fields.g
@@ -535,7 +535,7 @@ def _chain_margins(op, kind, f_corpus, norm, max_shell=DEFAULT_MAX_SHELL, keep=N
                 continue
             pairs += 1
             sup = fields.report(kind, "phi").sup_value
-            seminorms = commutator_seminorm(op, phi, g, family, grid, fields=fields)
+            seminorms = commutator_seminorms(op, phi, g, family, grid, fields=fields)
             for f_norm, lhs in zip(norms, seminorms):
                 margin = sup * f_norm + CHAIN_TOL - lhs.value
                 min_margin = min(min_margin, margin)
@@ -579,7 +579,7 @@ def _necessity_peak_lower_bound():
     violations = 0
     checked = 0
     for phi_src in TEN_MAP_PANEL:
-        map_side = MapFields(validate_self_map(analytic(phi_src), grid), grid)
+        map_side = MapFields.validated(analytic(phi_src), grid)
         phi = map_side.phi
         # the outermost |phi| shell's points, in grid order
         segments, _ = map_side.phi_shells
@@ -594,7 +594,7 @@ def _necessity_peak_lower_bound():
             fields = FieldSet.from_sides(map_side, symbol)
             g = symbol.g
             ki = FieldSet.from_sides(at_witnesses, SymbolFields(g, witnesses)).values(CriterionKind.KI)
-            seminorms = commutator_seminorm(OperatorKind.COMMUTATOR_I, phi, g, peaks, grid, fields=fields)
+            seminorms = commutator_seminorms(OperatorKind.COMMUTATOR_I, phi, g, peaks, grid, fields=fields)
             for a, lhs, ki_w in zip(images, seminorms, ki):
                 rhs = abs(a) * float(ki_w) - NECESSITY_TOL
                 margin = lhs.value - rhs
@@ -747,7 +747,7 @@ def _schwarz_automorphism_equality():
     grid = make_grid()
     worst = 0.0
     for src in AUTOMORPHISM_PANEL:
-        sharp = MapFields(validate_self_map(analytic(src), grid), grid).phi_sharp
+        sharp = MapFields.validated(analytic(src), grid).phi_sharp
         worst = max(worst, float(np.max(np.abs(sharp - 1.0))))
     passed = worst <= 1e-9
     return (
@@ -842,7 +842,7 @@ def _bounded_implies_chain():
 @_check("criteria.rigidity_nonconstant_g", "theorems")
 def _rigidity_nonconstant_g():
     grid = make_grid()
-    automorphisms = [(src, MapFields(validate_self_map(analytic(src), grid), grid))
+    automorphisms = [(src, MapFields.validated(analytic(src), grid))
                      for src in AUTOMORPHISM_PANEL]
     symbols = {src: SymbolFields(analytic(src), grid) for src in G_CORPUS}
     problems = []
@@ -880,7 +880,7 @@ def _rigidity_nonconstant_g():
 @_check("criteria.little_bloch_sufficiency", "theorems")
 def _little_bloch_sufficiency():
     grid = make_grid(16)
-    maps = [(src, MapFields(validate_self_map(analytic(src), grid), grid)) for src in TEN_MAP_PANEL]
+    maps = [(src, MapFields.validated(analytic(src), grid)) for src in TEN_MAP_PANEL]
     symbols = {src: SymbolFields(analytic(src), grid)
                for src in dict.fromkeys(G_CORPUS + POLYNOMIAL_G_CORPUS)}
     members = [src for src, symbol in symbols.items()
@@ -947,9 +947,9 @@ def _hospital_ratio_panel():
     min_margin = math.inf
     failures = []
     for src in TEN_MAP_PANEL + ROTATION_PANEL:
-        phi = validate_self_map(analytic(src), grid)
-        ratio = np.log(2.0 / MapFields(phi, grid).one_minus_w) / den
-        s = abs(complex(phi(0.0)))
+        side = MapFields.validated(analytic(src), grid)
+        ratio = np.log(2.0 / side.one_minus_w) / den
+        s = abs(complex(side.phi(0.0)))
         max_excess = max(shell_max - (1.0 + _hospital_slack(k, s))
                          for k, shell_max in shell_maxima(ratio, grid.segments))
         min_margin = min(min_margin, -max_excess)
@@ -977,7 +977,7 @@ def _rotation_average_coherence():
     # a_n are recovered from circle samples.  The inequality is checked for
     # |z| <= 0.75, where the degree-capped truncation tail is negligible.
     grid = make_grid()
-    rotations = [(t, MapFields(validate_self_map(analytic(src), grid), grid))
+    rotations = [(t, MapFields.validated(analytic(src), grid))
                  for t, src in zip(ROTATION_ANGLES, ROTATION_PANEL)]
     inner = np.abs(grid.points) <= 0.75
     pts, one_minus = grid.points[inner], grid.one_minus[inner]

@@ -254,8 +254,8 @@ def _each(sources, *calls) -> collections.Counter:
     return out
 
 
-#: a validated map side: phi(z) in validation and once more, phi'(z) once
-_MAP = (("f", "z", 2), ("f'", "z", 1))
+#: a validated map side: phi(z) once, in validation, and phi'(z) once
+_MAP = (("f", "z", 1), ("f'", "z", 1))
 _TEN_MAPS = _each(TEN_MAP_PANEL, *_MAP)
 _KI_SYMBOLS = _each(G_CORPUS, ("f", "z", 1), ("f", "w", len(TEN_MAP_PANEL)))
 _KJ_SYMBOLS = _each(G_CORPUS, ("f'", "z", 1), ("f'", "w", len(TEN_MAP_PANEL)))
@@ -272,21 +272,21 @@ _WITNESSES = (_each(TEN_MAP_PANEL, ("f", "few", 1), ("f'", "few", 1))
 #: (check, its calls by a named function, peak functions each sampled once, total calls,
 #: its calls on smaller point sets)
 _PAIR_LOOP_CALLS = [
-    ("operators.chain_bound_I", _TEN_MAPS + _KI_SYMBOLS + _BLOCH_TESTS, 0, 195, {}),
+    ("operators.chain_bound_I", _TEN_MAPS + _KI_SYMBOLS + _BLOCH_TESTS, 0, 185, {}),
     # "w": each map's phi(z) and hinf_norm's circle, which is as large as the grid
     ("operators.chain_bound_J",
-     _TEN_MAPS + _KJ_SYMBOLS + _each(HINF_F_CORPUS, ("f", "z", 1), ("f", "w", 11)), 0, 201, {}),
-    ("criteria.bounded_implies_chain", _TEN_MAPS + _KI_SYMBOLS + _BLOCH_TESTS, 0, 195, {}),
-    ("criteria.necessity_peak_lower_bound", _TEN_MAPS + _KI_SYMBOLS, 602, 731, _WITNESSES),
+     _TEN_MAPS + _KJ_SYMBOLS + _each(HINF_F_CORPUS, ("f", "z", 1), ("f", "w", 11)), 0, 191, {}),
+    ("criteria.bounded_implies_chain", _TEN_MAPS + _KI_SYMBOLS + _BLOCH_TESTS, 0, 185, {}),
+    ("criteria.necessity_peak_lower_bound", _TEN_MAPS + _KI_SYMBOLS, 602, 721, _WITNESSES),
     ("criteria.little_bloch_sufficiency",
      _TEN_MAPS + _each(_ALL_SYMBOLS, ("f'", "z", 1))
      + _each([s for s in _ALL_SYMBOLS if s != _STEEP], ("f'", "w", len(TEN_MAP_PANEL))),
-     0, 152, {}),
+     0, 142, {}),
     # each non-constant symbol finds its witness at the first automorphism
     ("criteria.rigidity_nonconstant_g",
      _each(AUTOMORPHISM_PANEL, *_MAP) + _each(G_CORPUS, ("f", "z", 1))
      + _each(_CONSTANT, ("f", "w", len(AUTOMORPHISM_PANEL)))
-     + _each([s for s in G_CORPUS if s not in _CONSTANT], ("f", "w", 1)), 0, 56, {}),
+     + _each([s for s in G_CORPUS if s not in _CONSTANT], ("f", "w", 1)), 0, 48, {}),
 ]
 
 
@@ -296,9 +296,9 @@ def test_pair_loops_sample_each_map_symbol_and_test_function_once(monkeypatch, n
                                                                   peaks, total, witnesses):
     """Each map and each symbol once per check, each pair's compositions once, each test
     function once per map.  The two chain bounds, bounded_implies_chain,
-    necessity_peak_lower_bound and little_bloch_sufficiency make 1,474 grid-sized calls
-    (8,261 when each pair sampled both sides and each test function per pair); rigidity 56
-    (100).  necessity_peak_lower_bound makes 200 calls at its witnesses (360 when each pair
+    necessity_peak_lower_bound and little_bloch_sufficiency make 1,424 grid-sized calls
+    (1,474 when each map side sampled phi again after validating it, 8,261 when each pair
+    sampled both sides and each test function per pair); rigidity 48 (56, 100).  necessity_peak_lower_bound makes 200 calls at its witnesses (360 when each pair
     sampled its map there), and no other check calls on a smaller set of points."""
     _, calls, few = _grid_calls(monkeypatch, name)
     assert few == witnesses
@@ -310,9 +310,10 @@ def test_pair_loops_sample_each_map_symbol_and_test_function_once(monkeypatch, n
 
 
 def test_rotation_check_samples_each_rotation_and_symbol_once(monkeypatch):
-    """rotation_average_coherence: phi and phi' once per rotation (and its validation),
+    """rotation_average_coherence: phi (in its validation) and phi' once per rotation,
     g' once per symbol (B0 membership reads the shared side), g' o phi once per pair:
-    109 grid-sized expression calls (258 when each pair sampled both sides).  The
+    94 grid-sized expression calls (109 when each rotation's side sampled phi again after
+    validating it, 258 when each pair sampled both sides).  The
     averaging bound reads g' and 1-|z|^2 at its inner points from the symbol side and
     the grid, so no call is made on a smaller point set (4 when it sampled g' there)."""
     grids, calls, few = _grid_calls(monkeypatch, "harness.rotation_average_coherence")
@@ -321,7 +322,7 @@ def test_rotation_check_samples_each_rotation_and_symbol_once(monkeypatch):
     for g_src in ("z^2", "complex(0.25,-0.5)", "log(2/(1-0.9*z))", "log(2/(1-0.999*z))"):
         expected.update({(g_src, "f'", "z"): 1, (g_src, "f'", "w"): 15})
     assert calls == expected
-    assert sum(calls.values()) == 109
+    assert sum(calls.values()) == 94
 
 
 _RANDOM_MAPS = verify._random_self_map_sources(100, np.random.default_rng(verify.SEED))
