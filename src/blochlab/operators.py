@@ -295,18 +295,20 @@ def commutator_seminorms(
 ) -> list[SupEstimate]:
     """:func:`commutator_seminorm` of each test function in ``family``, from one array pass.
 
-    The map side's factors, stacked, times the pair's jump, with one argmax
-    per row; each row equals the call on its function alone, bit for bit.
+    Each row is the map side's factor times the pair's jump, and one argmax
+    per row reads it; each row equals the call on its function alone, bit
+    for bit.
     """
     s = FieldSet(phi, g, grid) if fields is None else fields
     s.check_pair(phi, g, grid)
     jump = _jump(kind, s)
-    if not family:
-        return []
-    # complex, so that the product goes in place (a real map's factor of a real
-    # test function is real); a pass allocates two family-sized arrays, not four
-    factors = np.stack([s.map_side.factor(kind, fn) for fn in family], dtype=complex)
-    vals = np.abs(np.multiply(factors, jump, out=factors))
+    # each product goes straight into its complex row, also where the factor is
+    # real (the identity's phi' times the f' of z or 1): a pass allocates two
+    # family-sized arrays and copies no factor
+    products = np.empty((len(family), grid.size), dtype=complex)
+    for row, fn in zip(products, family):
+        np.multiply(s.map_side.factor(kind, fn), jump, out=row)
+    vals = np.abs(products)
     vals *= grid.one_minus
     best = np.argmax(vals, axis=1)  # the first maximizer per row, as in _grid_max
     return [SupEstimate(float(v[j]), complex(grid.points[j])) for v, j in zip(vals, best)]
