@@ -61,6 +61,7 @@ from .diskgeom import (
     shell_maxima,
     shell_segments,
     sup_modulus_estimate,
+    symbol_samples,
     validate_self_map_samples,
 )
 
@@ -247,6 +248,11 @@ class MapFields:
         return 1.0 - np.abs(self.w) ** 2
 
     @cached_property
+    def log_factor(self):
+        """``ln(2 / (1 - |phi(z)|^2))``, the factor of ``KJlog`` over ``KJ``."""
+        return np.log(2.0 / self.one_minus_w)
+
+    @cached_property
     def dphi(self):
         return self.phi.deriv(self.grid.points)
 
@@ -289,6 +295,14 @@ class SymbolFields:
         self.g, self.grid = g, grid
         self._values: dict = {}
         self._reports: dict = {}
+
+    @classmethod
+    def validated(cls, fn, grid) -> "SymbolFields":
+        """The side of ``fn`` validated on ``grid`` as a symbol; validation's samples are its
+        :attr:`g_z` and :attr:`dg_z` (``diskgeom.symbol_samples``)."""
+        side = cls(fn, grid)
+        side.g_z, side.dg_z = symbol_samples(fn, grid)
+        return side
 
     @cached_property
     def g_z(self):
@@ -381,8 +395,7 @@ class FieldSet:
             elif kind is CriterionKind.KJ:
                 self._values[kind] = self.grid.one_minus * np.abs(self.dg_jump)
             else:
-                kj = self.values(CriterionKind.KJ)
-                self._values[kind] = kj * np.log(2.0 / self.map_side.one_minus_w)
+                self._values[kind] = self.values(CriterionKind.KJ) * self.map_side.log_factor
         return self._values[kind]
 
     def report(self, kind: CriterionKind, bucket_by: str) -> CriterionReport:

@@ -262,20 +262,33 @@ def validate_symbol(fn: AnalyticFn, grid: DiskGrid) -> AnalyticFn:
     """Check that ``fn`` and ``fn'`` are finite at the origin and every grid point; return ``fn``.
 
     The origin is no grid point, but ``bloch_norm`` reads ``f(0)``: ``log(z)``
-    is finite on the whole grid and singular there.  The origin is evaluated
-    with the grid, through the array path, because Python complex division
-    raises at a pole where numpy gives inf.  Raises :class:`NotFiniteOnGrid`
-    with the first offending point (the origin first), value before derivative.
+    is finite on the whole grid and singular there.  Raises
+    :class:`NotFiniteOnGrid` as :func:`symbol_samples` does.
     """
-    pts = np.concatenate(([0j], grid.points))
-    for what, evaluate_at in (("f", fn), ("f'", fn.deriv)):
-        with np.errstate(all="ignore"):
-            values = evaluate_at(pts)
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            j = int(bad[0])
-            raise NotFiniteOnGrid(what, complex(pts[j]), complex(values[j]))
+    symbol_samples(fn, grid)
     return fn
+
+
+def symbol_samples(fn: AnalyticFn, grid: DiskGrid) -> tuple[np.ndarray, np.ndarray]:
+    """``fn`` and ``fn'`` at the grid's points, each checked finite there and at the origin.
+
+    The origin is evaluated as a one-point array, through the array path,
+    because Python complex division raises at a pole where numpy gives inf.
+    Raises :class:`NotFiniteOnGrid` with the first offending point (the
+    origin first), value before derivative.
+    """
+    origin = np.zeros(1, dtype=complex)
+    samples = []
+    for what, evaluate_at in (("f", fn), ("f'", fn.deriv)):
+        for pts in (origin, grid.points):
+            with np.errstate(all="ignore"):
+                values = evaluate_at(pts)
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                j = int(bad[0])
+                raise NotFiniteOnGrid(what, complex(pts[j]), complex(values[j]))
+        samples.append(values)
+    return samples[0], samples[1]
 
 
 def schwarz_pick_modulus_bound(phi, z):

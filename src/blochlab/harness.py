@@ -15,7 +15,9 @@ round-trip floats would be non-lossy too, but the fixed format makes byte
 identity across runs trivial to check).  The emitter looks each value's exact
 type up in a table of scalar renderers and walks only dicts, lists and tuples;
 a subclass (``np.float64`` is a float) renders as its base type and any other
-value as its quoted ``str``.  Each string key is quoted once per call.  A
+value as its quoted ``str``.  Each string key is quoted once per call.  A list
+of ``[int, finite float]`` lists (every report's ``shell_sups``) is rendered in
+one ``%`` operation, from a template built once per length and indent.  A
 report's ``invariants`` list is always empty; it keeps the schema's shape.  CSV
 output is reserved for sweep results, one row per (phi, g, theorem) case.
 
@@ -34,6 +36,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .config import read_config
@@ -52,11 +55,8 @@ from .diskgeom import (
     DEFAULT_MAX_SHELL,
     NotASelfMap,
     NotFiniteOnGrid,
-    SelfMap,
     check_grid_range,
     make_grid,
-    validate_self_map,
-    validate_symbol,
 )
 from .exprdsl import ExprError, analytic
 
@@ -260,35 +260,33 @@ def run_classification(spec: ExperimentSpec) -> SuiteReport:
     start = time.perf_counter()
     grid = make_grid(spec.max_shell, spec.base_angular)
 
-    maps: dict[str, SelfMap | Exception] = {}
-    for src in spec.phi_exprs:
-        try:
-            maps[src] = validate_self_map(analytic(src), grid)
-        except (ExprError, NotASelfMap, ValueError) as exc:
-            maps[src] = exc
     # one symbol side per symbol, shared by every map paired with it
     symbols: dict[str, SymbolFields | Exception] = {}
     for src in spec.g_exprs:
         try:
-            symbols[src] = SymbolFields(validate_symbol(analytic(src), grid), grid)
+            symbols[src] = SymbolFields.validated(analytic(src), grid)
         except (ExprError, NotFiniteOnGrid) as exc:
             symbols[src] = exc
 
     cases = []
     for phi_src in spec.phi_exprs:
-        phi = maps[phi_src]
-        # one map side per map, shared by its pairs and dropped before the next map's
-        map_side = MapFields(phi, grid)
+        # one map side per map, validated in its turn and shared by its pairs; the
+        # previous map's side and set go before this map is sampled
+        map_side = fields = None
+        try:
+            map_side = MapFields.validated(analytic(phi_src), grid)
+        except (ExprError, NotASelfMap, ValueError) as exc:
+            map_side = exc
         for g_src in spec.g_exprs:
             symbol = symbols[g_src]
-            if isinstance(phi, Exception) or isinstance(symbol, Exception):
-                error = f"phi: {phi}" if isinstance(phi, Exception) else f"g: {symbol}"
+            if isinstance(map_side, Exception) or isinstance(symbol, Exception):
+                error = f"phi: {map_side}" if isinstance(map_side, Exception) else f"g: {symbol}"
                 cases.extend(CaseResult(t, phi_src, g_src, error=error) for t in spec.theorem_ids)
                 continue
             fields = FieldSet.from_sides(map_side, symbol)
             for theorem_id in spec.theorem_ids:
                 try:
-                    verdict = classify(theorem_id, phi, symbol.g, grid, spec.thresholds, fields)
+                    verdict = classify(theorem_id, map_side.phi, symbol.g, grid, spec.thresholds, fields)
                     cases.append(CaseResult(theorem_id, phi_src, g_src, verdict=verdict))
                 except (PreconditionFailed, ValueError) as exc:
                     cases.append(CaseResult(theorem_id, phi_src, g_src, error=str(exc)))
@@ -328,6 +326,29 @@ def _other_text(obj) -> str:
     return encode_basestring_ascii(str(obj))
 
 
+def _pair_list_text(obj: list, pad: str, templates: dict) -> str | None:
+    """Text of a list of ``[int, finite float]`` lists at indent ``pad``, or None for any other list.
+
+    The text comes from one ``%``-template per (length, indent), filled from
+    the flattened pairs: ``%d`` is ``int.__repr__`` for an exact ``int`` and
+    ``%.17g`` is ``format(x, ".17g")``, so the bytes are the writer's.  Only
+    exact types qualify (a ``bool`` or ``np.float64`` goes to the writer).
+    """
+    if set(map(type, obj)) != {list} or set(map(len, obj)) != {2}:
+        return None
+    ks, xs = zip(*obj)
+    if set(map(type, ks)) != {int} or set(map(type, xs)) != {float} or not math.isfinite(sum(xs)):
+        return None  # a sum that overflows sends finite reals to the writer, too
+    template = templates.get((len(obj), pad))
+    if template is None:
+        inner, item_pad = pad + "  ", pad + "    "
+        pair = "[\n" + item_pad + "%d,\n" + item_pad + "%.17g\n" + inner + "]"
+        template = templates[len(obj), pad] = (
+            "[\n" + inner + (",\n" + inner).join([pair] * len(obj)) + "\n" + pad + "]"
+        )
+    return template % tuple(chain.from_iterable(obj))
+
+
 def to_json(payload: dict) -> str:
     """Deterministic JSON with every finite real at 17 significant digits.
 
@@ -335,10 +356,13 @@ def to_json(payload: dict) -> str:
     that holds no dict at any depth (an evidence report, the thresholds) is
     rendered once per indent and call, and its text is reused wherever the
     same object appears again at that indent; the payload keeps each such
-    object, and so its id, alive for the whole call.
+    object, and so its id, alive for the whole call.  A list of
+    ``[int, finite float]`` lists is one format call (:func:`_pair_list_text`);
+    every other list goes through the writer.
     """
     keys: dict[str, str] = {}  # each distinct key is encoded once per call
     texts: dict[tuple[int, str], str] = {}  # (id, indent) of a dict holding no dict -> its text
+    templates: dict[tuple[int, str], str] = {}  # (length, indent) of a pair list -> its template
     scalar = _SCALAR_TEXT.get
     out: list[str] = []
     put = out.append
@@ -381,6 +405,11 @@ def to_json(payload: dict) -> str:
             if not obj:
                 put("[]")
                 return
+            if type(obj) is list and type(obj[0]) is list:
+                text = _pair_list_text(obj, pad, templates)
+                if text is not None:
+                    put(text)
+                    return
             sep = "[\n" + inner
             for value in obj:
                 render = scalar(type(value))

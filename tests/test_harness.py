@@ -7,6 +7,7 @@ import json
 import math
 import re
 import tracemalloc
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import pytest
@@ -348,6 +349,144 @@ def test_json_emission_peak_memory_is_at_most_two_and_a_half_outputs(panel6_repo
     assert peak <= 2.5 * len(text), peak / len(text)
 
 
+def _float_text_reference(x):
+    return format(x, ".17g") if math.isfinite(x) else json.dumps(x)
+
+
+_SCALAR_TEXT_REFERENCE = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text_reference,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _other_text_reference(obj):
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _float_text_reference(obj)
+    return encode_basestring_ascii(str(obj))
+
+
+def _to_json_reference(payload):
+    """The former emitter: every list, the shell lists too, through the recursive writer."""
+    keys, texts, out = {}, {}, []
+    scalar, put = _SCALAR_TEXT_REFERENCE.get, out.append
+    dicts = 0
+
+    def write(obj, pad):
+        nonlocal dicts
+        inner = pad + "  "
+        if isinstance(obj, dict):
+            dicts += 1
+            if not obj:
+                put("{}")
+                return
+            text = texts.get((id(obj), pad))
+            if text is not None:
+                put(text)
+                return
+            start, seen = len(out), dicts
+            sep = "{\n" + inner
+            for key, value in obj.items():
+                if type(key) is not str:
+                    key_text = encode_basestring_ascii(str(key)) + ": "
+                elif key in keys:
+                    key_text = keys[key]
+                else:
+                    key_text = keys[key] = encode_basestring_ascii(key) + ": "
+                render = scalar(type(value))
+                if render is not None:
+                    put(sep + key_text + render(value))
+                else:
+                    put(sep + key_text)
+                    write(value, inner)
+                sep = ",\n" + inner
+            put("\n" + pad + "}")
+            if dicts == seen:
+                text = texts[id(obj), pad] = "".join(out[start:])
+                del out[start:]
+                put(text)
+        elif isinstance(obj, (list, tuple)):
+            if not obj:
+                put("[]")
+                return
+            sep = "[\n" + inner
+            for value in obj:
+                render = scalar(type(value))
+                if render is not None:
+                    put(sep + render(value))
+                else:
+                    put(sep)
+                    write(value, inner)
+                sep = ",\n" + inner
+            put("\n" + pad + "]")
+        else:
+            put((scalar(type(obj)) or _other_text_reference)(obj))
+
+    write(payload, "")
+    put("\n")
+    return "".join(out)
+
+
+def test_json_equals_the_reference_writer_on_the_panel(panel6_report):
+    payload = panel6_report.to_dict(include_timing=False)
+    shell_lists = [r["shell_sups"] for row in payload["cases"] if "verdict" in row
+                   for r in row["verdict"]["evidence"]]
+    # every shell list takes the template path
+    assert all(harness._pair_list_text(sups, "", {}) is not None for sups in shell_lists)
+    assert to_json(payload) == _to_json_reference(payload)
+
+
+_PAIR = [[0, 0.1], [3, 2.5]]
+
+_PAIR_LIST_CASES = {
+    "pairs": (_PAIR, True),
+    "-0.0, a large int and a subnormal": ([[-1, -0.0], [10**30, 5e-324]], True),
+    "large finite reals": ([[1, 1.7976931348623157e308], [2, -1e-300]], True),
+    "finite reals whose sum overflows": ([[1, 1e308], [2, 1e308]], False),
+    "bool value": ([[1, True], [2, 0.5]], False),
+    "bool index": ([[True, 0.5]], False),
+    "both bool": ([[True, False]], False),
+    "np.float64 value": ([[1, np.float64(0.1)]], False),
+    "np.int64 index": ([[np.int64(1), 0.1]], False),
+    "nan": ([[1, 0.5], [2, math.nan]], False),
+    "inf": ([[1, math.inf]], False),
+    "-inf": ([[1, -math.inf], [2, 0.5]], False),
+    "ragged": ([[1, 0.5], [2]], False),
+    "three items": ([[1, 0.5, 2]], False),
+    "one-item pairs": ([[1], [2]], False),
+    "float index": ([[0.5, 0.5]], False),
+    "int value": ([[1, 2]], False),
+    "tuple items": ([(1, 0.5), (2, 0.25)], False),
+    "a tuple among lists": ([[1, 0.5], (2, 0.25)], False),
+    "tuple of pairs": (((1, 0.5), [2, 0.25]), False),
+    "empty item": ([[], [1, 0.5]], False),
+    "empty items": ([[], []], False),
+    "nested pair lists": ([[[1, 0.5]], [[2, 0.25]]], False),
+    "a pair of pair lists": ([_PAIR, _PAIR], False),
+    "a pair list as a pair's value": ([[1, _PAIR]], False),
+    "a dict item": ([{"k": 1}, [1, 0.5]], False),
+}
+
+
+@pytest.mark.parametrize("items, templated", _PAIR_LIST_CASES.values(), ids=_PAIR_LIST_CASES)
+def test_json_of_a_pair_list_equals_the_reference_writer(items, templated):
+    if isinstance(items, list):
+        assert (harness._pair_list_text(items, "", {}) is not None) is templated
+    # at the top, inside a dict, inside a list, and one object at several indents
+    for payload in (items, {"sups": items}, [items, {"a": {"b": items}}], {"x": [items, items]}):
+        assert to_json(payload) == _to_json_reference(payload)
+
+
+def test_json_of_pair_lists_of_many_lengths_and_indents_equals_the_reference_writer():
+    lists = [[[k, k / 7.0 - 1.0] for k in range(n)] for n in range(1, 20)]
+    payload = {"flat": lists, "deep": [{"d": {"sups": sups, "again": lists[-1]}} for sups in lists]}
+    assert to_json(payload) == _to_json_reference(payload)
+
+
 def test_json_report_parses_back(small_report):
     payload = json.loads(to_json(small_report.to_dict()))
     assert payload["schema"] == 1
@@ -390,20 +529,19 @@ def test_csv_has_one_row_per_case(small_report):
 
 
 def test_run_samples_each_formula_at_most_once_per_pair(monkeypatch):
-    """Over the panel's run: phi and phi' once per map, g and g' once per symbol,
-    g o phi and g' o phi once per pair, and 246 grid evaluations in all
-    (568 when each pair sampled both its map and its symbol)."""
+    """Over the panel's run: phi and phi' once per map (validation's samples of phi are
+    the side's), g and g' once per symbol at the origin and once on the grid (validation's
+    grid samples are the side's), g o phi and g' o phi once per pair, and 218 grid
+    evaluations in all (246 when each side sampled its map or symbol again after
+    validating it, 568 when each pair sampled both its map and its symbol)."""
     roles, calls = {}, collections.Counter()
     taken_on_grid = {}  # id of a grid sample -> (source, sample), held so ids stay unique
-    state = {"grid": None, "validating": False}
+    state = {"grid": None}
 
-    def validating(role, validate):
+    def validating(role, validated):
         def wrapper(fn, grid):
-            roles[fn], state["grid"], state["validating"] = (role, fn.source), grid, True
-            try:
-                return validate(fn, grid)
-            finally:
-                state["validating"] = False
+            roles[fn], state["grid"] = (role, fn.source), grid
+            return validated(fn, grid)
 
         return wrapper
 
@@ -411,11 +549,11 @@ def test_run_samples_each_formula_at_most_once_per_pair(monkeypatch):
         def wrapper(self, z):
             out = method(self, z)
             if np.ndim(z) > 0:
-                if state["validating"]:
-                    at = "validation"
-                elif z is state["grid"].points:
+                if z is state["grid"].points:
                     at = "grid"
                     taken_on_grid[id(out)] = (self.source, out)
+                elif np.size(z) == 1:
+                    at = "origin"  # a symbol's validation checks the origin on its own
                 else:
                     at = taken_on_grid[id(z)][0]  # g or g' at phi(z): the pair's map
                 calls[(roles[self], label, at)] += 1
@@ -425,8 +563,9 @@ def test_run_samples_each_formula_at_most_once_per_pair(monkeypatch):
 
     monkeypatch.setattr(AnalyticFn, "__call__", counting(AnalyticFn.__call__, "f"))
     monkeypatch.setattr(AnalyticFn, "deriv", counting(AnalyticFn.deriv, "f'"))
-    monkeypatch.setattr(harness, "validate_self_map", validating("phi", harness.validate_self_map))
-    monkeypatch.setattr(harness, "validate_symbol", validating("g", harness.validate_symbol))
+    monkeypatch.setattr(criteria.MapFields, "validated", validating("phi", criteria.MapFields.validated))
+    monkeypatch.setattr(criteria.SymbolFields, "validated",
+                        validating("g", criteria.SymbolFields.validated))
     spec = ExperimentSpec(
         phi_exprs=TEN_MAP_PANEL, g_exprs=G_CORPUS, theorem_ids=tuple(sorted(THEOREMS)), max_shell=6
     )
@@ -434,14 +573,13 @@ def test_run_samples_each_formula_at_most_once_per_pair(monkeypatch):
     monkeypatch.undo()
     expected = collections.Counter()
     for phi_src in spec.phi_exprs:
-        expected.update({(("phi", phi_src), "f", "validation"): 1,
-                         (("phi", phi_src), "f", "grid"): 1, (("phi", phi_src), "f'", "grid"): 1})
+        expected.update({(("phi", phi_src), "f", "grid"): 1, (("phi", phi_src), "f'", "grid"): 1})
     for g_src in spec.g_exprs:
         for label in ("f", "f'"):
             expected.update({(("g", g_src), label, at): 1
-                             for at in ("validation", "grid") + spec.phi_exprs})
+                             for at in ("origin", "grid") + spec.phi_exprs})
     assert calls == expected
-    assert sum(calls.values()) <= 246
+    assert sum(n for (_, _, at), n in calls.items() if at != "origin") <= 218
 
     # the reports of a symbol alone are one object across its maps
     shared = collections.defaultdict(set)

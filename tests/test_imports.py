@@ -108,3 +108,18 @@ print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_the_identity_check_loads_no_numpy_ma():
+    # np.unique imports numpy.ma (~15 ms), which a fresh pool worker would pay for
+    script = """
+import sys
+from blochlab import verify
+verify._run_check("operators.commutator_derivative_identity")
+print("numpy.ma" in sys.modules)
+"""
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -325,6 +325,20 @@ def test_rotation_check_samples_each_rotation_and_symbol_once(monkeypatch):
     assert sum(calls.values()) == 94
 
 
+def test_grid_monotonicity_samples_each_map_symbol_and_pair_once_per_grid(monkeypatch):
+    """grid_monotonicity on each of its five grids: phi (in its validation) and phi' once
+    per map, the symbol's own samples once per symbol, g o phi or g' o phi once per pair,
+    though z/2 serves three cases and (z/2, z) two: 60 grid-sized expression calls (110
+    when each case validated and sampled its map and symbol on each grid again)."""
+    grids, calls, few = _grid_calls(monkeypatch, "criteria.grid_monotonicity")
+    assert len(grids) == 5 and not few
+    per_grid = (_each(("z/2", "mobius(0.5)"), *_MAP)
+                + _each(("z", _STEEP), ("f", "z", 1), ("f'", "z", 1))
+                + _each(("z",), ("f", "w", 2)) + _each((_STEEP,), ("f", "w", 1), ("f'", "w", 1)))
+    assert calls == collections.Counter({key: 5 * n for key, n in per_grid.items()})
+    assert sum(calls.values()) == 60
+
+
 _RANDOM_MAPS = verify._random_self_map_sources(100, np.random.default_rng(verify.SEED))
 
 
