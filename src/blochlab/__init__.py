@@ -39,7 +39,6 @@ from .diskgeom import (
     pseudo_hyperbolic,
     schwarz_pick_modulus_bound,
     validate_self_map,
-    validate_symbol,
 )
 from .exprdsl import (
     AnalyticFn,
@@ -84,10 +83,8 @@ from .testfns import (
     InterpolationFamily,
     LogFw,
     MobiusAlpha,
-    OneMinusMobius,
     PeakH,
     ProductF,
-    Rotation,
     build_interpolation_family,
     make_test_fn,
     select_separated_subsequence,
@@ -118,7 +115,6 @@ __all__ = [
     "MobiusAlpha",
     "NotASelfMap",
     "NotFiniteOnGrid",
-    "OneMinusMobius",
     "OperatorKind",
     "POLYNOMIAL_G_CORPUS",
     "PeakH",
@@ -127,7 +123,6 @@ __all__ = [
     "QuadratureError",
     "ROTATION_PANEL",
     "ROUNDTRIP_CORPUS",
-    "Rotation",
     "SHRINKER_PANEL",
     "SelfMap",
     "SuiteReport",
@@ -170,5 +165,4 @@ __all__ = [
     "to_csv",
     "to_json",
     "validate_self_map",
-    "validate_symbol",
 ]

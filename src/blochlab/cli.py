@@ -23,13 +23,15 @@ from pathlib import Path
 from .config import Config, ConfigError, load_config
 from .criteria import (
     CriterionKind,
+    FieldSet,
+    MapFields,
     PHI_BOUNDARY_KINDS,
     PreconditionFailed,
+    SymbolFields,
     THEOREMS,
     classify,
-    evaluate_criterion,
 )
-from .diskgeom import NotASelfMap, NotFiniteOnGrid, make_grid, validate_self_map, validate_symbol
+from .diskgeom import NotASelfMap, NotFiniteOnGrid, make_grid
 from .exprdsl import ExprError, analytic
 from .harness import ExperimentSpec, run_classification, to_csv, to_json
 from .operators import OperatorKind, bloch_seminorm, commutator_seminorm, hinf_norm
@@ -84,18 +86,22 @@ def _analytic(source: str):
         raise UsageError(f"cannot parse {source!r}: {exc}") from exc
 
 
-def _symbol(source: str, grid):
+def _symbol(source: str, grid) -> SymbolFields:
     try:
-        return validate_symbol(_analytic(source), grid)
+        return SymbolFields.validated(_analytic(source), grid)
     except NotFiniteOnGrid as exc:
         raise UsageError(f"{source!r}: {exc}") from exc
 
 
-def _self_map(source: str, grid):
-    try:
-        return validate_self_map(_analytic(source), grid)
-    except NotASelfMap as exc:
-        raise UsageError(f"{source!r} is not a disk self-map: {exc}") from exc
+def _pair(args, grid) -> FieldSet:
+    """The validated sides of ``--phi`` (a side of no map without it) and ``--g``, joined."""
+    map_side = MapFields(None, grid)
+    if args.phi is not None:
+        try:
+            map_side = MapFields.validated(_analytic(args.phi), grid)
+        except NotASelfMap as exc:
+            raise UsageError(f"{args.phi!r} is not a disk self-map: {exc}") from exc
+    return FieldSet.from_sides(map_side, _symbol(args.g, grid))
 
 
 def _print_report(report, as_json: bool) -> None:
@@ -118,7 +124,7 @@ def _print_report(report, as_json: bool) -> None:
 
 def _cmd_seminorm(args, config) -> int:
     grid = _grid_for(args, config)
-    est = bloch_seminorm(_symbol(args.f, grid), grid)
+    est = bloch_seminorm(_symbol(args.f, grid).g, grid)
     print(f"bloch seminorm estimate {est.value:.17g} "
           f"(attained near z = {_fmt_complex(est.arg)})")
     return 0
@@ -126,7 +132,7 @@ def _cmd_seminorm(args, config) -> int:
 
 def _cmd_hinf(args, config) -> int:
     grid = _grid_for(args, config)
-    est = hinf_norm(_symbol(args.f, grid), grid)
+    est = hinf_norm(_symbol(args.f, grid).g, grid)
     print(f"sup norm estimate {est.value:.17g} "
           f"(attained near z = {_fmt_complex(est.arg)})")
     return 0
@@ -135,15 +141,9 @@ def _cmd_hinf(args, config) -> int:
 def _cmd_criterion(args, config) -> int:
     grid = _grid_for(args, config)
     kind = _CRITERIA[args.kind]
-    phi = _self_map(args.phi, grid) if args.phi is not None else None
-    if phi is None and kind in PHI_BOUNDARY_KINDS:
+    if args.phi is None and kind in PHI_BOUNDARY_KINDS:
         raise UsageError(f"criterion {args.kind} needs --phi")
-    g = _symbol(args.g, grid)
-    try:
-        report = evaluate_criterion(kind, phi, g, grid)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    _print_report(report, args.json)
+    _print_report(_pair(args, grid).report(kind), args.json)
     return 0
 
 
@@ -154,12 +154,11 @@ def _cmd_classify(args, config) -> int:
             f"unknown theorem id {args.thm!r}; expected one of {sorted(THEOREMS)}"
         )
     spec = THEOREMS[args.thm]
-    phi = _self_map(args.phi, grid) if args.phi is not None else None
-    if spec.needs_phi and phi is None:
+    if spec.needs_phi and args.phi is None:
         raise UsageError(f"{args.thm} requires --phi")
-    g = _symbol(args.g, grid)
+    fields = _pair(args, grid)
     try:
-        verdict = classify(args.thm, phi, g, grid, config.thresholds)
+        verdict = classify(args.thm, fields.phi, fields.g, grid, config.thresholds, fields)
     except PreconditionFailed as exc:
         print(f"{ERROR_PREFIX} {exc}", file=sys.stderr)
         return 1
@@ -177,9 +176,9 @@ def _cmd_classify(args, config) -> int:
 
 def _cmd_commutator(args, config) -> int:
     grid = _grid_for(args, config)
-    phi = _self_map(args.phi, grid)
+    fields = _pair(args, grid)
     est = commutator_seminorm(
-        _COMMUTATORS[args.kind], phi, _symbol(args.g, grid), _symbol(args.f, grid), grid
+        _COMMUTATORS[args.kind], fields.phi, fields.g, _symbol(args.f, grid).g, grid, fields
     )
     print(f"commutator-{args.kind} seminorm estimate {est.value:.17g} "
           f"(attained near z = {_fmt_complex(est.arg)})")

@@ -29,10 +29,10 @@ A set joins a map side (:class:`MapFields`: ``phi``, ``phi'``, the
 symbol side (:class:`SymbolFields`: ``g``, ``g'``, the fields of
 :data:`SYMBOL_KINDS` and their ``|z|`` reports), and samples only
 ``g o phi`` and ``g' o phi`` itself.  Sets joined from shared sides
-(``FieldSet.from_sides``, as ``harness.run_classification`` builds them)
-sample each map once, each symbol once and each pair's compositions once
-over a whole panel.  ``operators`` reads its samples from these classes,
-so this module imports nothing from it.
+(``FieldSet.from_sides``, as ``harness.run_classification`` and the CLI
+build them) sample each map once, each symbol once and each pair's
+compositions once over a whole panel.  ``operators`` reads its samples from
+these classes, so this module imports nothing from it.
 
 :func:`classify` reduces reports to a :class:`Verdict` per named statement.
 :data:`THEOREMS` names every report a statement reads: its hypothesis check,
@@ -398,8 +398,11 @@ class FieldSet:
                 self._values[kind] = self.values(CriterionKind.KJ) * self.map_side.log_factor
         return self._values[kind]
 
-    def report(self, kind: CriterionKind, bucket_by: str) -> CriterionReport:
-        """The field reduced over shells of ``|phi(z)|`` (``"phi"``) or ``|z|`` (``"z"``)."""
+    def report(self, kind: CriterionKind, bucket_by: str | None = None) -> CriterionReport:
+        """The field reduced over shells of ``|phi(z)|`` (``"phi"``) or ``|z|`` (``"z"``), by
+        default the kind's limit variable: ``|phi(z)|`` for :data:`PHI_BOUNDARY_KINDS`."""
+        if bucket_by is None:
+            bucket_by = "phi" if kind in PHI_BOUNDARY_KINDS else "z"
         if bucket_by not in ("phi", "z"):
             raise ValueError(f'bucket_by must be "phi" or "z", got {bucket_by!r}')
         if bucket_by == "z" and kind in SYMBOL_KINDS:
@@ -420,12 +423,9 @@ def criterion_value(kind: CriterionKind, phi, g, z):
 
 
 def evaluate_criterion(kind: CriterionKind, phi, g, grid: DiskGrid) -> CriterionReport:
-    """Sample the field over the grid and reduce it over shells of the kind's limit variable.
-
-    That is ``|phi(z)|`` for :data:`PHI_BOUNDARY_KINDS` and ``|z|`` otherwise;
-    ``FieldSet(phi, g, grid).report(kind, bucket_by)`` reduces over either.
-    """
-    return FieldSet(phi, g, grid).report(kind, "phi" if kind in PHI_BOUNDARY_KINDS else "z")
+    """Sample the field over the grid and reduce it over shells of the kind's limit variable
+    (:meth:`FieldSet.report`)."""
+    return FieldSet(phi, g, grid).report(kind)
 
 
 # --------------------------------------------------------------------------

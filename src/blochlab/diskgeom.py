@@ -258,22 +258,13 @@ def validate_self_map_samples(fn: AnalyticFn, grid: DiskGrid, w: np.ndarray) -> 
     return SelfMap(fn, sup_modulus_estimate(moduli, grid), _syntactic_automorphism(fn.expr))
 
 
-def validate_symbol(fn: AnalyticFn, grid: DiskGrid) -> AnalyticFn:
-    """Check that ``fn`` and ``fn'`` are finite at the origin and every grid point; return ``fn``.
-
-    The origin is no grid point, but ``bloch_norm`` reads ``f(0)``: ``log(z)``
-    is finite on the whole grid and singular there.  Raises
-    :class:`NotFiniteOnGrid` as :func:`symbol_samples` does.
-    """
-    symbol_samples(fn, grid)
-    return fn
-
-
 def symbol_samples(fn: AnalyticFn, grid: DiskGrid) -> tuple[np.ndarray, np.ndarray]:
     """``fn`` and ``fn'`` at the grid's points, each checked finite there and at the origin.
 
-    The origin is evaluated as a one-point array, through the array path,
-    because Python complex division raises at a pole where numpy gives inf.
+    The origin is no grid point, but ``bloch_norm`` reads ``f(0)``: ``log(z)``
+    is finite on the whole grid and singular there.  It is evaluated as a
+    one-point array, through the array path, because Python complex division
+    raises at a pole where numpy gives inf.
     Raises :class:`NotFiniteOnGrid` with the first offending point (the
     origin first), value before derivative.
     """

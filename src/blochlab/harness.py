@@ -53,7 +53,6 @@ from .criteria import (
 from .diskgeom import (
     DEFAULT_BASE_ANGULAR,
     DEFAULT_MAX_SHELL,
-    NotASelfMap,
     NotFiniteOnGrid,
     check_grid_range,
     make_grid,
@@ -275,7 +274,7 @@ def run_classification(spec: ExperimentSpec) -> SuiteReport:
         map_side = fields = None
         try:
             map_side = MapFields.validated(analytic(phi_src), grid)
-        except (ExprError, NotASelfMap, ValueError) as exc:
+        except ValueError as exc:
             map_side = exc
         for g_src in spec.g_exprs:
             symbol = symbols[g_src]

@@ -168,10 +168,7 @@ def commutator_value(kind: OperatorKind, phi, g, f, z):
 
 def commutator_derivative(kind: OperatorKind, phi, g, f, z):
     """Closed-form derivative of the commutator (no quadrature)."""
-    return _commutator_derivative(kind, FieldSet(phi, g, DiskGrid(z)), f)
-
-
-def _commutator_derivative(kind: OperatorKind, s: FieldSet, f):
+    s = FieldSet(phi, g, DiskGrid(z))
     return s.map_side.factor(kind, f) * _jump(kind, s)
 
 

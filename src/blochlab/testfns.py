@@ -1,14 +1,12 @@
 """Test-function families used for lower bounds and norm attainment.
 
-Six one-parameter families, each materialized as an expression tree so the
+Four one-parameter families, each materialized as an expression tree so the
 symbolic derivative is exact:
 
     MobiusAlpha(a)    alpha_a(z) = (a - z) / (1 - conj(a) z)     seminorm 1
     PeakH(a)          h_a(z) = (1 - |a|^2) / (1 - conj(a) z)     peaks at a
     ProductF(a)       h_a(z) * alpha_a(z)                        vanishes at a
-    OneMinusMobius(a) 1 - alpha_a(z)
     LogFw(w)          ln(2 / (1 - conj(w) z))
-    Rotation(t)       e^{it} z
 
 The interpolation construction realizes finite peak families on separated
 nodes by quotients of Blaschke factors: ``h_k(z) = prod_{j != k} b_{x_j}(z) /
@@ -80,14 +78,6 @@ class ProductF:
 
 
 @dataclass(frozen=True)
-class OneMinusMobius:
-    a: complex
-
-    def expr(self) -> Expr:
-        return Sub(Const(1.0), Mobius(_check_disk_param(self.a, "a")))
-
-
-@dataclass(frozen=True)
 class LogFw:
     w: complex
 
@@ -96,18 +86,7 @@ class LogFw:
         return Log(Div(Const(2.0), Sub(Const(1.0), Mul(Const(w.conjugate()), Var()))))
 
 
-@dataclass(frozen=True)
-class Rotation:
-    t: float
-
-    def expr(self) -> Expr:
-        t = float(self.t)
-        if not 0.0 <= t < 2.0 * math.pi:
-            raise ValueError(f"rotation angle must lie in [0, 2*pi), got {t}")
-        return Mul(Const(complex(math.cos(t), math.sin(t))), Var())
-
-
-TestFamily = MobiusAlpha | PeakH | ProductF | OneMinusMobius | LogFw | Rotation
+TestFamily = MobiusAlpha | PeakH | ProductF | LogFw
 
 
 def make_test_fn(family: TestFamily) -> AnalyticFn:

@@ -921,10 +921,11 @@ def _little_bloch_sufficiency():
 @_check("criteria.rotation_necessity", "theorems")
 def _rotation_necessity():
     grid = make_grid()
-    g = analytic("log(2/(1-z))")
+    symbol = SymbolFields(analytic("log(2/(1-z))"), grid)
     witness = None
     for phi_src in ROTATION_PANEL:
-        verdict = classify("T4.1b", validate_self_map(analytic(phi_src), grid), g, grid)
+        fields = FieldSet.from_sides(MapFields.validated(analytic(phi_src), grid), symbol)
+        verdict = classify("T4.1b", fields.phi, fields.g, grid, fields=fields)
         if verdict.conclusion is Conclusion.NOT_COMPACT_EVIDENCE:
             witness = phi_src
             break

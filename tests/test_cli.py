@@ -1,11 +1,24 @@
 """Command-line entry points: exit codes, output shapes, config handling."""
 
+import collections
 import json
 import math
 
+import numpy as np
 import pytest
 
-from blochlab import available_checks
+from blochlab import (
+    AnalyticFn,
+    CriterionKind,
+    analytic,
+    available_checks,
+    classify,
+    evaluate_criterion,
+    make_grid,
+    to_json,
+    validate_self_map,
+)
+from blochlab import cli
 from blochlab.cli import main
 
 SMALL = ["--grid", "5,64"]
@@ -79,6 +92,76 @@ def test_commutator_seminorm_runs(capsys):
     )
     assert code == 0
     assert out.startswith("commutator-I seminorm estimate ")
+
+
+# --------------------------------------------------------------------------
+# each input sampled once, validation's samples included
+
+
+def _on_grid(*calls):
+    """``(source, order, points)`` keys: ``"z"`` the grid's own points, ``"w"`` its image."""
+    return collections.Counter({call: 1 for call in calls})
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("classify", "--thm", "T3.2", "--phi", "z/2", "--g", "z"),
+     _on_grid(("z/2", "f", "z"), ("z/2", "f'", "z"),
+              ("z", "f", "z"), ("z", "f'", "z"), ("z", "f", "w"))),
+    (("criterion", "--kind", "KJ", "--phi", "mobius(0.5)", "--g", "z^2"),
+     _on_grid(("mobius(0.5)", "f", "z"), ("mobius(0.5)", "f'", "z"),
+              ("z^2", "f", "z"), ("z^2", "f'", "z"), ("z^2", "f'", "w"))),
+    (("commutator", "--kind", "I", "--phi", "z/2", "--g", "z", "--f", "mobius(0.3)"),
+     _on_grid(("z/2", "f", "z"), ("z/2", "f'", "z"),
+              ("z", "f", "z"), ("z", "f'", "z"), ("z", "f", "w"),
+              ("mobius(0.3)", "f", "z"), ("mobius(0.3)", "f'", "z"), ("mobius(0.3)", "f'", "w"))),
+], ids=["classify", "criterion", "commutator"])
+def test_point_commands_sample_each_function_once_on_the_grid(capsys, monkeypatch, argv, expected):
+    """Validation's grid samples are the ones the computation reads: each function once on
+    the grid and once at phi(z) where a field reads it, 5, 5 and 8 grid-sized calls (7, 7
+    and 10 when each input was validated and then sampled again for the pair)."""
+    grids, calls = [], collections.Counter()
+
+    def making(*args):
+        grids.append(make_grid(*args))
+        return grids[-1]
+
+    def counting(method, label):
+        def wrapper(self, z):
+            if np.size(z) == grids[0].size:
+                calls[(self.source, label, "z" if z is grids[0].points else "w")] += 1
+            return method(self, z)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "make_grid", making)
+    monkeypatch.setattr(AnalyticFn, "__call__", counting(AnalyticFn.__call__, "f"))
+    monkeypatch.setattr(AnalyticFn, "deriv", counting(AnalyticFn.deriv, "f'"))
+    code, out, err = _run(capsys, *argv, "--grid", "6,64")
+    assert (code, err) == (0, "")
+    assert calls == expected
+    assert sum(calls.values()) == {"commutator": 8}.get(argv[0], 5)
+
+
+@pytest.mark.parametrize("argv", [
+    ("criterion", "--kind", "Lg", "--g", "log(2/(1-0.9*z))"),
+    ("criterion", "--kind", "KJ", "--phi", "mobius(0.5)", "--g", "z^2"),
+    ("classify", "--thm", "T3.2", "--phi", "z/2", "--g", "z"),
+], ids=["criterion-Lg-without-phi", "criterion-KJ", "classify-T3.2"])
+def test_json_equals_the_library_call_without_shared_fields(capsys, monkeypatch, argv):
+    """The CLI's validated sides give the bytes of the library call that samples the pair
+    itself: a map-free kind, a |phi| kind, and T3.2 with its |g| hypothesis check."""
+    monkeypatch.delenv("BLOCHLAB_CONFIG", raising=False)
+    code, out, err = _run(capsys, *argv, "--grid", "6,64", "--json")
+    assert (code, err) == (0, "")
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    grid = make_grid(6, 64)
+    phi = validate_self_map(analytic(flags["--phi"]), grid) if "--phi" in flags else None
+    g = analytic(flags["--g"])
+    if argv[0] == "classify":
+        expected = classify(flags["--thm"], phi, g, grid)
+    else:
+        expected = evaluate_criterion(CriterionKind(flags["--kind"]), phi, g, grid)
+    assert out == to_json(expected.to_dict())
 
 
 def test_verify_single_check(capsys):

@@ -122,6 +122,17 @@ def test_auto_bucketing_follows_kind(grid6, self_map):
     assert evaluate_criterion(CriterionKind.LG, phi, g, grid6).bucket_by == "z"
 
 
+@pytest.mark.parametrize("kind", list(CriterionKind), ids=lambda kind: kind.value)
+def test_report_defaults_to_the_kinds_limit_variable(grid6, self_map, kind):
+    """Without ``bucket_by`` a set's report is its report on the kind's limit variable, the
+    same object, and equals the report evaluate_criterion samples for itself."""
+    phi, g = self_map("mobius(0.5)"), analytic("log(2/(1-0.9*z))")
+    fields = FieldSet(phi, g, grid6)
+    report = fields.report(kind)
+    assert report is fields.report(kind, "phi" if kind in PHI_BOUNDARY_KINDS else "z")
+    assert report == evaluate_criterion(kind, phi, g, grid6)
+
+
 def test_report_serializes(grid6, self_map):
     report = evaluate_criterion(
         CriterionKind.KJ, self_map("mobius(0.5)"), analytic("z^2"), grid6

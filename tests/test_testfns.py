@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from blochlab import (
     LogFw,
     MobiusAlpha,
-    OneMinusMobius,
     PeakH,
     ProductF,
-    Rotation,
     bloch_seminorm,
     build_interpolation_family,
     hinf_norm,
@@ -48,38 +46,18 @@ def test_product_family_vanishes_at_parameter():
     assert abs(f(a)) <= 1e-15
 
 
-def test_one_minus_mobius_value_at_parameter():
-    f = make_test_fn(OneMinusMobius(0.6))
-    assert f(0.6) == pytest.approx(1.0, abs=1e-15)
-    assert f(0.0) == pytest.approx(0.4, abs=1e-15)
-
-
 def test_log_family_value_at_origin():
     f = make_test_fn(LogFw(0.9))
     assert f(0.0) == pytest.approx(math.log(2.0), abs=1e-15)
 
 
-def test_rotation_family_is_unimodular_multiplier():
-    t = 0.75
-    f = make_test_fn(Rotation(t))
-    z = 0.3 + 0.4j
-    assert f(z) == pytest.approx(z * complex(math.cos(t), math.sin(t)), abs=1e-15)
-
-
 @pytest.mark.parametrize(
     "family",
-    [MobiusAlpha(1.0), PeakH(-1.2), ProductF(1j), OneMinusMobius(2.0), LogFw(1.0)],
+    [MobiusAlpha(1.0), PeakH(-1.2), ProductF(1j), LogFw(1.0)],
 )
 def test_parameters_outside_disk_are_rejected(family):
     with pytest.raises(ValueError):
         make_test_fn(family)
-
-
-def test_rotation_angle_range_is_enforced():
-    with pytest.raises(ValueError):
-        make_test_fn(Rotation(-0.1))
-    with pytest.raises(ValueError):
-        make_test_fn(Rotation(2.0 * math.pi))
 
 
 def test_only_a_family_makes_a_test_fn():

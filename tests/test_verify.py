@@ -325,6 +325,17 @@ def test_rotation_check_samples_each_rotation_and_symbol_once(monkeypatch):
     assert sum(calls.values()) == 94
 
 
+def test_rotation_necessity_samples_its_witness_rotation_and_symbol_once(monkeypatch):
+    """rotation_necessity stops at its first rotation: phi (in its validation) and phi' once,
+    g' and g' o phi once: 4 grid-sized expression calls (5 when the rotation's phi(z) was
+    sampled again after validating it)."""
+    grids, calls, few = _grid_calls(monkeypatch, "criteria.rotation_necessity")
+    assert len(grids) == 1 and not few
+    symbol = _each(("log(2/(1-z))",), ("f'", "z", 1), ("f'", "w", 1))
+    assert calls == _each(ROTATION_PANEL[:1], *_MAP) + symbol
+    assert sum(calls.values()) == 4
+
+
 def test_grid_monotonicity_samples_each_map_symbol_and_pair_once_per_grid(monkeypatch):
     """grid_monotonicity on each of its five grids: phi (in its validation) and phi' once
     per map, the symbol's own samples once per symbol, g o phi or g' o phi once per pair,
