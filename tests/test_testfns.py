@@ -53,7 +53,7 @@ def test_log_family_value_at_origin():
 
 @pytest.mark.parametrize(
     "family",
-    [MobiusAlpha(1.0), PeakH(-1.2), ProductF(1j), LogFw(1.0)],
+    [MobiusAlpha(1.0), PeakH(-1.2), ProductF(1j), LogFw(0.6 + 0.9j), LogFw(1.0)],
 )
 def test_parameters_outside_disk_are_rejected(family):
     with pytest.raises(ValueError):
