@@ -124,7 +124,8 @@ def _print_report(report, as_json: bool) -> None:
 
 def _cmd_seminorm(args, config) -> int:
     grid = _grid_for(args, config)
-    est = bloch_seminorm(_symbol(args.f, grid).g, grid)
+    side = _symbol(args.f, grid)
+    est = bloch_seminorm(side.g, grid, side)
     print(f"bloch seminorm estimate {est.value:.17g} "
           f"(attained near z = {_fmt_complex(est.arg)})")
     return 0
@@ -132,7 +133,8 @@ def _cmd_seminorm(args, config) -> int:
 
 def _cmd_hinf(args, config) -> int:
     grid = _grid_for(args, config)
-    est = hinf_norm(_symbol(args.f, grid).g, grid)
+    side = _symbol(args.f, grid)
+    est = hinf_norm(side.g, grid, side)
     print(f"sup norm estimate {est.value:.17g} "
           f"(attained near z = {_fmt_complex(est.arg)})")
     return 0

@@ -19,7 +19,6 @@ the schema: unknown sections or keys are rejected rather than ignored.
 
 from __future__ import annotations
 
-import configparser
 import os
 from dataclasses import dataclass, field, replace
 
@@ -78,6 +77,9 @@ def load_config(path: str | None = None) -> Config:
         path = os.environ.get(ENV_VAR) or None
     if path is None:
         return Config()
+    # imported here, so that only a run with a config file pays for it (~2 ms)
+    import configparser
+
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise ConfigError(f"config file not found: {path}")

@@ -196,10 +196,10 @@ class Verdict:
 # pointwise fields
 
 
-def _reduce(kind, bucket_by, values, grid, segments, vacuous) -> CriterionReport:
-    """``values`` on ``grid`` reduced over the shell ``segments`` of the limit variable ``bucket_by``."""
+def _reduce(kind, bucket_by, values, j, grid, segments, vacuous) -> CriterionReport:
+    """``values`` on ``grid``, first maximal at index ``j``, reduced over the shell
+    ``segments`` of the limit variable ``bucket_by``."""
     shell_sups = shell_maxima(values, segments)
-    j = int(np.argmax(values))
     return CriterionReport(
         kind=kind,
         sup_value=float(values[j]),
@@ -282,18 +282,25 @@ class MapFields:
         return shell_segments(shell_for_modulus(moduli, max_shell), max_shell), vacuous
 
 
+def _field_key(kind: CriterionKind) -> CriterionKind:
+    """The kind whose field ``kind`` reads: ``LgLogBoundedness`` reads ``Lg``'s."""
+    return CriterionKind.LG if kind is CriterionKind.LG_LOG_BOUNDEDNESS else kind
+
+
 class SymbolFields:
     """One symbol ``g`` at the points of ``grid``, its fields and their ``|z|`` reports.
 
     No sample depends on a map, so one symbol's samples serve every map
     paired with it.  The fields of :data:`SYMBOL_KINDS` are those of the
-    symbol alone: each is computed once, and its ``|z|`` report is one
-    object shared by every map paired with the symbol.
+    symbol alone: each is computed once, with the point where it is first
+    maximal, and its ``|z|`` report is one object shared by every map paired
+    with the symbol.
     """
 
     def __init__(self, g, grid):
         self.g, self.grid = g, grid
         self._values: dict = {}
+        self._argmaxes: dict = {}
         self._reports: dict = {}
 
     @classmethod
@@ -304,6 +311,10 @@ class SymbolFields:
         side.g_z, side.dg_z = symbol_samples(fn, grid)
         return side
 
+    def check_symbol(self, g, grid: DiskGrid) -> None:
+        """``ValueError`` unless this side is the samples of this very ``g`` and grid."""
+        _check_side("symbol", self.g, g, self.grid, grid)
+
     @cached_property
     def g_z(self):
         return self.g(self.grid.points)
@@ -313,7 +324,7 @@ class SymbolFields:
         return self.g.deriv(self.grid.points)
 
     def values(self, kind: CriterionKind) -> np.ndarray:
-        key = CriterionKind.LG if kind is CriterionKind.LG_LOG_BOUNDEDNESS else kind
+        key = _field_key(kind)
         if key not in self._values:
             if key is CriterionKind.SUP_NORM:
                 self._values[key] = np.abs(self.g_z)
@@ -326,11 +337,20 @@ class SymbolFields:
                 raise ValueError(f"unknown field {kind!r}")
         return self._values[key]
 
+    def _argmax(self, kind: CriterionKind) -> int:
+        """The index of the field's first maximum, found once per field."""
+        key = _field_key(kind)
+        if key not in self._argmaxes:
+            self._argmaxes[key] = int(np.argmax(self.values(kind)))
+        return self._argmaxes[key]
+
     def report(self, kind: CriterionKind) -> CriterionReport:
         """The field reduced over the ``|z|`` shells."""
         if kind not in self._reports:
             grid = self.grid
-            self._reports[kind] = _reduce(kind, "z", self.values(kind), grid, grid.segments, False)
+            self._reports[kind] = _reduce(
+                kind, "z", self.values(kind), self._argmax(kind), grid, grid.segments, False
+            )
         return self._reports[kind]
 
 
@@ -366,12 +386,13 @@ class FieldSet:
         self.map_side, self.symbol_side = map_side, symbol_side
         self.phi, self.g, self.grid = map_side.phi, symbol_side.g, map_side.grid
         self._values: dict = {}
+        self._argmaxes: dict = {}
         self._reports: dict = {}
 
     def check_pair(self, phi, g, grid: DiskGrid) -> None:
         """``ValueError`` unless both sides are the samples of this very ``phi``, ``g`` and grid."""
         _check_side("map", self.phi, phi, self.grid, grid)
-        _check_side("symbol", self.g, g, self.symbol_side.grid, grid)
+        self.symbol_side.check_symbol(g, grid)
 
     @cached_property
     def g_jump(self):
@@ -398,6 +419,14 @@ class FieldSet:
                 self._values[kind] = self.values(CriterionKind.KJ) * self.map_side.log_factor
         return self._values[kind]
 
+    def _argmax(self, kind: CriterionKind) -> int:
+        """The index of the field's first maximum, shared by its ``|phi|`` and ``|z|`` reports."""
+        if kind not in PHI_BOUNDARY_KINDS:
+            return self.symbol_side._argmax(kind)
+        if kind not in self._argmaxes:
+            self._argmaxes[kind] = int(np.argmax(self.values(kind)))
+        return self._argmaxes[kind]
+
     def report(self, kind: CriterionKind, bucket_by: str | None = None) -> CriterionReport:
         """The field reduced over shells of ``|phi(z)|`` (``"phi"``) or ``|z|`` (``"z"``), by
         default the kind's limit variable: ``|phi(z)|`` for :data:`PHI_BOUNDARY_KINDS`."""
@@ -412,7 +441,9 @@ class FieldSet:
             # the |z| -> 1 limit set is never empty; only |phi| buckets can be vacuous
             grid = self.grid
             segments, vacuous = self.map_side.phi_shells if bucket_by == "phi" else (grid.segments, False)
-            self._reports[key] = _reduce(kind, bucket_by, self.values(kind), grid, segments, vacuous)
+            self._reports[key] = _reduce(
+                kind, bucket_by, self.values(kind), self._argmax(kind), grid, segments, vacuous
+            )
         return self._reports[key]
 
 
@@ -539,7 +570,7 @@ def little_bloch_membership(
     sampled here.
     """
     fields = SymbolFields(g, grid) if fields is None else fields
-    _check_side("symbol", fields.g, g, fields.grid, grid)
+    fields.check_symbol(g, grid)
     report = fields.report(CriterionKind.BLOCH)
     return _MEMBERSHIP[compact_conclusion(report, thresholds)]
 

@@ -17,6 +17,11 @@ with ``|a| < 1`` (otherwise the pole would not stay outside the closed disk).
 Each node class carries its own operations: ``evaluate(z)`` (pointwise, on
 scalars or numpy arrays), ``differentiate()`` (symbolic, with light constant
 folding) and ``render()``; ``depends_on_z()`` walks a node's operands.
+Nodes are frozen dataclasses, one dataclass per field shape: ``Neg``, ``Exp``
+and ``Log`` inherit the methods generated for ``x`` once, ``Add``, ``Sub``,
+``Mul`` and ``Div`` those for ``a, b``, and ``Var`` those of ``Expr``.  The
+inherited ``__repr__`` prints each class's own name, and ``__eq__`` holds only
+between nodes of one class.
 ``parse(print_expr(e))`` evaluates identically to ``e`` — the printer
 parenthesizes enough to reproduce the exact tree shape (modulo negative
 literals folding through an exact unary minus).
@@ -68,7 +73,6 @@ class Expr:
         raise TypeError(f"unknown node {self!r}")
 
 
-@dataclass(frozen=True)
 class Var(Expr):
     def depends_on_z(self) -> bool:
         return True
@@ -98,9 +102,21 @@ class Const(Expr):
 
 
 @dataclass(frozen=True)
-class Neg(Expr):
+class _Unary(Expr):
+    """A node of one operand ``x``: the field shape of ``Neg``, ``Exp`` and ``Log``."""
+
     x: Expr
 
+
+@dataclass(frozen=True)
+class _Binary(Expr):
+    """A node of two operands ``a, b``: the field shape of ``Add``, ``Sub``, ``Mul`` and ``Div``."""
+
+    a: Expr
+    b: Expr
+
+
+class Neg(_Unary):
     def evaluate(self, z):
         return -self.x.evaluate(z)
 
@@ -112,11 +128,7 @@ class Neg(Expr):
         return "-" + _paren(self.x, _LEVEL_NEG), _LEVEL_NEG
 
 
-@dataclass(frozen=True)
-class Add(Expr):
-    a: Expr
-    b: Expr
-
+class Add(_Binary):
     def evaluate(self, z):
         return self.a.evaluate(z) + self.b.evaluate(z)
 
@@ -127,11 +139,7 @@ class Add(Expr):
         return _paren(self.a, _LEVEL_ADD) + "+" + _paren(self.b, _LEVEL_ADD + 1), _LEVEL_ADD
 
 
-@dataclass(frozen=True)
-class Sub(Expr):
-    a: Expr
-    b: Expr
-
+class Sub(_Binary):
     def evaluate(self, z):
         return self.a.evaluate(z) - self.b.evaluate(z)
 
@@ -142,11 +150,7 @@ class Sub(Expr):
         return _paren(self.a, _LEVEL_ADD) + "-" + _paren(self.b, _LEVEL_ADD + 1), _LEVEL_ADD
 
 
-@dataclass(frozen=True)
-class Mul(Expr):
-    a: Expr
-    b: Expr
-
+class Mul(_Binary):
     def evaluate(self, z):
         return self.a.evaluate(z) * self.b.evaluate(z)
 
@@ -157,11 +161,7 @@ class Mul(Expr):
         return _paren(self.a, _LEVEL_MUL) + "*" + _paren(self.b, _LEVEL_MUL + 1), _LEVEL_MUL
 
 
-@dataclass(frozen=True)
-class Div(Expr):
-    a: Expr
-    b: Expr
-
+class Div(_Binary):
     def evaluate(self, z):
         return self.a.evaluate(z) / self.b.evaluate(z)
 
@@ -192,10 +192,7 @@ class Pow(Expr):
         return _paren(self.base, _LEVEL_ATOM) + "^" + str(self.n), _LEVEL_POW
 
 
-@dataclass(frozen=True)
-class Exp(Expr):
-    x: Expr
-
+class Exp(_Unary):
     def evaluate(self, z):
         return np.exp(self.x.evaluate(z))
 
@@ -206,10 +203,7 @@ class Exp(Expr):
         return "exp(" + self.x.render()[0] + ")", _LEVEL_ATOM
 
 
-@dataclass(frozen=True)
-class Log(Expr):
-    x: Expr
-
+class Log(_Unary):
     def evaluate(self, z):
         return np.log(self.x.evaluate(z))
 

@@ -29,7 +29,6 @@ the disk is.
 from __future__ import annotations
 
 import copy
-import csv
 import io
 import json
 import math
@@ -441,6 +440,9 @@ CSV_COLUMNS = (
 
 def to_csv(report: SuiteReport) -> str:
     """One row per case: the conclusion and the numbers of the verdict's headline report."""
+    # imported here, so that only a CSV report pays for it (~1 ms)
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)

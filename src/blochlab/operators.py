@@ -27,8 +27,10 @@ suprema.  ``bloch_seminorm`` additionally polishes its four best grid points
 the sup for functions analytic up to the boundary, and polishes its best
 angle.  Both polish with one deterministic compass search that moves every
 start at once on numpy arrays, and keep the polished value only where it
-beats the sampled one.  ``commutator_seminorm`` and criterion suprema stay
-pure grid maxima so that grid refinement is exactly monotone.
+beats the sampled one.  Given ``fields``, a ``criteria.SymbolFields`` of
+``f`` on the grid (the CLI passes its validated side), both read their grid
+samples from it.  ``commutator_seminorm`` and criterion suprema stay pure
+grid maxima so that grid refinement is exactly monotone.
 
 The samples of a pair ``(phi, g)`` are ``criteria.FieldSet``'s:
 :func:`commutator_derivative` builds one on a ``DiskGrid`` of ``z``, and
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import FieldSet, OperatorKind
+from .criteria import CriterionKind, FieldSet, OperatorKind, SymbolFields
 from .diskgeom import DiskGrid
 
 QUAD_TOL = 1e-12
@@ -230,10 +232,16 @@ _DISK_STENCIL = np.array([0j] + [complex(a, b) for a in (-1, 0, 1) for b in (-1,
 _ANGLE_STENCIL = np.array([0.0, -1.0, 1.0])
 
 
-def bloch_seminorm(f, grid: DiskGrid) -> SupEstimate:
-    """``sup (1 - |z|^2) |f'(z)|``: grid max plus local polish (lower bound)."""
+def bloch_seminorm(f, grid: DiskGrid, fields: SymbolFields | None = None) -> SupEstimate:
+    """``sup (1 - |z|^2) |f'(z)|``: grid max plus local polish (lower bound).
+
+    ``fields`` holds the samples of ``f`` on ``grid``, its Bloch field
+    included; without it ``f'`` is sampled here.
+    """
     pts = grid.points
-    vals = grid.one_minus * np.abs(f.deriv(pts))
+    fields = SymbolFields(f, grid) if fields is None else fields
+    fields.check_symbol(f, grid)
+    vals = fields.values(CriterionKind.BLOCH)
     base = _grid_max(vals, pts)
     starts = pts[np.argsort(vals, kind="stable")[::-1][:4]]
 
@@ -250,10 +258,16 @@ def bloch_norm(f, grid: DiskGrid) -> float:
     return abs(complex(f(0.0))) + bloch_seminorm(f, grid).value
 
 
-def hinf_norm(f, grid: DiskGrid) -> SupEstimate:
-    """Sampled sup norm over the grid and a dense near-boundary circle."""
+def hinf_norm(f, grid: DiskGrid, fields: SymbolFields | None = None) -> SupEstimate:
+    """Sampled sup norm over the grid and a dense near-boundary circle.
+
+    ``fields`` holds the samples of ``f`` on ``grid``; without it ``f`` is
+    sampled here.
+    """
     pts = grid.points
-    vals = np.abs(f(pts))
+    fields = SymbolFields(f, grid) if fields is None else fields
+    fields.check_symbol(f, grid)
+    vals = fields.values(CriterionKind.SUP_NORM)
     base = _grid_max(vals, pts)
 
     r = 1.0 - 2.0 ** (-(grid.max_shell + 7))

@@ -8,6 +8,10 @@ symbolic derivative is exact:
     ProductF(a)       h_a(z) * alpha_a(z)                        vanishes at a
     LogFw(w)          ln(2 / (1 - conj(w) z))
 
+Each family is a frozen dataclass, one dataclass per field shape: the three
+families at a disk point ``a`` inherit the methods generated for ``a`` once,
+and ``LogFw`` has its own for ``w``.
+
 The interpolation construction realizes finite peak families on separated
 nodes by quotients of Blaschke factors: ``h_k(z) = prod_{j != k} b_{x_j}(z) /
 b_{x_j}(x_k)`` with ``b_a = alpha_a``.  For finite node sets this interpolates
@@ -53,25 +57,24 @@ def _peak_expr(a: complex) -> Expr:
 
 
 @dataclass(frozen=True)
-class MobiusAlpha:
+class _AtPoint:
+    """A family member at one disk point ``a``: the field shape of ``MobiusAlpha``,
+    ``PeakH`` and ``ProductF``."""
+
     a: complex
 
+
+class MobiusAlpha(_AtPoint):
     def expr(self) -> Expr:
         return Mobius(_check_disk_param(self.a, "a"))
 
 
-@dataclass(frozen=True)
-class PeakH:
-    a: complex
-
+class PeakH(_AtPoint):
     def expr(self) -> Expr:
         return _peak_expr(_check_disk_param(self.a, "a"))
 
 
-@dataclass(frozen=True)
-class ProductF:
-    a: complex
-
+class ProductF(_AtPoint):
     def expr(self) -> Expr:
         a = _check_disk_param(self.a, "a")
         return Mul(_peak_expr(a), Mobius(a))

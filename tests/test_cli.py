@@ -114,11 +114,16 @@ def _on_grid(*calls):
      _on_grid(("z/2", "f", "z"), ("z/2", "f'", "z"),
               ("z", "f", "z"), ("z", "f'", "z"), ("z", "f", "w"),
               ("mobius(0.3)", "f", "z"), ("mobius(0.3)", "f'", "z"), ("mobius(0.3)", "f'", "w"))),
-], ids=["classify", "criterion", "commutator"])
+    (("seminorm", "--f", "mobius(0.4)"),
+     _on_grid(("mobius(0.4)", "f", "z"), ("mobius(0.4)", "f'", "z"))),
+    (("hinf", "--f", "1-mobius(0.7)"),
+     _on_grid(("1-mobius(0.7)", "f", "z"), ("1-mobius(0.7)", "f'", "z"))),
+], ids=["classify", "criterion", "commutator", "seminorm", "hinf"])
 def test_point_commands_sample_each_function_once_on_the_grid(capsys, monkeypatch, argv, expected):
     """Validation's grid samples are the ones the computation reads: each function once on
-    the grid and once at phi(z) where a field reads it, 5, 5 and 8 grid-sized calls (7, 7
-    and 10 when each input was validated and then sampled again for the pair)."""
+    the grid and once at phi(z) where a field reads it, 5, 5, 8, 2 and 2 grid-sized calls
+    (7, 7, 10, 3 and 3 when each input was validated and then sampled again for the pair
+    or the norm)."""
     grids, calls = [], collections.Counter()
 
     def making(*args):
@@ -139,7 +144,7 @@ def test_point_commands_sample_each_function_once_on_the_grid(capsys, monkeypatc
     code, out, err = _run(capsys, *argv, "--grid", "6,64")
     assert (code, err) == (0, "")
     assert calls == expected
-    assert sum(calls.values()) == {"commutator": 8}.get(argv[0], 5)
+    assert sum(calls.values()) == {"commutator": 8, "seminorm": 2, "hinf": 2}.get(argv[0], 5)
 
 
 @pytest.mark.parametrize("argv", [

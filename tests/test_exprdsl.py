@@ -1,5 +1,7 @@
 """Expression parsing, printing, evaluation, and symbolic differentiation."""
 
+import dataclasses
+import itertools
 import operator
 
 import numpy as np
@@ -234,3 +236,45 @@ def test_a_sample_has_its_input_shape(source):
         z = complex(0.3, -0.2)
         got, want = sample(z), evaluate(expr, z)
         assert type(got) is type(want) and got == want
+
+
+# --------------------------------------------------------------------------
+# nodes as frozen records
+
+# every node kind: its text, its repr and its field names
+NODE_KINDS = [
+    ("z", "Var()", ()),
+    ("0.5i", "Const(value=0.5j)", ("value",)),
+    ("-z", "Neg(x=Var())", ("x",)),
+    ("exp(z)", "Exp(x=Var())", ("x",)),
+    ("log(z)", "Log(x=Var())", ("x",)),
+    ("z+1", "Add(a=Var(), b=Const(value=(1+0j)))", ("a", "b")),
+    ("z-1", "Sub(a=Var(), b=Const(value=(1+0j)))", ("a", "b")),
+    ("z*1", "Mul(a=Var(), b=Const(value=(1+0j)))", ("a", "b")),
+    ("z/1", "Div(a=Var(), b=Const(value=(1+0j)))", ("a", "b")),
+    ("z^3", "Pow(base=Var(), n=3)", ("base", "n")),
+    ("mobius(0.5)", "Mobius(a=(0.5+0j))", ("a",)),
+]
+
+
+@pytest.mark.parametrize(
+    "source, text, names", NODE_KINDS, ids=[text.partition("(")[0] for _, text, _ in NODE_KINDS]
+)
+def test_a_node_is_a_frozen_record_of_its_own_kind(source, text, names):
+    node, twin = parse(source), parse(source)
+    assert repr(node) == text
+    assert node == twin and node is not twin and hash(node) == hash(twin)
+    assert tuple(f.name for f in dataclasses.fields(node)) == names
+    assert type(node).__match_args__ == names
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, getattr(twin, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(node, name)
+
+
+def test_nodes_of_one_field_shape_and_different_kinds_differ():
+    # same operands, same field names: only the kind tells them apart
+    for shape in (["-z", "exp(z)", "log(z)"], ["z+1", "z-1", "z*1", "z/1"]):
+        for left, right in itertools.combinations(map(parse, shape), 2):
+            assert left != right and right != left

@@ -599,3 +599,27 @@ def test_run_samples_each_formula_at_most_once_per_pair(monkeypatch):
         except (PreconditionFailed, ValueError) as exc:
             fresh = str(exc)
         assert fresh == (case.verdict.to_dict() if case.verdict else case.error)
+
+
+def test_run_takes_one_argmax_per_field(monkeypatch):
+    """A field's |phi| and |z| reports share its sup and the point where it is attained,
+    and Lg and LgLogBoundedness read one field: over the panel's run, one argmax per pair
+    for each of KI, KJ and KJlog and one per symbol for each of |g|, Bloch and Lg, 297
+    in all (576 when each report took its own)."""
+    taken = {}  # id of an argmax's array -> (array, count), held so ids stay unique
+    argmax = np.argmax
+
+    def counting(a, *args, **kwargs):
+        held, n = taken.get(id(a), (a, 0))
+        taken[id(a)] = (held, n + 1)
+        return argmax(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argmax", counting)
+    spec = ExperimentSpec(
+        phi_exprs=TEN_MAP_PANEL, g_exprs=G_CORPUS, theorem_ids=tuple(sorted(THEOREMS)), max_shell=6
+    )
+    run_classification(spec)
+    monkeypatch.undo()
+    assert {n for _, n in taken.values()} == {1}
+    pairs = len(spec.phi_exprs) * len(spec.g_exprs)
+    assert len(taken) == 3 * pairs + 3 * len(spec.g_exprs) == 297

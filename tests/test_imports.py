@@ -92,6 +92,15 @@ def test_no_module_imports_scipy():
     assert found == []
 
 
+def _fresh_interpreter(script: str) -> str:
+    """The stripped standard output of ``script`` run in a new interpreter on the package."""
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
 def test_a_classification_and_both_polishes_load_no_scipy():
     script = """
 import sys
@@ -103,11 +112,7 @@ bloch_seminorm(analytic("mobius(0.5)"), grid)
 hinf_norm(analytic("1-mobius(0.7)"), grid)
 print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """
-    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    assert _fresh_interpreter(script) == "[]"
 
 
 def test_the_identity_check_loads_no_numpy_ma():
@@ -118,8 +123,27 @@ from blochlab import verify
 verify._run_check("operators.commutator_derivative_identity")
 print("numpy.ma" in sys.modules)
 """
-    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert _fresh_interpreter(script) == "False"
+
+
+def test_importing_the_package_loads_no_config_or_csv_reader():
+    # configparser (~2 ms) and csv (~1 ms) load only where a config file or a CSV report is read
+    script = """
+import sys
+import blochlab
+print(sorted(m for m in ("configparser", "csv") if m in sys.modules))
+"""
+    assert _fresh_interpreter(script) == "[]"
+
+
+def test_each_record_shape_generates_its_dataclass_methods_once():
+    # dataclass compiles each decorated class's methods at import; the nodes and test
+    # families of one field shape inherit them from one private base
+    generating = [
+        f"{module.__name__}.{cls.__qualname__}"
+        for name, module in sorted(sys.modules.items())
+        if name.partition(".")[0] == "blochlab"
+        for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == name and "__dataclass_fields__" in vars(cls)
+    ]
+    assert len(generating) == 24, generating

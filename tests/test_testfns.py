@@ -1,5 +1,7 @@
 """Test-function families, separated sequences, and interpolation peaks."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -64,6 +66,32 @@ def test_only_a_family_makes_a_test_fn():
     for thing in (0.5, "mobius(0.5)", None):
         with pytest.raises(TypeError, match="unknown test family"):
             make_test_fn(thing)
+
+
+FAMILIES = [
+    (MobiusAlpha(0.5), "MobiusAlpha(a=0.5)", "a"),
+    (PeakH(0.5), "PeakH(a=0.5)", "a"),
+    (ProductF(0.5), "ProductF(a=0.5)", "a"),
+    (LogFw(0.5), "LogFw(w=0.5)", "w"),
+]
+
+
+@pytest.mark.parametrize("family, text, name", FAMILIES, ids=[text for _, text, _ in FAMILIES])
+def test_a_family_member_is_a_frozen_record_of_its_own_family(family, text, name):
+    twin = type(family)(0.5)
+    assert repr(family) == text
+    assert family == twin and family is not twin and hash(family) == hash(twin)
+    assert [f.name for f in dataclasses.fields(family)] == [name]
+    assert type(family).__match_args__ == (name,)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(family, name, 0.25)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(family, name)
+
+
+def test_families_at_one_point_differ():
+    for (left, *_), (right, *_) in itertools.combinations(FAMILIES, 2):
+        assert left != right and right != left
 
 
 # --------------------------------------------------------------------------
