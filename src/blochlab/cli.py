@@ -28,6 +28,7 @@ from .criteria import (
     PHI_BOUNDARY_KINDS,
     PreconditionFailed,
     SymbolFields,
+    TAIL_SHELLS,
     THEOREMS,
     classify,
 )
@@ -114,7 +115,7 @@ def _print_report(report, as_json: bool) -> None:
     print(f"  boundary limsup est. {report.boundary_limsup_estimate:.17g}")
     if report.vacuous_boundary:
         print("  boundary limit set empty at this resolution (vacuous)")
-    tail = ", ".join(f"k={k}: {s:.6g}" for k, s in report.shell_sups[-3:])
+    tail = ", ".join(f"k={k}: {s:.6g}" for k, s in report.shell_sups[-TAIL_SHELLS:])
     print(f"  last shell sups      {tail}")
 
 

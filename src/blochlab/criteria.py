@@ -39,10 +39,11 @@ these classes, so this module imports nothing from it.
 if any, and its headline report ``(kind, bucket_by)``, which is
 :attr:`Verdict.main`.
 All sampled maxima are lower bounds of the true suprema, so verdicts are
-evidence, not proofs: divergence requires a witness beyond the divergence
-threshold *and* sustained shell growth; compactness requires the boundary
-limsup estimate under ``compact_tol`` with a non-increasing tail (or a
-vacuous boundary); anything else is Inconclusive.
+evidence, not proofs.  Every verdict rule is in :func:`read_tail`: as a sup,
+divergence requires a witness beyond the divergence threshold *and* sustained
+shell growth; as a boundary limit, compactness requires the limsup estimate
+under ``compact_tol`` with a non-increasing tail (or a vacuous boundary);
+anything else is Inconclusive.
 """
 
 from __future__ import annotations
@@ -66,6 +67,9 @@ from .diskgeom import (
 )
 
 ONE_SIDED_NOTE = "sampled maxima are lower bounds of true suprema"
+
+#: How many last nonempty shells form a report's tail, for its limsup estimate and read_tail.
+TAIL_SHELLS = 3
 
 
 class CriterionKind(enum.Enum):
@@ -149,7 +153,7 @@ class CriterionReport:
     vacuous_boundary: bool
     bucket_by: str = "z"
 
-    def last_shell_sups(self, n: int = 3) -> tuple[float, ...]:
+    def last_shell_sups(self, n: int = TAIL_SHELLS) -> tuple[float, ...]:
         return tuple(s for _, s in self.shell_sups[-n:])
 
     def to_dict(self) -> dict:
@@ -205,7 +209,7 @@ def _reduce(kind, bucket_by, values, j, grid, segments, vacuous) -> CriterionRep
         sup_value=float(values[j]),
         arg_sup=complex(grid.points[j]),
         shell_sups=shell_sups,
-        boundary_limsup_estimate=0.0 if vacuous else max(s for _, s in shell_sups[-3:]),
+        boundary_limsup_estimate=0.0 if vacuous else max(s for _, s in shell_sups[-TAIL_SHELLS:]),
         vacuous_boundary=vacuous,
         bucket_by=bucket_by,
     )
@@ -463,39 +467,37 @@ def evaluate_criterion(kind: CriterionKind, phi, g, grid: DiskGrid) -> Criterion
 # trend detection and verdict reduction
 
 
-def _sustained_growth(report: CriterionReport) -> bool:
-    """Last three shell sups strictly increasing, second step keeping pace.
+def read_tail(report: CriterionReport, th: Thresholds, *, limit: bool) -> Conclusion:
+    """The report's tail, its last :data:`TAIL_SHELLS` shell sups, read as a sup or, with
+    ``limit``, as a boundary limit.
 
-    A log-divergent field has nearly equal consecutive increments (ratio
-    -> 1); a convergent field's increments shrink geometrically (ratio about
-    1/2 on dyadic shells).  The 0.9 cutoff separates the two regimes.
+    Sup: NotBoundedEvidence above ``divergence`` with growth, Bounded at most ``divergence``
+    without it.  Growth is a full tail whose two steps exceed ``1e-9 (1 + last)``, the second
+    at least 0.9 times the first: a log-divergent field's steps keep pace (ratio -> 1), a
+    convergent one's shrink (about 1/2 on dyadic shells).  Limit: Compact on a vacuous
+    boundary, NotCompactEvidence for a tail all at least ``compact_tol``, Compact for a
+    limsup estimate under ``compact_tol`` with a tail non-increasing within ``1e-12``.
+    Anything else is Inconclusive.
     """
-    s = report.last_shell_sups(3)
-    if len(s) < 3:
-        return False
-    d1, d2 = s[1] - s[0], s[2] - s[1]
-    floor = 1e-9 * (1.0 + s[2])
-    return d1 > floor and d2 > floor and d2 >= 0.9 * d1
-
-
-def bounded_conclusion(report: CriterionReport, th: Thresholds) -> Conclusion:
-    growth = _sustained_growth(report)
+    tail = report.last_shell_sups()
+    if limit:
+        if report.vacuous_boundary:
+            return Conclusion.COMPACT
+        if tail and min(tail) >= th.compact_tol:
+            return Conclusion.NOT_COMPACT_EVIDENCE
+        non_increasing = all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
+        if report.boundary_limsup_estimate < th.compact_tol and non_increasing:
+            return Conclusion.COMPACT
+        return Conclusion.INCONCLUSIVE
+    growth = False
+    if len(tail) == TAIL_SHELLS:
+        s0, s1, s2 = tail
+        d1, d2, floor = s1 - s0, s2 - s1, 1e-9 * (1.0 + s2)
+        growth = d1 > floor and d2 > floor and d2 >= 0.9 * d1
     if report.sup_value > th.divergence and growth:
         return Conclusion.NOT_BOUNDED_EVIDENCE
     if report.sup_value <= th.divergence and not growth:
         return Conclusion.BOUNDED
-    return Conclusion.INCONCLUSIVE
-
-
-def compact_conclusion(report: CriterionReport, th: Thresholds) -> Conclusion:
-    if report.vacuous_boundary:
-        return Conclusion.COMPACT
-    tail = report.last_shell_sups(3)
-    if tail and min(tail) >= th.compact_tol:
-        return Conclusion.NOT_COMPACT_EVIDENCE
-    non_increasing = all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
-    if report.boundary_limsup_estimate < th.compact_tol and non_increasing:
-        return Conclusion.COMPACT
     return Conclusion.INCONCLUSIVE
 
 
@@ -571,8 +573,7 @@ def little_bloch_membership(
     """
     fields = SymbolFields(g, grid) if fields is None else fields
     fields.check_symbol(g, grid)
-    report = fields.report(CriterionKind.BLOCH)
-    return _MEMBERSHIP[compact_conclusion(report, thresholds)]
+    return _MEMBERSHIP[read_tail(fields.report(CriterionKind.BLOCH), thresholds, limit=True)]
 
 
 #: Membership in B0 is the compactness tail rule read on the Bloch field.
@@ -607,7 +608,7 @@ def classify(
     evidence: list[CriterionReport] = []
     if spec.precheck is not None:
         report = fields.report(spec.precheck, "z")
-        if bounded_conclusion(report, thresholds) is Conclusion.NOT_BOUNDED_EVIDENCE:
+        if read_tail(report, thresholds, limit=False) is Conclusion.NOT_BOUNDED_EVIDENCE:
             raise PreconditionFailed(
                 f"hypothesis check failed: {_PRECHECK_FAILURE[spec.precheck]}", report
             )
@@ -615,14 +616,13 @@ def classify(
     main = fields.report(spec.kind, spec.bucket_by)
     evidence.append(main)
 
-    if spec.mode == "membership":
-        member = _MEMBERSHIP[compact_conclusion(main, thresholds)]
-        if member is Membership.IN_B0:
-            conclusion = Conclusion.COMPACT
+    if spec.mode == "membership":  # sufficiency only: membership in B0 alone concludes
+        conclusion = read_tail(main, thresholds, limit=True)
+        if conclusion is Conclusion.COMPACT:
             notes.append("symbol trends into the little Bloch space")
         else:
+            notes.append("sufficiency-only statement: membership " + _MEMBERSHIP[conclusion].value)
             conclusion = Conclusion.INCONCLUSIVE
-            notes.append("sufficiency-only statement: membership " + member.value)
         return Verdict(theorem_id, conclusion, tuple(evidence), thresholds, tuple(notes))
 
     # Divergence of the sup happens toward |z| -> 1 (the field is continuous
@@ -633,24 +633,18 @@ def classify(
     else:
         growth_report = fields.report(spec.kind, "z")
         evidence.append(growth_report)
-    bounded = bounded_conclusion(growth_report, thresholds)
-
+    bounded = read_tail(growth_report, thresholds, limit=False)
     if spec.mode == "bounded":
         conclusion = bounded
-    elif spec.mode == "limit":
-        if bounded is Conclusion.NOT_BOUNDED_EVIDENCE:
-            conclusion = Conclusion.NOT_COMPACT_EVIDENCE
+    elif bounded is Conclusion.NOT_BOUNDED_EVIDENCE:
+        conclusion = Conclusion.NOT_COMPACT_EVIDENCE
+        if spec.mode == "limit":
             notes.append("sup diverges, so the limit condition cannot hold")
-        else:
-            conclusion = compact_conclusion(main, thresholds)
-    else:  # bounded+limit
-        compact = compact_conclusion(main, thresholds)
-        if bounded is Conclusion.NOT_BOUNDED_EVIDENCE or compact is Conclusion.NOT_COMPACT_EVIDENCE:
-            conclusion = Conclusion.NOT_COMPACT_EVIDENCE
-        elif bounded is Conclusion.BOUNDED and compact is Conclusion.COMPACT:
-            conclusion = Conclusion.COMPACT
-        else:
-            conclusion = Conclusion.INCONCLUSIVE
+    else:
+        conclusion = read_tail(main, thresholds, limit=True)
+        # bounded+limit: compactness needs boundedness too
+        if spec.mode == "bounded+limit" and bounded is not Conclusion.BOUNDED:
+            conclusion = Conclusion.INCONCLUSIVE if conclusion is Conclusion.COMPACT else conclusion
     if main.vacuous_boundary and spec.mode != "bounded":
         notes.append("boundary limit set of |phi(z)| -> 1 is empty at this resolution")
     return Verdict(theorem_id, conclusion, tuple(evidence), thresholds, tuple(notes))

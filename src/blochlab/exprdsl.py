@@ -37,6 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -323,15 +324,10 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # 'num' | 'imag' | 'ident' | one of '+-*/^(),' | 'end'
     text: str
     pos: int
-
-    @property
-    def is_uint(self) -> bool:
-        return self.kind == "num" and re.fullmatch(r"\d+", self.text) is not None
 
 
 def _lex(text: str) -> list[_Tok]:
@@ -413,7 +409,7 @@ class _Parser:
         if self.peek().kind == "^":
             caret = self.next()
             t = self.next()
-            if t.kind != "num" or not t.is_uint:
+            if t.kind != "num" or re.fullmatch(r"\d+", t.text) is None:
                 raise ExprError("exponent must be a nonnegative integer literal", caret.pos + 1)
             e = Pow(e, int(t.text))
         return e

@@ -40,9 +40,9 @@ from .criteria import (
     Membership,
     SymbolFields,
     classify,
-    compact_conclusion,
     evaluate_criterion,  # noqa: F401  (bench/tests patch verify.evaluate_criterion)
     little_bloch_membership,
+    read_tail,
 )
 from .diskgeom import (
     DEFAULT_MAX_SHELL,
@@ -1008,7 +1008,7 @@ def _rotation_average_coherence():
             total += fields.values(CriterionKind.KJ)[inner]
             if witness_t is None:
                 report = fields.report(CriterionKind.KJ, "phi")
-                if compact_conclusion(report, DEFAULT_THRESHOLDS) is not Conclusion.COMPACT:
+                if read_tail(report, DEFAULT_THRESHOLDS, limit=True) is not Conclusion.COMPACT:
                     witness_t = t
         if witness_t is not None:
             rows.append(f"{g_src}: Witness(t={witness_t:.6g})")

@@ -17,7 +17,15 @@ from blochlab import (
     little_bloch_membership,
     validate_self_map,
 )
-from blochlab.criteria import PHI_BOUNDARY_KINDS, FieldSet, SymbolFields
+from blochlab.criteria import (
+    ONE_SIDED_NOTE,
+    PHI_BOUNDARY_KINDS,
+    TAIL_SHELLS,
+    CriterionReport,
+    FieldSet,
+    SymbolFields,
+    read_tail,
+)
 from blochlab.diskgeom import DiskGrid, shell_for_modulus, shell_maxima, shell_segments
 
 
@@ -265,6 +273,149 @@ def test_hypothesis_fields_match_per_shell_mask_loop(grid8, self_map):
     _assert_same_reduction(sup_norm, _mask_loop_reduction(np.abs(g(pts)), None, grid8, "z"))
     bloch_values = (1.0 - np.abs(pts) ** 2) * np.abs(g.deriv(pts))
     _assert_same_reduction(bloch, _mask_loop_reduction(bloch_values, None, grid8, "z"))
+
+
+# --------------------------------------------------------------------------
+# the tail reader, branch by branch, on hand-written tails
+
+_TH = Thresholds()  # divergence 1e3, compact_tol 1e-2
+_FLOOR = 1e-9 * (1.0 + 1.0)  # the growth floor of a tail ending at 1.0
+# a tail ending at 2.5e-9 whose second step is exactly its floor (the subtraction is exact)
+_S2 = 2.5e-9
+_S1 = _S2 - 1e-9 * (1.0 + _S2)
+
+
+def _tail(*sups, sup=None, vacuous=False):
+    """A report whose nonempty shells hold ``sups``, reduced as ``_reduce`` reduces them."""
+    return CriterionReport(
+        kind=CriterionKind.KI,
+        sup_value=max(sups) if sup is None else sup,
+        arg_sup=0j,
+        shell_sups=tuple(enumerate(sups)),
+        boundary_limsup_estimate=0.0 if vacuous else max(sups[-TAIL_SHELLS:]),
+        vacuous_boundary=vacuous,
+    )
+
+
+NBE, B, NCE, C, INC = (Conclusion.NOT_BOUNDED_EVIDENCE, Conclusion.BOUNDED,
+                       Conclusion.NOT_COMPACT_EVIDENCE, Conclusion.COMPACT, Conclusion.INCONCLUSIVE)
+
+
+@pytest.mark.parametrize("report, expected", [
+    # sup above / at / below divergence, with and without growth
+    (_tail(1.0, 2.0, 3.0, sup=2e3), NBE),
+    (_tail(1.0, 2.0, 3.0, sup=500.0), INC),
+    (_tail(1.0, 2.0, 3.0, sup=1e3), INC),
+    (_tail(3.0, 3.0, 3.0, sup=2e3), INC),
+    (_tail(3.0, 3.0, 3.0, sup=1e3), B),
+    (_tail(3.0, 2.0, 1.0), B),
+    # a tail shorter than three shells never grows
+    (_tail(1.0, 2.0, sup=2e3), INC),
+    (_tail(2.0, sup=2e3), INC),
+    (_tail(1.0, 2.0), B),
+    # only the last three shells are the tail
+    (_tail(9.0, 1.0, 2.0, 3.0, sup=2e3), NBE),
+    (_tail(1.0, 2.0, 3.0, 3.0, sup=2e3), INC),
+    # a step exactly at the floor 1e-9 (1 + last) is no growth; one ulp above it is
+    (_tail(0.0, _FLOOR, 1.0, sup=2e3), INC),
+    (_tail(0.0, np.nextafter(_FLOOR, 1.0), 1.0, sup=2e3), NBE),
+    (_tail(_S1 - 1.05e-9, _S1, _S2, sup=2e3), INC),
+    (_tail(_S1 - 1.05e-9, np.nextafter(_S1, 0.0), _S2, sup=2e3), NBE),
+    # a second step exactly at 0.9 times the first keeps pace (0.9 * 10.0 == 9.0); one ulp under
+    # it does not
+    (_tail(0.0, 10.0, 19.0, sup=2e3), NBE),
+    (_tail(0.0, 10.0, np.nextafter(19.0, 0.0), sup=2e3), INC),
+    (_tail(0.0, 10.0, np.nextafter(19.0, 0.0), sup=500.0), B),
+])
+def test_sup_reading_of_hand_written_tails(report, expected):
+    assert read_tail(report, _TH, limit=False) is expected
+
+
+def test_hand_written_edges_are_exact_in_floating_point():
+    assert _S2 - _S1 == 1e-9 * (1.0 + _S2)
+    assert 19.0 - 10.0 == 0.9 * 10.0
+    assert 1e-12 + 1e-12 == 2e-12
+
+
+@pytest.mark.parametrize("report, expected", [
+    # a vacuous boundary is compact whatever the shells hold
+    (_tail(5.0, 5.0, 5.0, sup=2e3, vacuous=True), C),
+    # a tail all at least compact_tol, its minimum exactly at it, or one shell under it
+    (_tail(0.012, 0.011, 0.01), NCE),
+    (_tail(0.01, 0.02, 0.03), NCE),
+    (_tail(0.012, 0.011, np.nextafter(0.01, 0.0)), INC),
+    (_tail(0.02, 0.005, 0.03), INC),
+    # non-increasing within 1e-12 (1e-12 + 1e-12 == 2e-12), and one ulp past the slack
+    (_tail(0.0, 1e-12, 2e-12), C),
+    (_tail(0.0, 1e-12, np.nextafter(2e-12, 1.0)), INC),
+    (_tail(0.003, 0.002, 0.001), C),
+    (_tail(0.002, 0.002, 0.002), C),
+    # a rising tail under compact_tol
+    (_tail(0.001, 0.002, 0.003), INC),
+    # a non-increasing tail whose limsup estimate is exactly compact_tol, or one ulp under it
+    (_tail(0.01, 0.005, 0.001), INC),
+    (_tail(np.nextafter(0.01, 0.0), 0.005, 0.001), C),
+    # the sup does not enter, and only the last three shells are the tail
+    (_tail(0.003, 0.002, 0.001, sup=2e3), C),
+    (_tail(0.001, 0.003, 0.002, 0.001), C),
+    (_tail(0.5, 0.5, 0.5, 0.001), INC),
+])
+def test_limit_reading_of_hand_written_tails(report, expected):
+    assert read_tail(report, _TH, limit=True) is expected
+
+
+class _GivenReports:
+    """A field set that hands out given reports: one on ``|z|`` shells, one on ``|phi|`` shells."""
+
+    def __init__(self, by_z, by_phi):
+        self.reports = {"z": by_z, "phi": by_phi}
+
+    def check_pair(self, phi, g, grid):
+        pass
+
+    def report(self, kind, bucket_by):
+        return self.reports[bucket_by]
+
+
+_SUP_READS = {NBE: _tail(1.0, 2.0, 3.0, sup=2e3), B: _tail(3.0, 2.0, 1.0), INC: _tail(1.0, 2.0, 3.0)}
+_LIMIT_READS = {C: _tail(0.003, 0.002, 0.001), NCE: _tail(1.0, 1.0, 1.0),
+                INC: _tail(0.001, 0.002, 0.003)}
+_DIVERGES = "sup diverges, so the limit condition cannot hold"
+
+
+@pytest.mark.parametrize("sup", list(_SUP_READS), ids=lambda c: c.value)
+@pytest.mark.parametrize("limit", list(_LIMIT_READS), ids=lambda c: c.value)
+@pytest.mark.parametrize("theorem_id", ["T3.1", "C3.3", "T4.1b"])
+def test_classify_combines_the_sup_and_limit_readings(theorem_id, sup, limit):
+    """A ``|phi|`` statement reads its ``|z|`` report as a sup and its ``|phi|`` report as a limit."""
+    by_z, by_phi = _SUP_READS[sup], _LIMIT_READS[limit]
+    verdict = classify(theorem_id, object(), object(), None, fields=_GivenReports(by_z, by_phi))
+    mode = THEOREMS[theorem_id].mode
+    if mode == "bounded":
+        expected, notes = sup, ()
+    elif sup is NBE:
+        expected, notes = NCE, (_DIVERGES,) if mode == "limit" else ()
+    elif mode == "limit":
+        expected, notes = limit, ()
+    else:  # bounded+limit: compact only when both readings say so
+        expected = NCE if limit is NCE else C if (sup, limit) == (B, C) else INC
+        notes = ()
+    assert verdict.conclusion is expected
+    assert verdict.notes == (ONE_SIDED_NOTE,) + notes
+    assert verdict.evidence == (by_phi, by_z)
+
+
+@pytest.mark.parametrize("limit, note", [
+    (C, "symbol trends into the little Bloch space"),
+    (NCE, "sufficiency-only statement: membership NotInB0Evidence"),
+    (INC, "sufficiency-only statement: membership Inconclusive"),
+], ids=lambda x: getattr(x, "value", "note"))
+def test_membership_statement_concludes_only_on_membership(limit, note):
+    report = _LIMIT_READS[limit]
+    verdict = classify("C4.3", None, object(), None, fields=_GivenReports(report, None))
+    assert verdict.conclusion is (C if limit is C else INC)
+    assert verdict.notes == (ONE_SIDED_NOTE, note)
+    assert verdict.evidence == (report,)
 
 
 # --------------------------------------------------------------------------

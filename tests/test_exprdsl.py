@@ -138,6 +138,25 @@ def test_malformed_text_raises(bad):
         parse(bad)
 
 
+@pytest.mark.parametrize("text, exponent", [("z^0", 0), ("z^12", 12), ("(z+1) ^ 3", 3), ("z^007", 7)])
+def test_exponent_is_a_nonnegative_integer_literal(text, exponent):
+    assert parse(text).n == exponent
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [("z^1.5", 2), ("z^1.", 2), ("z^2e0", 2), ("z^2i", 2), ("z^-1", 2), ("z^x", 2), ("z^", 2),
+     ("(z+1) ^ 3.0", 7)],
+)
+def test_other_exponents_are_refused_just_after_the_caret(text, offset):
+    with pytest.raises(ExprError) as excinfo:
+        parse(text)
+    assert excinfo.value.position == offset
+    assert str(excinfo.value) == (
+        f"exponent must be a nonnegative integer literal (at offset {offset})"
+    )
+
+
 def test_mobius_parameter_must_be_inside_disk():
     with pytest.raises(ExprError):
         parse("mobius(1.5)")

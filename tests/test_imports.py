@@ -146,4 +146,4 @@ def test_each_record_shape_generates_its_dataclass_methods_once():
         for cls in vars(module).values()
         if isinstance(cls, type) and cls.__module__ == name and "__dataclass_fields__" in vars(cls)
     ]
-    assert len(generating) == 24, generating
+    assert len(generating) == 23, generating
