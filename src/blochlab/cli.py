@@ -40,12 +40,7 @@ from .verify import SUITES, run_suite
 
 ERROR_PREFIX = "blochlab: error:"
 
-_CRITERIA = {
-    "KI": CriterionKind.KI,
-    "KJ": CriterionKind.KJ,
-    "KJlog": CriterionKind.KJLOG,
-    "Lg": CriterionKind.LG,
-}
+_CRITERIA = {kind.value: kind for kind in PHI_BOUNDARY_KINDS | {CriterionKind.LG}}
 _COMMUTATORS = {"I": OperatorKind.COMMUTATOR_I, "J": OperatorKind.COMMUTATOR_J}
 
 
@@ -123,20 +118,12 @@ def _print_report(report, as_json: bool) -> None:
 # subcommand handlers
 
 
-def _cmd_seminorm(args, config) -> int:
+def _cmd_norm(args, config) -> int:
+    """``seminorm`` and ``hinf``: ``args.estimator`` on the samples of ``--f``, printed as ``args.label``."""
     grid = _grid_for(args, config)
     side = _symbol(args.f, grid)
-    est = bloch_seminorm(side.g, grid, side)
-    print(f"bloch seminorm estimate {est.value:.17g} "
-          f"(attained near z = {_fmt_complex(est.arg)})")
-    return 0
-
-
-def _cmd_hinf(args, config) -> int:
-    grid = _grid_for(args, config)
-    side = _symbol(args.f, grid)
-    est = hinf_norm(side.g, grid, side)
-    print(f"sup norm estimate {est.value:.17g} "
+    est = args.estimator(side.g, grid, side)
+    print(f"{args.label} estimate {est.value:.17g} "
           f"(attained near z = {_fmt_complex(est.arg)})")
     return 0
 
@@ -243,12 +230,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("seminorm", help="Bloch seminorm of an expression")
     p.add_argument("--f", required=True, metavar="EXPR")
     p.add_argument("--grid", metavar="K,A", help="max shell K, base angular count A")
-    p.set_defaults(handler=_cmd_seminorm)
+    p.set_defaults(handler=_cmd_norm, estimator=bloch_seminorm, label="bloch seminorm")
 
     p = sub.add_parser("hinf", help="sup-norm estimate of an expression")
     p.add_argument("--f", required=True, metavar="EXPR")
     p.add_argument("--grid", metavar="K,A")
-    p.set_defaults(handler=_cmd_hinf)
+    p.set_defaults(handler=_cmd_norm, estimator=hinf_norm, label="sup norm")
 
     p = sub.add_parser("criterion", help="sample one criterion field over the grid")
     p.add_argument("--kind", required=True, choices=sorted(_CRITERIA))

@@ -15,24 +15,28 @@ boundary *limit* condition, the second as a *sup* condition equivalent to
 are kinds too: ``|g|`` (the ``H^inf`` hypothesis of T3.2) and the Bloch field
 ``(1-|z|^2)|g'|`` (the membership read by C4.3).
 
-A :class:`FieldSet` computes every field of a pair from its grid samples,
-and reduces each field over exponential boundary shells of the relevant
-limit variable — ``|phi(z)|`` for the phi-boundary criteria, ``|z|``
-otherwise, each shell one contiguous segment — estimating ``sup`` as the
-grid max and ``limsup`` as the max over the last three nonempty shells.
-When the sup of ``|phi|``, estimated from the map's own samples
-(``diskgeom.sup_modulus_estimate``), stays below ``1 - 2**-K``, the limit
-set ``|phi(z)| -> 1`` is empty and limit conditions hold vacuously.
+Each formula is written once, in the table ``_FORMULAS`` keyed by kind
+(``LgLogBoundedness`` is ``Lg``'s entry).  A :class:`FieldSet` computes
+every field of a pair from its grid samples, and reduces each field over
+exponential boundary shells of the relevant limit variable — ``|phi(z)|``
+for the phi-boundary criteria, ``|z|`` otherwise, each shell one contiguous
+segment — estimating ``sup`` as the grid max and ``limsup`` as the max over
+the last three nonempty shells.  When the sup of ``|phi|``, estimated from
+the map's own samples (``diskgeom.sup_modulus_estimate``), stays below
+``1 - 2**-K``, the limit set ``|phi(z)| -> 1`` is empty and limit
+conditions hold vacuously.
 
 A set joins a map side (:class:`MapFields`: ``phi``, ``phi'``, the
 ``|phi(z)|`` shells and each test function's commutator factor) and a
 symbol side (:class:`SymbolFields`: ``g``, ``g'``, the fields of
 :data:`SYMBOL_KINDS` and their ``|z|`` reports), and samples only
-``g o phi`` and ``g' o phi`` itself.  Sets joined from shared sides
-(``FieldSet.from_sides``, as ``harness.run_classification`` and the CLI
-build them) sample each map once, each symbol once and each pair's
-compositions once over a whole panel.  ``operators`` reads its samples from
-these classes, so this module imports nothing from it.
+``g o phi`` and ``g' o phi`` itself.  One cache serves both: a field's
+values, first argmax and reports are kept by the side that holds its kind.
+Sets joined from shared sides (``FieldSet.from_sides``, as
+``harness.run_classification`` and the CLI build them) sample each map
+once, each symbol once and each pair's compositions once over a whole
+panel.  ``operators`` reads its samples from these classes, so this module
+imports nothing from it.
 
 :func:`classify` reduces reports to a :class:`Verdict` per named statement.
 :data:`THEOREMS` names every report a statement reads: its hypothesis check,
@@ -200,27 +204,6 @@ class Verdict:
 # pointwise fields
 
 
-def _reduce(kind, bucket_by, values, j, grid, segments, vacuous) -> CriterionReport:
-    """``values`` on ``grid``, first maximal at index ``j``, reduced over the shell
-    ``segments`` of the limit variable ``bucket_by``."""
-    shell_sups = shell_maxima(values, segments)
-    return CriterionReport(
-        kind=kind,
-        sup_value=float(values[j]),
-        arg_sup=complex(grid.points[j]),
-        shell_sups=shell_sups,
-        boundary_limsup_estimate=0.0 if vacuous else max(s for _, s in shell_sups[-TAIL_SHELLS:]),
-        vacuous_boundary=vacuous,
-        bucket_by=bucket_by,
-    )
-
-
-def _check_side(what: str, held, fn, held_grid, grid: DiskGrid) -> None:
-    """``ValueError`` unless a side's ``held`` and ``held_grid`` are this very ``fn`` and grid."""
-    if held is not fn or held_grid.points is not grid.points:
-        raise ValueError(f"fields were sampled for another {what} or grid")
-
-
 class MapFields:
     """One map ``phi`` at the points of ``grid``, each sample taken on first use.
 
@@ -286,26 +269,78 @@ class MapFields:
         return shell_segments(shell_for_modulus(moduli, max_shell), max_shell), vacuous
 
 
-def _field_key(kind: CriterionKind) -> CriterionKind:
-    """The kind whose field ``kind`` reads: ``LgLogBoundedness`` reads ``Lg``'s."""
-    return CriterionKind.LG if kind is CriterionKind.LG_LOG_BOUNDEDNESS else kind
+#: Each kind's formula, read on the side that holds the kind: the pair (a :class:`FieldSet`)
+#: for :data:`PHI_BOUNDARY_KINDS`, the symbol (a :class:`SymbolFields`) for
+#: :data:`SYMBOL_KINDS`.  A side keeps a field under its formula, so ``LgLogBoundedness``,
+#: whose formula is ``Lg``'s, reads ``Lg``'s array and argmax.
+_FORMULAS = {
+    CriterionKind.KI: lambda pair: pair.map_side.phi_sharp * np.abs(pair.g_jump),
+    CriterionKind.KJ: lambda pair: pair.grid.one_minus * np.abs(pair.dg_jump),
+    CriterionKind.KJLOG: lambda pair: pair.values(CriterionKind.KJ) * pair.map_side.log_factor,
+    CriterionKind.LG: lambda side: side.values(CriterionKind.BLOCH) * np.log(2.0 / side.grid.one_minus),
+    CriterionKind.SUP_NORM: lambda side: np.abs(side.g_z),
+    CriterionKind.BLOCH: lambda side: side.grid.one_minus * np.abs(side.dg_z),
+}
+_FORMULAS[CriterionKind.LG_LOG_BOUNDEDNESS] = _FORMULAS[CriterionKind.LG]
 
 
-class SymbolFields:
+class _Fields:
+    """The one cache of :data:`_FORMULAS`: each field's values, first argmax and reports,
+    computed once on the side that holds the kind (``_holder``), so every set joined
+    from that side reads the same objects."""
+
+    def _init_fields(self) -> None:
+        self._values, self._argmaxes, self._reports = {}, {}, {}
+
+    def values(self, kind: CriterionKind) -> np.ndarray:
+        """The field ``kind`` at the points, from the samples."""
+        side, formula = self._holder(kind), _FORMULAS[kind]
+        if formula not in side._values:
+            side._values[formula] = formula(side)
+        return side._values[formula]
+
+    def _argmax(self, kind: CriterionKind) -> int:
+        """The index of the field's first maximum, found once per field and shared by its reports."""
+        side, formula = self._holder(kind), _FORMULAS[kind]
+        if formula not in side._argmaxes:
+            side._argmaxes[formula] = int(np.argmax(side.values(kind)))
+        return side._argmaxes[formula]
+
+    def _report(self, kind: CriterionKind, bucket_by: str) -> CriterionReport:
+        """The field reduced over the shells of the limit variable ``bucket_by``.  A ``|phi|``
+        report is the pair's; a ``|z|`` report is kept by the side that holds the kind."""
+        side = self if bucket_by == "phi" else self._holder(kind)
+        key = (kind, bucket_by)
+        if key not in side._reports:
+            grid, values, j = side.grid, side.values(kind), side._argmax(kind)
+            # the |z| -> 1 limit set is never empty; only |phi| buckets can be vacuous
+            segments, vacuous = side.map_side.phi_shells if bucket_by == "phi" else (grid.segments, False)
+            shell_sups = shell_maxima(values, segments)
+            side._reports[key] = CriterionReport(
+                kind=kind,
+                sup_value=float(values[j]),
+                arg_sup=complex(grid.points[j]),
+                shell_sups=shell_sups,
+                boundary_limsup_estimate=0.0 if vacuous else max(s for _, s in shell_sups[-TAIL_SHELLS:]),
+                vacuous_boundary=vacuous,
+                bucket_by=bucket_by,
+            )
+        return side._reports[key]
+
+
+class SymbolFields(_Fields):
     """One symbol ``g`` at the points of ``grid``, its fields and their ``|z|`` reports.
 
     No sample depends on a map, so one symbol's samples serve every map
-    paired with it.  The fields of :data:`SYMBOL_KINDS` are those of the
-    symbol alone: each is computed once, with the point where it is first
-    maximal, and its ``|z|`` report is one object shared by every map paired
-    with the symbol.
+    paired with it.  The side holds the fields of :data:`SYMBOL_KINDS`, those
+    of the symbol alone: each is computed once, with the point where it is
+    first maximal, and its ``|z|`` report is one object shared by every map
+    paired with the symbol.
     """
 
     def __init__(self, g, grid):
         self.g, self.grid = g, grid
-        self._values: dict = {}
-        self._argmaxes: dict = {}
-        self._reports: dict = {}
+        self._init_fields()
 
     @classmethod
     def validated(cls, fn, grid) -> "SymbolFields":
@@ -317,7 +352,8 @@ class SymbolFields:
 
     def check_symbol(self, g, grid: DiskGrid) -> None:
         """``ValueError`` unless this side is the samples of this very ``g`` and grid."""
-        _check_side("symbol", self.g, g, self.grid, grid)
+        if self.g is not g or self.grid.points is not grid.points:
+            raise ValueError("fields were sampled for another symbol or grid")
 
     @cached_property
     def g_z(self):
@@ -327,38 +363,17 @@ class SymbolFields:
     def dg_z(self):
         return self.g.deriv(self.grid.points)
 
-    def values(self, kind: CriterionKind) -> np.ndarray:
-        key = _field_key(kind)
-        if key not in self._values:
-            if key is CriterionKind.SUP_NORM:
-                self._values[key] = np.abs(self.g_z)
-            elif key is CriterionKind.BLOCH:
-                self._values[key] = self.grid.one_minus * np.abs(self.dg_z)
-            elif key is CriterionKind.LG:
-                bloch = self.values(CriterionKind.BLOCH)
-                self._values[key] = bloch * np.log(2.0 / self.grid.one_minus)
-            else:
-                raise ValueError(f"unknown field {kind!r}")
-        return self._values[key]
-
-    def _argmax(self, kind: CriterionKind) -> int:
-        """The index of the field's first maximum, found once per field."""
-        key = _field_key(kind)
-        if key not in self._argmaxes:
-            self._argmaxes[key] = int(np.argmax(self.values(kind)))
-        return self._argmaxes[key]
+    def _holder(self, kind: CriterionKind) -> "SymbolFields":
+        if kind not in SYMBOL_KINDS:
+            raise ValueError(f"unknown field {kind!r}")
+        return self
 
     def report(self, kind: CriterionKind) -> CriterionReport:
         """The field reduced over the ``|z|`` shells."""
-        if kind not in self._reports:
-            grid = self.grid
-            self._reports[kind] = _reduce(
-                kind, "z", self.values(kind), self._argmax(kind), grid, grid.segments, False
-            )
-        return self._reports[kind]
+        return self._report(kind, "z")
 
 
-class FieldSet:
+class FieldSet(_Fields):
     """The samples and fields of one pair ``(phi, g)`` on one grid, each taken on first use.
 
     The pair joins a :class:`MapFields` and a :class:`SymbolFields`: the
@@ -389,13 +404,12 @@ class FieldSet:
     def _join(self, map_side: MapFields, symbol_side: SymbolFields) -> None:
         self.map_side, self.symbol_side = map_side, symbol_side
         self.phi, self.g, self.grid = map_side.phi, symbol_side.g, map_side.grid
-        self._values: dict = {}
-        self._argmaxes: dict = {}
-        self._reports: dict = {}
+        self._init_fields()
 
     def check_pair(self, phi, g, grid: DiskGrid) -> None:
         """``ValueError`` unless both sides are the samples of this very ``phi``, ``g`` and grid."""
-        _check_side("map", self.phi, phi, self.grid, grid)
+        if self.phi is not phi or self.grid.points is not grid.points:
+            raise ValueError("fields were sampled for another map or grid")
         self.symbol_side.check_symbol(g, grid)
 
     @cached_property
@@ -408,28 +422,12 @@ class FieldSet:
         """``g'(phi(z)) phi'(z) - g'(z)``, the J-type jump."""
         return self.g.deriv(self.map_side.w) * self.map_side.dphi - self.symbol_side.dg_z
 
-    def values(self, kind: CriterionKind) -> np.ndarray:
-        """The field ``kind`` at the points, from the samples."""
-        if kind not in PHI_BOUNDARY_KINDS:
-            return self.symbol_side.values(kind)
+    def _holder(self, kind: CriterionKind) -> _Fields:
+        if kind in SYMBOL_KINDS:
+            return self.symbol_side
         if self.phi is None:
             raise ValueError(f"criterion {kind.value} requires a self-map")
-        if kind not in self._values:
-            if kind is CriterionKind.KI:
-                self._values[kind] = self.map_side.phi_sharp * np.abs(self.g_jump)
-            elif kind is CriterionKind.KJ:
-                self._values[kind] = self.grid.one_minus * np.abs(self.dg_jump)
-            else:
-                self._values[kind] = self.values(CriterionKind.KJ) * self.map_side.log_factor
-        return self._values[kind]
-
-    def _argmax(self, kind: CriterionKind) -> int:
-        """The index of the field's first maximum, shared by its ``|phi|`` and ``|z|`` reports."""
-        if kind not in PHI_BOUNDARY_KINDS:
-            return self.symbol_side._argmax(kind)
-        if kind not in self._argmaxes:
-            self._argmaxes[kind] = int(np.argmax(self.values(kind)))
-        return self._argmaxes[kind]
+        return self
 
     def report(self, kind: CriterionKind, bucket_by: str | None = None) -> CriterionReport:
         """The field reduced over shells of ``|phi(z)|`` (``"phi"``) or ``|z|`` (``"z"``), by
@@ -438,17 +436,7 @@ class FieldSet:
             bucket_by = "phi" if kind in PHI_BOUNDARY_KINDS else "z"
         if bucket_by not in ("phi", "z"):
             raise ValueError(f'bucket_by must be "phi" or "z", got {bucket_by!r}')
-        if bucket_by == "z" and kind in SYMBOL_KINDS:
-            return self.symbol_side.report(kind)
-        key = (kind, bucket_by)
-        if key not in self._reports:
-            # the |z| -> 1 limit set is never empty; only |phi| buckets can be vacuous
-            grid = self.grid
-            segments, vacuous = self.map_side.phi_shells if bucket_by == "phi" else (grid.segments, False)
-            self._reports[key] = _reduce(
-                kind, bucket_by, self.values(kind), self._argmax(kind), grid, segments, vacuous
-            )
-        return self._reports[key]
+        return self._report(kind, bucket_by)
 
 
 def criterion_value(kind: CriterionKind, phi, g, z):

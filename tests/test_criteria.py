@@ -20,9 +20,11 @@ from blochlab import (
 from blochlab.criteria import (
     ONE_SIDED_NOTE,
     PHI_BOUNDARY_KINDS,
+    SYMBOL_KINDS,
     TAIL_SHELLS,
     CriterionReport,
     FieldSet,
+    MapFields,
     SymbolFields,
     read_tail,
 )
@@ -139,6 +141,29 @@ def test_report_defaults_to_the_kinds_limit_variable(grid6, self_map, kind):
     report = fields.report(kind)
     assert report is fields.report(kind, "phi" if kind in PHI_BOUNDARY_KINDS else "z")
     assert report == evaluate_criterion(kind, phi, g, grid6)
+
+
+def test_sets_joined_from_shared_sides_read_one_array_per_field(grid6):
+    """Lg and LgLogBoundedness read one array, and every pair reads the symbol side's own
+    array of each symbol kind."""
+    g = SymbolFields(analytic("log(2/(1-0.9*z))"), grid6)
+    pairs = [FieldSet.from_sides(MapFields(validate_self_map(analytic(src), grid6), grid6), g)
+             for src in ("z/2", "mobius(0.5)")]
+    for fields in pairs:
+        assert fields.values(CriterionKind.LG) is fields.values(CriterionKind.LG_LOG_BOUNDEDNESS)
+        for kind in SYMBOL_KINDS:
+            assert fields.values(kind) is g.values(kind), kind
+
+
+def test_a_set_with_no_map_reads_only_symbol_kinds(grid6):
+    fields = FieldSet.from_sides(MapFields(None, grid6), SymbolFields(analytic("z^2"), grid6))
+    for kind in SYMBOL_KINDS:
+        assert fields.values(kind) is fields.symbol_side.values(kind)
+        assert fields.report(kind) is fields.symbol_side.report(kind)
+    for kind in PHI_BOUNDARY_KINDS:
+        for read in (fields.values, fields.report):
+            with pytest.raises(ValueError, match=f"criterion {kind.value} requires a self-map"):
+                read(kind)
 
 
 def test_report_serializes(grid6, self_map):
@@ -286,7 +311,7 @@ _S1 = _S2 - 1e-9 * (1.0 + _S2)
 
 
 def _tail(*sups, sup=None, vacuous=False):
-    """A report whose nonempty shells hold ``sups``, reduced as ``_reduce`` reduces them."""
+    """A report whose nonempty shells hold ``sups``, reduced as a field set reduces them."""
     return CriterionReport(
         kind=CriterionKind.KI,
         sup_value=max(sups) if sup is None else sup,

@@ -209,6 +209,21 @@ def test_checks_share_no_cache():
     assert names.isdisjoint({"lru_cache", "cache", "cached_property"})
 
 
+def test_every_grid_of_a_check_names_its_depth():
+    # a check on make_grid(), or on an interpolation family sampled on it, would move its
+    # golden row with diskgeom.DEFAULT_MAX_SHELL
+    tree = ast.parse(pathlib.Path(verify.__file__).read_text())
+    depth = {"make_grid": (0, "max_shell"), "build_interpolation_family": (2, "grid")}
+    found = [
+        f"{node.lineno} {node.func.id}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in depth
+        and len(node.args) <= depth[node.func.id][0]
+        and all(kw.arg != depth[node.func.id][1] for kw in node.keywords)
+    ]
+    assert found == []
+
+
 def _grid_calls(monkeypatch, name: str):
     """Run check ``name``, counting its expression calls on as many points as one of its grids.
 
