@@ -83,18 +83,21 @@ def _analytic(source: str):
 
 
 def _symbol(source: str, grid) -> SymbolFields:
+    side = SymbolFields(_analytic(source), grid)
     try:
-        return SymbolFields.validated(_analytic(source), grid)
+        side.g_z, side.dg_z
     except NotFiniteOnGrid as exc:
         raise UsageError(f"{source!r}: {exc}") from exc
+    return side
 
 
 def _pair(args, grid) -> FieldSet:
-    """The validated sides of ``--phi`` (a side of no map without it) and ``--g``, joined."""
+    """The sides of ``--phi`` (a side of no map without it) and ``--g``, each checked, joined."""
     map_side = MapFields(None, grid)
     if args.phi is not None:
+        map_side = MapFields(_analytic(args.phi), grid)
         try:
-            map_side = MapFields.validated(_analytic(args.phi), grid)
+            map_side.w
         except NotASelfMap as exc:
             raise UsageError(f"{args.phi!r} is not a disk self-map: {exc}") from exc
     return FieldSet.from_sides(map_side, _symbol(args.g, grid))

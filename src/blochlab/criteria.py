@@ -30,7 +30,9 @@ A set joins a map side (:class:`MapFields`: ``phi``, ``phi'``, the
 ``|phi(z)|`` shells and each test function's commutator factor) and a
 symbol side (:class:`SymbolFields`: ``g``, ``g'``, the fields of
 :data:`SYMBOL_KINDS` and their ``|z|`` reports), and samples only
-``g o phi`` and ``g' o phi`` itself.  One cache serves both: a field's
+``g o phi`` and ``g' o phi`` itself.  Each side checks a sample where it
+takes it, ``phi`` inside the disk and ``g``, ``g'`` finite, so the library,
+the CLI and sweeps share one gate.  One cache serves both: a field's
 values, first argmax and reports are kept by the side that holds its kind.
 Sets joined from shared sides (``FieldSet.from_sides``, as
 ``harness.run_classification`` and the CLI build them) sample each map
@@ -62,12 +64,12 @@ import numpy as np
 from .diskgeom import (
     DiskGrid,
     ShellSegments,
+    finite_samples,
+    self_map_moduli,
     shell_for_modulus,
     shell_maxima,
     shell_segments,
     sup_modulus_estimate,
-    symbol_samples,
-    validate_self_map_samples,
 )
 
 ONE_SIDED_NOTE = "sampled maxima are lower bounds of true suprema"
@@ -207,10 +209,11 @@ class Verdict:
 class MapFields:
     """One map ``phi`` at the points of ``grid``, each sample taken on first use.
 
-    ``grid`` is a :class:`DiskGrid` of any points.  No sample depends on a
-    symbol, so one map's samples and ``|phi(z)|`` shells serve every
-    symbol paired with it.  Neither does a test function's factor in the
-    commutator derivatives (:meth:`factor`), so it too is taken once per map.
+    ``grid`` is a :class:`DiskGrid` of any points, which :attr:`w` checks
+    ``phi`` maps into the disk.  No sample depends on a symbol, so one map's
+    samples and ``|phi(z)|`` shells serve every symbol paired with it.
+    Neither does a test function's factor in the commutator derivatives
+    (:meth:`factor`), so it too is taken once per map.
     """
 
     def __init__(self, phi, grid):
@@ -218,21 +221,24 @@ class MapFields:
         # weak keys: a test function's factors go when the function is collected
         self._factors = weakref.WeakKeyDictionary()
 
-    @classmethod
-    def validated(cls, fn, grid) -> "MapFields":
-        """The side of ``fn`` validated on ``grid`` as a self-map; validation's samples are its :attr:`w`."""
-        w = fn(grid.points)
-        side = cls(validate_self_map_samples(fn, grid, w), grid)
-        side.w = w
-        return side
-
     @cached_property
     def w(self):
-        return self.phi(self.grid.points)
+        """``phi`` at the points; :class:`NotASelfMap` at the first it maps out of the disk."""
+        if self.phi is None:
+            raise ValueError("|phi(z)| requires a self-map")
+        w = self.phi(self.grid.points)
+        self._moduli = self_map_moduli(w, self.grid.points)
+        return w
+
+    @property
+    def moduli(self):
+        """``|phi(z)|``, as the check in :attr:`w` computed them."""
+        self.w
+        return self._moduli
 
     @cached_property
     def one_minus_w(self):
-        return 1.0 - np.abs(self.w) ** 2
+        return 1.0 - self.moduli**2
 
     @cached_property
     def log_factor(self):
@@ -263,10 +269,9 @@ class MapFields:
     @cached_property
     def phi_shells(self) -> tuple[ShellSegments, bool]:
         """``|phi(z)|`` shell segments, and whether ``|phi(z)| -> 1`` is out of reach on this grid."""
-        moduli = np.abs(self.w)
         max_shell = self.grid.max_shell
-        vacuous = sup_modulus_estimate(moduli, self.grid) < 1.0 - 2.0 ** (-max_shell)
-        return shell_segments(shell_for_modulus(moduli, max_shell), max_shell), vacuous
+        vacuous = sup_modulus_estimate(self.moduli, self.grid) < 1.0 - 2.0 ** (-max_shell)
+        return shell_segments(shell_for_modulus(self.moduli, max_shell), max_shell), vacuous
 
 
 #: Each kind's formula, read on the side that holds the kind: the pair (a :class:`FieldSet`)
@@ -331,8 +336,9 @@ class _Fields:
 class SymbolFields(_Fields):
     """One symbol ``g`` at the points of ``grid``, its fields and their ``|z|`` reports.
 
-    No sample depends on a map, so one symbol's samples serve every map
-    paired with it.  The side holds the fields of :data:`SYMBOL_KINDS`, those
+    No sample depends on a map, so one symbol's samples, each checked finite
+    where it is taken (:attr:`g_z`, :attr:`dg_z`), serve every map paired
+    with it.  The side holds the fields of :data:`SYMBOL_KINDS`, those
     of the symbol alone: each is computed once, with the point where it is
     first maximal, and its ``|z|`` report is one object shared by every map
     paired with the symbol.
@@ -342,14 +348,6 @@ class SymbolFields(_Fields):
         self.g, self.grid = g, grid
         self._init_fields()
 
-    @classmethod
-    def validated(cls, fn, grid) -> "SymbolFields":
-        """The side of ``fn`` validated on ``grid`` as a symbol; validation's samples are its
-        :attr:`g_z` and :attr:`dg_z` (``diskgeom.symbol_samples``)."""
-        side = cls(fn, grid)
-        side.g_z, side.dg_z = symbol_samples(fn, grid)
-        return side
-
     def check_symbol(self, g, grid: DiskGrid) -> None:
         """``ValueError`` unless this side is the samples of this very ``g`` and grid."""
         if self.g is not g or self.grid.points is not grid.points:
@@ -357,11 +355,13 @@ class SymbolFields(_Fields):
 
     @cached_property
     def g_z(self):
-        return self.g(self.grid.points)
+        """``g`` at the points; :class:`NotFiniteOnGrid` where it or ``g(0)`` is not finite."""
+        return finite_samples("f", self.g, self.grid.points)
 
     @cached_property
     def dg_z(self):
-        return self.g.deriv(self.grid.points)
+        """``g'`` at the points, checked as :attr:`g_z` is."""
+        return finite_samples("f'", self.g.deriv, self.grid.points)
 
     def _holder(self, kind: CriterionKind) -> "SymbolFields":
         if kind not in SYMBOL_KINDS:

@@ -239,47 +239,39 @@ def _syntactic_automorphism(e: Expr) -> bool:
 
 
 def validate_self_map(fn: AnalyticFn, grid: DiskGrid) -> SelfMap:
-    """Check ``|fn| < 1`` on the grid and package the map.
+    """Check ``|fn| < 1`` on the grid (:func:`self_map_moduli`) and package the map.
 
     ``sup_modulus_estimate`` is :func:`sup_modulus_estimate` on this grid.
-    Raises :class:`NotASelfMap` with the first offending grid point
-    otherwise; a non-finite sample (NaN) offends.
     """
-    return validate_self_map_samples(fn, grid, fn(grid.points))
+    moduli = self_map_moduli(fn(grid.points), grid.points)
+    return SelfMap(fn, sup_modulus_estimate(moduli, grid), _syntactic_automorphism(fn.expr))
 
 
-def validate_self_map_samples(fn: AnalyticFn, grid: DiskGrid, w: np.ndarray) -> SelfMap:
-    """:func:`validate_self_map` from ``w``, the samples of ``fn`` at the grid's points."""
+def self_map_moduli(w, points) -> np.ndarray:
+    """``|w|`` for a map's samples ``w``; :class:`NotASelfMap` at the first not below 1 (NaN too)."""
     moduli = np.abs(w)
     bad = np.flatnonzero(~(moduli < 1.0))
     if bad.size:
         j = int(bad[0])
-        raise NotASelfMap(complex(grid.points[j]), float(moduli[j]))
-    return SelfMap(fn, sup_modulus_estimate(moduli, grid), _syntactic_automorphism(fn.expr))
+        raise NotASelfMap(complex(np.ravel(points)[j]), float(np.ravel(moduli)[j]))
+    return moduli
 
 
-def symbol_samples(fn: AnalyticFn, grid: DiskGrid) -> tuple[np.ndarray, np.ndarray]:
-    """``fn`` and ``fn'`` at the grid's points, each checked finite there and at the origin.
+def finite_samples(what: str, evaluate_at, points) -> np.ndarray:
+    """``evaluate_at(points)``, checked finite at the origin first and then at the points.
 
-    The origin is no grid point, but ``bloch_norm`` reads ``f(0)``: ``log(z)``
-    is finite on the whole grid and singular there.  It is evaluated as a
-    one-point array, through the array path, because Python complex division
-    raises at a pole where numpy gives inf.
-    Raises :class:`NotFiniteOnGrid` with the first offending point (the
-    origin first), value before derivative.
+    :class:`NotFiniteOnGrid` names ``what`` and the first offending point.  ``bloch_norm``
+    reads ``f(0)``, and ``log(z)`` is finite on the whole grid but singular there.  The
+    origin is sampled as a one-point array: Python complex division raises at a pole.
     """
-    origin = np.zeros(1, dtype=complex)
-    samples = []
-    for what, evaluate_at in (("f", fn), ("f'", fn.deriv)):
-        for pts in (origin, grid.points):
-            with np.errstate(all="ignore"):
-                values = evaluate_at(pts)
-            bad = np.flatnonzero(~np.isfinite(values))
-            if bad.size:
-                j = int(bad[0])
-                raise NotFiniteOnGrid(what, complex(pts[j]), complex(values[j]))
-        samples.append(values)
-    return samples[0], samples[1]
+    for pts in (np.zeros(1, dtype=complex), points):
+        with np.errstate(all="ignore"):
+            values = evaluate_at(pts)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            j = int(bad[0])
+            raise NotFiniteOnGrid(what, complex(np.ravel(pts)[j]), complex(np.ravel(values)[j]))
+    return values
 
 
 def schwarz_pick_modulus_bound(phi, z):

@@ -258,21 +258,23 @@ def run_classification(spec: ExperimentSpec) -> SuiteReport:
     start = time.perf_counter()
     grid = make_grid(spec.max_shell, spec.base_angular)
 
-    # one symbol side per symbol, shared by every map paired with it
+    # one symbol side per symbol, shared by every map paired with it and checked up front
     symbols: dict[str, SymbolFields | Exception] = {}
     for src in spec.g_exprs:
         try:
-            symbols[src] = SymbolFields.validated(analytic(src), grid)
+            symbols[src] = SymbolFields(analytic(src), grid)
+            symbols[src].g_z, symbols[src].dg_z
         except (ExprError, NotFiniteOnGrid) as exc:
             symbols[src] = exc
 
     cases = []
     for phi_src in spec.phi_exprs:
-        # one map side per map, validated in its turn and shared by its pairs; the
+        # one map side per map, checked in its turn and shared by its pairs; the
         # previous map's side and set go before this map is sampled
         map_side = fields = None
         try:
-            map_side = MapFields.validated(analytic(phi_src), grid)
+            map_side = MapFields(analytic(phi_src), grid)
+            map_side.w
         except ValueError as exc:
             map_side = exc
         for g_src in spec.g_exprs:

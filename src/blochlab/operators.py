@@ -28,8 +28,10 @@ the sup for functions analytic up to the boundary, and polishes its best
 angle.  Both polish with one deterministic compass search that moves every
 start at once on numpy arrays, and keep the polished value only where it
 beats the sampled one.  Given ``fields``, a ``criteria.SymbolFields`` of
-``f`` on the grid (the CLI passes its validated side), both read their grid
-samples from it.  ``commutator_seminorm`` and criterion suprema stay pure
+``f`` on the grid (the CLI passes its checked side), both read their grid
+samples from it.  Either way the samples are a side's, checked where they
+are taken, so a pole on the grid raises ``NotFiniteOnGrid``, not an
+infinite estimate.  ``commutator_seminorm`` and criterion suprema stay pure
 grid maxima so that grid refinement is exactly monotone.
 
 The samples of a pair ``(phi, g)`` are ``criteria.FieldSet``'s:

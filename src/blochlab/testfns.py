@@ -15,8 +15,8 @@ and ``LogFw`` has its own for ``w``.
 The interpolation construction realizes finite peak families on separated
 nodes by quotients of Blaschke factors: ``h_k(z) = prod_{j != k} b_{x_j}(z) /
 b_{x_j}(x_k)`` with ``b_a = alpha_a``.  For finite node sets this interpolates
-the Kronecker delta exactly; the sup of ``sum_k |h_k|`` is estimated by grid
-sampling and reported, not optimized.
+the Kronecker delta exactly; the sup of ``sum_k |h_k|`` is estimated on the
+grid the caller names and reported, not optimized.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import reduce
 
 import numpy as np
 
-from .diskgeom import DiskGrid, make_grid, pseudo_hyperbolic
+from .diskgeom import DiskGrid, pseudo_hyperbolic
 from .exprdsl import (
     AnalyticFn,
     Const,
@@ -150,9 +150,7 @@ def _separation_products(nodes: list[complex]) -> list[float]:
     ]
 
 
-def build_interpolation_family(
-    nodes, d: float, grid: DiskGrid | None = None
-) -> InterpolationFamily:
+def build_interpolation_family(nodes, d: float, grid: DiskGrid) -> InterpolationFamily:
     """Blaschke-quotient peak functions h_k with h_k(x_j) = delta_kj.
 
     Each Blaschke value ``b_{x_j}(x_k)`` in the denominators is computed by
@@ -160,6 +158,7 @@ def build_interpolation_family(
     zeros are exact (a factor evaluates to 0/positive); the diagonal ratios
     v/v sit within an ulp of 1.0 — numpy divides complex numbers through a
     rounded reciprocal, so even a same-float quotient can land one ulp off.
+    ``sum_bound_estimate`` is the max of ``sum_k |h_k|`` over ``grid``.
     """
     nodes = [_check_disk_param(p, "node") for p in nodes]
     if not nodes:
@@ -190,6 +189,5 @@ def build_interpolation_family(
         peaks=tuple(peaks),
         sum_bound_estimate=0.0,
     )
-    sample_grid = grid if grid is not None else make_grid()
-    bound = float(family.sum_of_moduli(sample_grid.points).max()) if len(nodes) > 1 else 1.0
+    bound = float(family.sum_of_moduli(grid.points).max()) if len(nodes) > 1 else 1.0
     return InterpolationFamily(family.nodes, family.separation, family.peaks, bound)

@@ -396,8 +396,7 @@ def _commutator_derivative_identity():
     h = FD_STEP
     worst = 0.0
     for phi_src, g_src, f_src in _identity_triples():
-        phi = validate_self_map(analytic(phi_src), grid)
-        g, f = analytic(g_src), analytic(f_src)
+        phi, g, f = analytic(phi_src), analytic(g_src), analytic(f_src)
         for kind in (OperatorKind.COMMUTATOR_I, OperatorKind.COMMUTATOR_J):
             plus = np.asarray(commutator_value(kind, phi, g, f, pts + h))
             minus = np.asarray(commutator_value(kind, phi, g, f, pts - h))
@@ -421,10 +420,9 @@ def _commutator_linearity():
     alpha = 0.7 - 0.2j
     f1, f2 = analytic("mobius(0.5)"), analytic("z^2")
     combo = analytic(f"complex({alpha.real!r},{alpha.imag!r})*(mobius(0.5))+z^2")
-    grid = make_grid(14)
     worst = 0.0
     for phi_src, g_src in (("mobius(0.5)", "log(2/(1-0.9*z))"), ("z/2", "z^2")):
-        phi, g = validate_self_map(analytic(phi_src), grid), analytic(g_src)
+        phi, g = analytic(phi_src), analytic(g_src)
         for kind in (OperatorKind.COMMUTATOR_I, OperatorKind.COMMUTATOR_J):
             lhs = commutator_derivative(kind, phi, g, combo, pts)
             rhs = alpha * commutator_derivative(
@@ -537,7 +535,7 @@ def _chain_margins(op, kind, f_corpus, norm, max_shell=14, keep=None):
     min_margin = math.inf
     violations = pairs = 0
     for phi_src in TEN_MAP_PANEL:
-        map_side = MapFields.validated(analytic(phi_src), grid)
+        map_side = MapFields(analytic(phi_src), grid)
         for symbol in symbols:
             fields = FieldSet.from_sides(map_side, symbol)
             phi, g = fields.phi, fields.g
@@ -589,7 +587,7 @@ def _necessity_peak_lower_bound():
     violations = 0
     checked = 0
     for phi_src in TEN_MAP_PANEL:
-        map_side = MapFields.validated(analytic(phi_src), grid)
+        map_side = MapFields(analytic(phi_src), grid)
         phi = map_side.phi
         # the outermost |phi| shell's points, in grid order
         segments, _ = map_side.phi_shells
@@ -742,7 +740,7 @@ def _schwarz_pick_random_maps():
     grid = make_grid(14)
     worst = -math.inf
     for src in _random_self_map_sources(100, rng):
-        worst = max(worst, float(np.max(MapFields.validated(analytic(src), grid).phi_sharp)))
+        worst = max(worst, float(np.max(MapFields(analytic(src), grid).phi_sharp)))
     passed = worst <= 1.0 + 1e-12
     return (
         passed,
@@ -757,7 +755,7 @@ def _schwarz_automorphism_equality():
     grid = make_grid(14)
     worst = 0.0
     for src in AUTOMORPHISM_PANEL:
-        sharp = MapFields.validated(analytic(src), grid).phi_sharp
+        sharp = MapFields(analytic(src), grid).phi_sharp
         worst = max(worst, float(np.max(np.abs(sharp - 1.0))))
     passed = worst <= 1e-9
     return (
@@ -774,8 +772,8 @@ def _modulus_bound_panel():
     worst = -math.inf
     sources = list(TEN_MAP_PANEL) + _random_self_map_sources(100, rng)
     for src in sources:
-        side = MapFields.validated(analytic(src), grid)
-        actual = np.abs(side.w)
+        side = MapFields(analytic(src), grid)
+        actual = side.moduli
         bound = schwarz_pick_modulus_bound(side.phi, grid.points)
         worst = max(worst, float(np.max(actual - bound)))
     passed = worst <= 1e-12
@@ -808,8 +806,8 @@ def _grid_monotonicity():
     verdicts = {case: [] for case in _CURATED_CASES}  # a case's verdict on each grid in turn
     for k in (6, 8, 10, 12, 14):
         grid = make_grid(k)
-        # one validated side per map, one side per symbol and one set per pair on this grid
-        maps = {src: MapFields.validated(phi, grid) for src, phi in phis.items()}
+        # one side per map, one side per symbol and one set per pair on this grid
+        maps = {src: MapFields(phi, grid) for src, phi in phis.items()}
         symbols = {src: SymbolFields(g, grid) for src, g in gs.items()}
         pairs = {(p, g): FieldSet.from_sides(maps[p], symbols[g])
                  for p, g in dict.fromkeys((p, g) for _, p, g in _CURATED_CASES)}
@@ -863,7 +861,7 @@ def _bounded_implies_chain():
 @_check("criteria.rigidity_nonconstant_g", "theorems")
 def _rigidity_nonconstant_g():
     grid = make_grid(14)
-    automorphisms = [(src, MapFields.validated(analytic(src), grid))
+    automorphisms = [(src, MapFields(analytic(src), grid))
                      for src in AUTOMORPHISM_PANEL]
     symbols = {src: SymbolFields(analytic(src), grid) for src in G_CORPUS}
     problems = []
@@ -901,7 +899,7 @@ def _rigidity_nonconstant_g():
 @_check("criteria.little_bloch_sufficiency", "theorems")
 def _little_bloch_sufficiency():
     grid = make_grid(16)
-    maps = [(src, MapFields.validated(analytic(src), grid)) for src in TEN_MAP_PANEL]
+    maps = [(src, MapFields(analytic(src), grid)) for src in TEN_MAP_PANEL]
     symbols = {src: SymbolFields(analytic(src), grid)
                for src in dict.fromkeys(G_CORPUS + POLYNOMIAL_G_CORPUS)}
     members = [src for src, symbol in symbols.items()
@@ -932,7 +930,7 @@ def _rotation_necessity():
     symbol = SymbolFields(analytic("log(2/(1-z))"), grid)
     witness = None
     for phi_src in ROTATION_PANEL:
-        fields = FieldSet.from_sides(MapFields.validated(analytic(phi_src), grid), symbol)
+        fields = FieldSet.from_sides(MapFields(analytic(phi_src), grid), symbol)
         verdict = classify("T4.1b", fields.phi, fields.g, grid, fields=fields)
         if verdict.conclusion is Conclusion.NOT_COMPACT_EVIDENCE:
             witness = phi_src
@@ -969,7 +967,7 @@ def _hospital_ratio_panel():
     min_margin = math.inf
     failures = []
     for src in TEN_MAP_PANEL + ROTATION_PANEL:
-        side = MapFields.validated(analytic(src), grid)
+        side = MapFields(analytic(src), grid)
         ratio = side.log_factor / den
         s = abs(complex(side.phi(0.0)))
         max_excess = max(shell_max - (1.0 + _hospital_slack(k, s))
@@ -999,7 +997,7 @@ def _rotation_average_coherence():
     # a_n are recovered from circle samples.  The inequality is checked for
     # |z| <= 0.75, where the degree-capped truncation tail is negligible.
     grid = make_grid(14)
-    rotations = [(t, MapFields.validated(analytic(src), grid))
+    rotations = [(t, MapFields(analytic(src), grid))
                  for t, src in zip(ROTATION_ANGLES, ROTATION_PANEL)]
     inner = np.abs(grid.points) <= 0.75
     pts, one_minus = grid.points[inner], grid.one_minus[inner]

@@ -7,13 +7,19 @@ from blochlab import (
     Conclusion,
     CriterionKind,
     Membership,
+    NotASelfMap,
+    NotFiniteOnGrid,
+    OperatorKind,
     PreconditionFailed,
     THEOREMS,
     Thresholds,
     analytic,
+    bloch_seminorm,
     classify,
+    commutator_seminorm,
     criterion_value,
     evaluate_criterion,
+    hinf_norm,
     little_bloch_membership,
     validate_self_map,
 )
@@ -164,6 +170,13 @@ def test_a_set_with_no_map_reads_only_symbol_kinds(grid6):
         for read in (fields.values, fields.report):
             with pytest.raises(ValueError, match=f"criterion {kind.value} requires a self-map"):
                 read(kind)
+    # a symbol field on |phi| shells reads the map side, which refuses every |phi| read
+    for kind in SYMBOL_KINDS:
+        with pytest.raises(ValueError, match="requires a self-map"):
+            fields.report(kind, "phi")
+    for name in ("w", "moduli", "one_minus_w", "log_factor", "phi_sharp", "phi_shells"):
+        with pytest.raises(ValueError, match="requires a self-map"):
+            getattr(fields.map_side, name)
 
 
 def test_report_serializes(grid6, self_map):
@@ -569,3 +582,42 @@ def test_membership_reads_only_this_symbols_fields_on_this_grid(grid6, default_g
     for other in (SymbolFields(analytic("log(2/(1-0.999*z))"), default_grid), SymbolFields(g, grid6)):
         with pytest.raises(ValueError, match="another symbol or grid"):
             little_bloch_membership(g, default_grid, fields=other)
+
+
+# --------------------------------------------------------------------------
+# one input gate: each side checks the samples it takes, so every entry point
+# refuses what the CLI refuses, with the CLI's exception and witness
+
+#: each library entry point that samples its inputs, called with a map ``phi`` and a
+#: symbol ``g`` (a norm's ``f``); membership and the norms read no map
+_ENTRY_POINTS = {
+    "classify": lambda phi, g, grid: classify("T3.1", phi, g, grid),
+    "evaluate_criterion": lambda phi, g, grid: evaluate_criterion(CriterionKind.KI, phi, g, grid),
+    "criterion_value": lambda phi, g, grid: criterion_value(CriterionKind.KI, phi, g, grid.points),
+    "little_bloch_membership": lambda phi, g, grid: little_bloch_membership(g, grid),
+    "bloch_seminorm": lambda phi, g, grid: bloch_seminorm(g, grid),
+    "hinf_norm": lambda phi, g, grid: hinf_norm(g, grid),
+    "commutator_seminorm": lambda phi, g, grid: commutator_seminorm(
+        OperatorKind.COMMUTATOR_I, phi, g, analytic("z"), grid),
+}
+_READ_A_MAP = ("classify", "evaluate_criterion", "criterion_value", "commutator_seminorm")
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_every_entry_point_refuses_a_pole_on_the_grid(grid6, entry):
+    # 0.25 is the first point of shell 0: a pole there made inf evidence before the sides
+    # checked their samples
+    with pytest.raises(NotFiniteOnGrid) as refused:
+        _ENTRY_POINTS[entry](analytic("z/2"), analytic("1/(z-0.25)"), grid6)
+    assert refused.value.witness == 0.25
+    assert "is not finite at the grid point z = (0.25+0j)" in str(refused.value)
+
+
+@pytest.mark.parametrize("entry", _READ_A_MAP)
+def test_every_entry_point_that_reads_a_map_refuses_one_that_leaves_the_disk(grid6, entry):
+    with pytest.raises(NotASelfMap) as expected:
+        validate_self_map(analytic("2*z"), grid6)
+    with pytest.raises(NotASelfMap) as refused:
+        _ENTRY_POINTS[entry](analytic("2*z"), analytic("z"), grid6)
+    assert refused.value.witness == expected.value.witness
+    assert str(refused.value) == str(expected.value)

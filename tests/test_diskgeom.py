@@ -169,21 +169,21 @@ def test_validate_rejects_map_that_is_nan_on_the_grid(default_grid):
     assert np.isnan(excinfo.value.modulus)
 
 
-def test_a_validated_map_side_keeps_validations_samples(grid6):
-    """MapFields.validated: the same SelfMap as validate_self_map, validation's samples as w,
-    and the same refusal with the same witness."""
+def test_a_map_side_refuses_what_validate_self_map_refuses(grid6):
+    """A plain MapFields checks phi where it samples it: its w is phi(points), its moduli
+    are |w|, and it refuses each map validate_self_map refuses, with the same witness."""
     for src in ("z/2", "mobius(0.5)", "0.5+0.25i"):
-        side = MapFields.validated(analytic(src), grid6)
-        phi = validate_self_map(analytic(src), grid6)
-        assert (side.phi.sup_modulus_estimate, side.phi.is_automorphism) == (
-            phi.sup_modulus_estimate, phi.is_automorphism)
-        assert np.array_equal(side.w, phi(grid6.points))
-        assert np.array_equal(side.phi_sharp, MapFields(phi, grid6).phi_sharp)
+        fn = analytic(src)
+        side = MapFields(fn, grid6)
+        assert np.array_equal(side.w, fn(grid6.points))
+        assert np.array_equal(side.moduli, np.abs(fn(grid6.points)))
+        assert np.array_equal(side.phi_sharp, MapFields(validate_self_map(fn, grid6), grid6).phi_sharp)
     for src in ("2*z", "z+1", "i"):
         with pytest.raises(NotASelfMap) as refused:
-            MapFields.validated(analytic(src), grid6)
+            MapFields(analytic(src), grid6).w
         with pytest.raises(NotASelfMap) as expected:
             validate_self_map(analytic(src), grid6)
+        assert refused.value.witness == expected.value.witness
         assert str(refused.value) == str(expected.value)
 
 

@@ -529,19 +529,19 @@ def test_csv_has_one_row_per_case(small_report):
 
 
 def test_run_samples_each_formula_at_most_once_per_pair(monkeypatch):
-    """Over the panel's run: phi and phi' once per map (validation's samples of phi are
-    the side's), g and g' once per symbol at the origin and once on the grid (validation's
-    grid samples are the side's), g o phi and g' o phi once per pair, and 218 grid
-    evaluations in all (246 when each side sampled its map or symbol again after
-    validating it, 568 when each pair sampled both its map and its symbol)."""
+    """Over the panel's run: phi and phi' once per map (the side checks the samples of phi
+    it takes), g and g' once per symbol at the origin and once on the grid (the side's
+    check reads both), g o phi and g' o phi once per pair, and 218 grid evaluations and 18
+    origin calls in all (246 grid evaluations when each side sampled its map or symbol
+    again after validating it, 568 when each pair sampled both its map and its symbol)."""
     roles, calls = {}, collections.Counter()
     taken_on_grid = {}  # id of a grid sample -> (source, sample), held so ids stay unique
     state = {"grid": None}
 
-    def validating(role, validated):
-        def wrapper(fn, grid):
+    def building(role, init):
+        def wrapper(self, fn, grid):
             roles[fn], state["grid"] = (role, fn.source), grid
-            return validated(fn, grid)
+            init(self, fn, grid)
 
         return wrapper
 
@@ -553,7 +553,7 @@ def test_run_samples_each_formula_at_most_once_per_pair(monkeypatch):
                     at = "grid"
                     taken_on_grid[id(out)] = (self.source, out)
                 elif np.size(z) == 1:
-                    at = "origin"  # a symbol's validation checks the origin on its own
+                    at = "origin"  # a symbol side checks the origin on its own
                 else:
                     at = taken_on_grid[id(z)][0]  # g or g' at phi(z): the pair's map
                 calls[(roles[self], label, at)] += 1
@@ -563,9 +563,8 @@ def test_run_samples_each_formula_at_most_once_per_pair(monkeypatch):
 
     monkeypatch.setattr(AnalyticFn, "__call__", counting(AnalyticFn.__call__, "f"))
     monkeypatch.setattr(AnalyticFn, "deriv", counting(AnalyticFn.deriv, "f'"))
-    monkeypatch.setattr(criteria.MapFields, "validated", validating("phi", criteria.MapFields.validated))
-    monkeypatch.setattr(criteria.SymbolFields, "validated",
-                        validating("g", criteria.SymbolFields.validated))
+    monkeypatch.setattr(criteria.MapFields, "__init__", building("phi", criteria.MapFields.__init__))
+    monkeypatch.setattr(criteria.SymbolFields, "__init__", building("g", criteria.SymbolFields.__init__))
     spec = ExperimentSpec(
         phi_exprs=TEN_MAP_PANEL, g_exprs=G_CORPUS, theorem_ids=tuple(sorted(THEOREMS)), max_shell=6
     )
@@ -580,6 +579,7 @@ def test_run_samples_each_formula_at_most_once_per_pair(monkeypatch):
                              for at in ("origin", "grid") + spec.phi_exprs})
     assert calls == expected
     assert sum(n for (_, _, at), n in calls.items() if at != "origin") <= 218
+    assert sum(n for (_, _, at), n in calls.items() if at == "origin") == 18
 
     # the reports of a symbol alone are one object across its maps
     shared = collections.defaultdict(set)

@@ -232,9 +232,11 @@ def _grid_calls(monkeypatch, name: str):
     ``"z"`` for a grid's own points, ``"w"`` for any other set of that size,
     such as ``phi(z)``.  Calls on a 1-D set of points of any other size,
     such as a check's witnesses, are counted apart, by the same key with
-    ``"few"`` as its points.  The check's golden row must hold.
+    ``"few"`` as its points, and calls at the origin alone (a symbol side
+    checks each sample it takes there) by the key with ``"origin"``.  The
+    check's golden row must hold.
     """
-    grids, calls, few = [], collections.Counter(), collections.Counter()
+    grids, calls, few, origin = [], collections.Counter(), collections.Counter(), collections.Counter()
 
     def making(*args):
         grids.append(make_grid(*args))
@@ -246,7 +248,8 @@ def _grid_calls(monkeypatch, name: str):
                 points = "z" if any(z is grid.points for grid in grids) else "w"
                 calls[(vars(self).get("source", self), label, points)] += 1
             elif np.ndim(z) == 1:
-                few[(vars(self).get("source", self), label, "few")] += 1
+                at = "origin" if np.size(z) == 1 and z[0] == 0 else "few"
+                (origin if at == "origin" else few)[(vars(self).get("source", self), label, at)] += 1
             return method(self, z)
 
         return wrapper
@@ -257,7 +260,7 @@ def _grid_calls(monkeypatch, name: str):
     result = verify._run_check(name)
     monkeypatch.undo()
     assert _golden_row(result) == GOLDEN[name]
-    return grids, calls, few
+    return grids, calls, few, origin
 
 
 def _each(sources, *calls) -> collections.Counter:
@@ -269,7 +272,7 @@ def _each(sources, *calls) -> collections.Counter:
     return out
 
 
-#: a validated map side: phi(z) once, in validation, and phi'(z) once
+#: a map side: phi(z) once, where the side checks it, and phi'(z) once
 _MAP = (("f", "z", 1), ("f'", "z", 1))
 _TEN_MAPS = _each(TEN_MAP_PANEL, *_MAP)
 _KI_SYMBOLS = _each(G_CORPUS, ("f", "z", 1), ("f", "w", len(TEN_MAP_PANEL)))
@@ -284,38 +287,51 @@ _CONSTANT = ("1", "complex(0.25,-0.5)")
 _WITNESSES = (_each(TEN_MAP_PANEL, ("f", "few", 1), ("f'", "few", 1))
               + _each(G_CORPUS, ("f", "few", 2 * len(TEN_MAP_PANEL))))
 
+#: the symbol sides' checks at the origin: one call per sample a symbol side takes
+_KI_ORIGIN = _each(G_CORPUS, ("f", "origin", 1))
+_BLOCH_ORIGIN = _each(G_CORPUS, ("f", "origin", 1)) + _each(BLOCH_F_CORPUS, ("f'", "origin", 1))
+
 #: (check, its calls by a named function, peak functions each sampled once, total calls,
-#: its calls on smaller point sets)
+#: its calls on smaller point sets, its calls at the origin)
 _PAIR_LOOP_CALLS = [
-    ("operators.chain_bound_I", _TEN_MAPS + _KI_SYMBOLS + _BLOCH_TESTS, 0, 185, {}),
+    ("operators.chain_bound_I", _TEN_MAPS + _KI_SYMBOLS + _BLOCH_TESTS, 0, 185, {}, _BLOCH_ORIGIN),
     # "w": each map's phi(z) and hinf_norm's circle, which is as large as the grid
     ("operators.chain_bound_J",
-     _TEN_MAPS + _KJ_SYMBOLS + _each(HINF_F_CORPUS, ("f", "z", 1), ("f", "w", 11)), 0, 191, {}),
-    ("criteria.bounded_implies_chain", _TEN_MAPS + _KI_SYMBOLS + _BLOCH_TESTS, 0, 185, {}),
-    ("criteria.necessity_peak_lower_bound", _TEN_MAPS + _KI_SYMBOLS, 602, 721, _WITNESSES),
+     _TEN_MAPS + _KJ_SYMBOLS + _each(HINF_F_CORPUS, ("f", "z", 1), ("f", "w", 11)), 0, 191, {},
+     _each(G_CORPUS, ("f'", "origin", 1)) + _each(HINF_F_CORPUS, ("f", "origin", 1))),
+    ("criteria.bounded_implies_chain", _TEN_MAPS + _KI_SYMBOLS + _BLOCH_TESTS, 0, 185, {},
+     _BLOCH_ORIGIN),
+    # a symbol side on the grid per symbol, and one at the witnesses per pair
+    ("criteria.necessity_peak_lower_bound", _TEN_MAPS + _KI_SYMBOLS, 602, 721, _WITNESSES,
+     _each(G_CORPUS, ("f", "origin", 1 + len(TEN_MAP_PANEL)))),
     ("criteria.little_bloch_sufficiency",
      _TEN_MAPS + _each(_ALL_SYMBOLS, ("f'", "z", 1))
      + _each([s for s in _ALL_SYMBOLS if s != _STEEP], ("f'", "w", len(TEN_MAP_PANEL))),
-     0, 142, {}),
+     0, 142, {}, _each(_ALL_SYMBOLS, ("f'", "origin", 1))),
     # each non-constant symbol finds its witness at the first automorphism
     ("criteria.rigidity_nonconstant_g",
      _each(AUTOMORPHISM_PANEL, *_MAP) + _each(G_CORPUS, ("f", "z", 1))
      + _each(_CONSTANT, ("f", "w", len(AUTOMORPHISM_PANEL)))
-     + _each([s for s in G_CORPUS if s not in _CONSTANT], ("f", "w", 1)), 0, 48, {}),
+     + _each([s for s in G_CORPUS if s not in _CONSTANT], ("f", "w", 1)), 0, 48, {}, _KI_ORIGIN),
 ]
 
 
-@pytest.mark.parametrize("name, named, peaks, total, witnesses", _PAIR_LOOP_CALLS,
+@pytest.mark.parametrize("name, named, peaks, total, witnesses, at_origin", _PAIR_LOOP_CALLS,
                          ids=[row[0] for row in _PAIR_LOOP_CALLS])
 def test_pair_loops_sample_each_map_symbol_and_test_function_once(monkeypatch, name, named,
-                                                                  peaks, total, witnesses):
+                                                                  peaks, total, witnesses,
+                                                                  at_origin):
     """Each map and each symbol once per check, each pair's compositions once, each test
     function once per map.  The two chain bounds, bounded_implies_chain,
     necessity_peak_lower_bound and little_bloch_sufficiency make 1,424 grid-sized calls
     (1,474 when each map side sampled phi again after validating it, 8,261 when each pair
     sampled both sides and each test function per pair); rigidity 48 (56, 100).  necessity_peak_lower_bound makes 200 calls at its witnesses (360 when each pair
-    sampled its map there), and no other check calls on a smaller set of points."""
-    _, calls, few = _grid_calls(monkeypatch, name)
+    sampled its map there), and no other check calls on a smaller set of points.  Each
+    sample a symbol side takes, at the grid or at the witnesses, adds one call at the
+    origin, where the side checks it: 15, 15, 15, 99 and 12 calls, and 9 for rigidity
+    (0 when these checks built their symbol sides unchecked)."""
+    _, calls, few, origin = _grid_calls(monkeypatch, name)
+    assert origin == at_origin
     assert few == witnesses
     assert sum(few.values()) == (200 if witnesses else 0)
     assert collections.Counter({k: n for k, n in calls.items() if isinstance(k[0], str)}) == named
@@ -325,14 +341,17 @@ def test_pair_loops_sample_each_map_symbol_and_test_function_once(monkeypatch, n
 
 
 def test_rotation_check_samples_each_rotation_and_symbol_once(monkeypatch):
-    """rotation_average_coherence: phi (in its validation) and phi' once per rotation,
+    """rotation_average_coherence: phi (where the side checks it) and phi' once per rotation,
     g' once per symbol (B0 membership reads the shared side), g' o phi once per pair:
     94 grid-sized expression calls (109 when each rotation's side sampled phi again after
     validating it, 258 when each pair sampled both sides).  The
     averaging bound reads g' and 1-|z|^2 at its inner points from the symbol side and
-    the grid, so no call is made on a smaller point set (4 when it sampled g' there)."""
-    grids, calls, few = _grid_calls(monkeypatch, "harness.rotation_average_coherence")
+    the grid, so no call is made on a smaller point set (4 when it sampled g' there).
+    Each symbol side checks g' at the origin: 4 one-point calls (0 unchecked)."""
+    grids, calls, few, origin = _grid_calls(monkeypatch, "harness.rotation_average_coherence")
     assert len(grids) == 1 and not few
+    assert origin == _each(("z^2", "complex(0.25,-0.5)", "log(2/(1-0.9*z))", "log(2/(1-0.999*z))"),
+                           ("f'", "origin", 1))
     expected = _each(ROTATION_PANEL, *_MAP)
     for g_src in ("z^2", "complex(0.25,-0.5)", "log(2/(1-0.9*z))", "log(2/(1-0.999*z))"):
         expected.update({(g_src, "f'", "z"): 1, (g_src, "f'", "w"): 15})
@@ -341,23 +360,27 @@ def test_rotation_check_samples_each_rotation_and_symbol_once(monkeypatch):
 
 
 def test_rotation_necessity_samples_its_witness_rotation_and_symbol_once(monkeypatch):
-    """rotation_necessity stops at its first rotation: phi (in its validation) and phi' once,
-    g' and g' o phi once: 4 grid-sized expression calls (5 when the rotation's phi(z) was
-    sampled again after validating it)."""
-    grids, calls, few = _grid_calls(monkeypatch, "criteria.rotation_necessity")
+    """rotation_necessity stops at its first rotation: phi (where the side checks it) and
+    phi' once, g' and g' o phi once: 4 grid-sized expression calls (5 when the rotation's
+    phi(z) was sampled again after validating it), and g' once at the origin, where the
+    symbol side checks it (0 unchecked)."""
+    grids, calls, few, origin = _grid_calls(monkeypatch, "criteria.rotation_necessity")
     assert len(grids) == 1 and not few
+    assert origin == _each(("log(2/(1-z))",), ("f'", "origin", 1))
     symbol = _each(("log(2/(1-z))",), ("f'", "z", 1), ("f'", "w", 1))
     assert calls == _each(ROTATION_PANEL[:1], *_MAP) + symbol
     assert sum(calls.values()) == 4
 
 
 def test_grid_monotonicity_samples_each_map_symbol_and_pair_once_per_grid(monkeypatch):
-    """grid_monotonicity on each of its five grids: phi (in its validation) and phi' once
-    per map, the symbol's own samples once per symbol, g o phi or g' o phi once per pair,
-    though z/2 serves three cases and (z/2, z) two: 60 grid-sized expression calls (110
-    when each case validated and sampled its map and symbol on each grid again)."""
-    grids, calls, few = _grid_calls(monkeypatch, "criteria.grid_monotonicity")
+    """grid_monotonicity on each of its five grids: phi (where the side checks it) and phi'
+    once per map, the symbol's own samples once per symbol, g o phi or g' o phi once per
+    pair, though z/2 serves three cases and (z/2, z) two: 60 grid-sized expression calls
+    (110 when each case validated and sampled its map and symbol on each grid again).  Each
+    symbol sample is checked at the origin too: 20 one-point calls (0 unchecked)."""
+    grids, calls, few, origin = _grid_calls(monkeypatch, "criteria.grid_monotonicity")
     assert len(grids) == 5 and not few
+    assert origin == _each(("z", _STEEP), ("f", "origin", 5), ("f'", "origin", 5))
     per_grid = (_each(("z/2", "mobius(0.5)"), *_MAP)
                 + _each(("z", _STEEP), ("f", "z", 1), ("f'", "z", 1))
                 + _each(("z",), ("f", "w", 2)) + _each((_STEEP,), ("f", "w", 1), ("f'", "w", 1)))
@@ -373,10 +396,11 @@ _RANDOM_MAPS = verify._random_self_map_sources(100, np.random.default_rng(verify
     ("diskgeom.modulus_bound_panel", _each(list(TEN_MAP_PANEL) + _RANDOM_MAPS, ("f", "z", 1))),
 ], ids=["schwarz_pick_random_maps", "modulus_bound_panel"])
 def test_map_checks_sample_each_map_once(monkeypatch, name, named):
-    """Validation's samples of phi serve as the map side's: one phi call per map on the grid
-    (two when the check sampled phi again after validating it), and phi' once for phi#."""
-    grids, calls, few = _grid_calls(monkeypatch, name)
-    assert len(grids) == 1 and not few
+    """The map side checks the samples of phi it takes: one phi call per map on the grid
+    (two when the check sampled phi again after validating it), phi' once for phi#, and
+    no call at the origin."""
+    grids, calls, few, origin = _grid_calls(monkeypatch, name)
+    assert len(grids) == 1 and not few and not origin
     assert calls == named
 
 
