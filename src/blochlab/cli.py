@@ -100,7 +100,7 @@ def _pair(args, grid) -> FieldSet:
             map_side.w
         except NotASelfMap as exc:
             raise UsageError(f"{args.phi!r} is not a disk self-map: {exc}") from exc
-    return FieldSet.from_sides(map_side, _symbol(args.g, grid))
+    return FieldSet(map_side, _symbol(args.g, grid))
 
 
 def _print_report(report, as_json: bool) -> None:
@@ -125,7 +125,10 @@ def _cmd_norm(args, config) -> int:
     """``seminorm`` and ``hinf``: ``args.estimator`` on the samples of ``--f``, printed as ``args.label``."""
     grid = _grid_for(args, config)
     side = _symbol(args.f, grid)
-    est = args.estimator(side.g, grid, side)
+    try:
+        est = args.estimator(side.g, grid, side)
+    except NotFiniteOnGrid as exc:  # hinf_norm's circle
+        raise UsageError(f"{args.f!r}: {exc}") from exc
     print(f"{args.label} estimate {est.value:.17g} "
           f"(attained near z = {_fmt_complex(est.arg)})")
     return 0
@@ -170,9 +173,11 @@ def _cmd_classify(args, config) -> int:
 def _cmd_commutator(args, config) -> int:
     grid = _grid_for(args, config)
     fields = _pair(args, grid)
-    est = commutator_seminorm(
-        _COMMUTATORS[args.kind], fields.phi, fields.g, _symbol(args.f, grid).g, grid, fields
-    )
+    f = _symbol(args.f, grid).g
+    try:
+        est = commutator_seminorm(_COMMUTATORS[args.kind], fields.phi, fields.g, f, grid, fields)
+    except NotFiniteOnGrid as exc:  # f at the image points phi(z)
+        raise UsageError(f"{args.f!r}: {exc}") from exc
     print(f"commutator-{args.kind} seminorm estimate {est.value:.17g} "
           f"(attained near z = {_fmt_complex(est.arg)})")
     return 0

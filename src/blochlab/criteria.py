@@ -34,11 +34,12 @@ symbol side (:class:`SymbolFields`: ``g``, ``g'``, the fields of
 takes it, ``phi`` inside the disk and ``g``, ``g'`` finite, so the library,
 the CLI and sweeps share one gate.  One cache serves both: a field's
 values, first argmax and reports are kept by the side that holds its kind.
-Sets joined from shared sides (``FieldSet.from_sides``, as
+A set is built only from its two sides; sets joined from shared sides (as
 ``harness.run_classification`` and the CLI build them) sample each map
 once, each symbol once and each pair's compositions once over a whole
-panel.  ``operators`` reads its samples from these classes, so this module
-imports nothing from it.
+panel, and a test function's factor is sampled by a side of the function
+on the map's image points.  ``operators`` reads its samples from these
+classes, so this module imports nothing from it.
 
 :func:`classify` reduces reports to a :class:`Verdict` per named statement.
 :data:`THEOREMS` names every report a statement reads: its hypothesis check,
@@ -159,8 +160,8 @@ class CriterionReport:
     vacuous_boundary: bool
     bucket_by: str = "z"
 
-    def last_shell_sups(self, n: int = TAIL_SHELLS) -> tuple[float, ...]:
-        return tuple(s for _, s in self.shell_sups[-n:])
+    def last_shell_sups(self) -> tuple[float, ...]:
+        return tuple(s for _, s in self.shell_sups[-TAIL_SHELLS:])
 
     def to_dict(self) -> dict:
         return {
@@ -257,13 +258,15 @@ class MapFields:
     def factor(self, kind: OperatorKind, f):
         """``phi' f'(phi)`` (I-type) or ``f(phi)`` (J-type) at the points, taken on first use.
 
-        The factors are keyed by ``kind`` and by the object ``f``, and kept
-        only while ``f`` is alive.
+        A side of ``f`` on the image points takes and checks the sample.  The
+        factors are keyed by ``kind`` and by the object ``f``, and kept only
+        while ``f`` is alive.
         """
         by_kind = self._factors.setdefault(f, {})
         if kind not in by_kind:
+            image = SymbolFields(f, DiskGrid(self.w))
             i_type = kind is OperatorKind.COMMUTATOR_I
-            by_kind[kind] = self.dphi * f.deriv(self.w) if i_type else f(self.w)
+            by_kind[kind] = self.dphi * image.dg_z if i_type else image.g_z
         return by_kind[kind]
 
     @cached_property
@@ -376,32 +379,22 @@ class SymbolFields(_Fields):
 class FieldSet(_Fields):
     """The samples and fields of one pair ``(phi, g)`` on one grid, each taken on first use.
 
-    The pair joins a :class:`MapFields` and a :class:`SymbolFields`: the
-    samples of ``phi`` and its ``|phi(z)|`` shells are the map's, the
-    samples, fields and ``|z|`` reports of ``g`` alone are the symbol's,
-    and only ``g o phi``, ``g' o phi`` and the fields and reports that read
-    them are the pair's own.  ``FieldSet(phi, g, grid)`` samples both sides
-    for this pair alone; ``FieldSet.from_sides`` shares sides across pairs,
-    as ``run_classification`` does for a whole panel.  Each field and each
-    report is computed once.  A grid is its points, so a set on any point
-    set, such as the one :func:`criterion_value` builds, reads its fields
-    and reports there.  Pass a set as ``fields`` to ``commutator_seminorm`` to
-    share it across test functions; the map side holds each test function's
-    factor, so sets joined from one map side sample a test function once
-    for all their symbols.
+    ``FieldSet(map_side, symbol_side)`` joins a :class:`MapFields` and a
+    :class:`SymbolFields`, shared and not copied: the samples of ``phi`` and
+    its ``|phi(z)|`` shells are the map's, the samples, fields and ``|z|``
+    reports of ``g`` alone are the symbol's, and only ``g o phi``,
+    ``g' o phi`` and the fields and reports that read them are the pair's
+    own.  Sides shared across pairs, as ``run_classification`` shares them
+    over a whole panel, sample each map and each symbol once.  Each field
+    and each report is computed once.  A grid is its points, so a set on any
+    point set, such as the one :func:`criterion_value` builds, reads its
+    fields and reports there.  Pass a set as ``fields`` to
+    ``commutator_seminorm`` to share it across test functions; the map side
+    holds each test function's factor, so sets joined from one map side
+    sample a test function once for all their symbols.
     """
 
-    def __init__(self, phi, g, grid):
-        self._join(MapFields(phi, grid), SymbolFields(g, grid))
-
-    @classmethod
-    def from_sides(cls, map_side: MapFields, symbol_side: SymbolFields) -> "FieldSet":
-        """The set of one map's and one symbol's samples, shared and not copied."""
-        fields = cls.__new__(cls)
-        fields._join(map_side, symbol_side)
-        return fields
-
-    def _join(self, map_side: MapFields, symbol_side: SymbolFields) -> None:
+    def __init__(self, map_side: MapFields, symbol_side: SymbolFields):
         self.map_side, self.symbol_side = map_side, symbol_side
         self.phi, self.g, self.grid = map_side.phi, symbol_side.g, map_side.grid
         self._init_fields()
@@ -441,14 +434,15 @@ class FieldSet(_Fields):
 
 def criterion_value(kind: CriterionKind, phi, g, z):
     """Pointwise criterion value; vectorized over ``z`` arrays."""
-    out = FieldSet(phi, g, DiskGrid(np.asarray(z, dtype=complex))).values(kind)
+    grid = DiskGrid(np.asarray(z, dtype=complex))
+    out = FieldSet(MapFields(phi, grid), SymbolFields(g, grid)).values(kind)
     return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
 def evaluate_criterion(kind: CriterionKind, phi, g, grid: DiskGrid) -> CriterionReport:
     """Sample the field over the grid and reduce it over shells of the kind's limit variable
     (:meth:`FieldSet.report`)."""
-    return FieldSet(phi, g, grid).report(kind)
+    return FieldSet(MapFields(phi, grid), SymbolFields(g, grid)).report(kind)
 
 
 # --------------------------------------------------------------------------
@@ -589,7 +583,7 @@ def classify(
         ) from None
     if spec.needs_phi and phi is None:
         raise ValueError(f"{theorem_id} requires a self-map")
-    fields = FieldSet(phi, g, grid) if fields is None else fields
+    fields = FieldSet(MapFields(phi, grid), SymbolFields(g, grid)) if fields is None else fields
     fields.check_pair(phi, g, grid)
 
     notes = [ONE_SIDED_NOTE]

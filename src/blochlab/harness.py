@@ -283,7 +283,7 @@ def run_classification(spec: ExperimentSpec) -> SuiteReport:
                 error = f"phi: {map_side}" if isinstance(map_side, Exception) else f"g: {symbol}"
                 cases.extend(CaseResult(t, phi_src, g_src, error=error) for t in spec.theorem_ids)
                 continue
-            fields = FieldSet.from_sides(map_side, symbol)
+            fields = FieldSet(map_side, symbol)
             for theorem_id in spec.theorem_ids:
                 try:
                     verdict = classify(theorem_id, map_side.phi, symbol.g, grid, spec.thresholds, fields)

@@ -29,10 +29,14 @@ angle.  Both polish with one deterministic compass search that moves every
 start at once on numpy arrays, and keep the polished value only where it
 beats the sampled one.  Given ``fields``, a ``criteria.SymbolFields`` of
 ``f`` on the grid (the CLI passes its checked side), both read their grid
-samples from it.  Either way the samples are a side's, checked where they
-are taken, so a pole on the grid raises ``NotFiniteOnGrid``, not an
-infinite estimate.  ``commutator_seminorm`` and criterion suprema stay pure
-grid maxima so that grid refinement is exactly monotone.
+maximum from its report.  Every other sample an estimator reads is a side's
+too, checked where it is taken (``hinf_norm``'s circle, ``bloch_norm``'s
+``f(0)``, each test function's factor), so a pole there raises
+``NotFiniteOnGrid``, not an infinite estimate.  Outside the sides are only
+the pair's own ``g o phi`` and ``g' o phi`` (``FieldSet``), the polishes'
+trial points (a non-finite value counts as ``-inf``) and the radial
+quadrature.  ``commutator_seminorm`` and criterion suprema stay pure grid
+maxima so that grid refinement is exactly monotone.
 
 The samples of a pair ``(phi, g)`` are ``criteria.FieldSet``'s:
 :func:`commutator_derivative` builds one on a ``DiskGrid`` of ``z``, and
@@ -40,8 +44,9 @@ The samples of a pair ``(phi, g)`` are ``criteria.FieldSet``'s:
 ``FieldSet.check_pair`` confirms that both of its sides are this pair's on
 this grid.  The test function's factor in each derivative, ``phi' f'(phi)``
 or ``f(phi)``, reads no symbol, so the map side (``criteria.MapFields``)
-holds it once per test function and kind, under weak keys, and each pair
-multiplies it by its own jump, in the order the formulas above are written.
+samples ``f`` at its image points and holds the factor once per test
+function and kind, under weak keys; each pair multiplies it by its own
+jump, in the order the formulas above are written.
 ``commutator_seminorms`` takes a whole family of test functions in one array
 pass; ``commutator_seminorm`` is its family of one.
 """
@@ -52,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CriterionKind, FieldSet, OperatorKind, SymbolFields
+from .criteria import CriterionKind, FieldSet, MapFields, OperatorKind, SymbolFields
 from .diskgeom import DiskGrid
 
 QUAD_TOL = 1e-12
@@ -107,20 +112,19 @@ def _integrate_radial(h, z):
     Each panel samples ``h`` once, on its 21 Kronrod nodes, and is accepted
     where ``|K21 - G10| <= QUAD_TOL * width`` or bisected, left half first.
     A pending panel carries the indices of the points still open on it; only
-    those are sampled and bisected.  A point fails once the panels covering
-    it, accepted plus pending, would exceed ``QUAD_MAX_PANELS``.
+    those are sampled and bisected.  Each point counts the panels covering
+    it, accepted plus pending: a bisection adds one, and a point fails once
+    that count would exceed ``QUAD_MAX_PANELS``.
     """
     zs = np.asarray(z, dtype=complex)
     scalar = zs.ndim == 0
     zv = np.atleast_1d(zs)
 
     total = np.zeros_like(zv)
-    leaves = np.zeros(zv.size, dtype=int)
-    pending = np.ones(zv.size, dtype=int)
+    panels = np.ones(zv.size, dtype=int)
     stack = [(0.0, 1.0, np.arange(zv.size))]
     while stack:
         a, b, idx = stack.pop()
-        pending[idx] -= 1
         t = 0.5 * (a + b) + 0.5 * (b - a) * _GK_NODES
         zi = zv[idx]
         vals = np.asarray(h(t[:, None] * zi[None, :]), dtype=complex)
@@ -130,14 +134,13 @@ def _integrate_radial(h, z):
         ok = err <= QUAD_TOL * (b - a)
         done = idx[ok]
         total[done] = total[done] + kronrod[ok]
-        leaves[done] += 1
         if ok.all():
             continue
         open_idx = idx[~ok]
-        over = leaves[open_idx] + pending[open_idx] + 2 > QUAD_MAX_PANELS
+        over = panels[open_idx] + 1 > QUAD_MAX_PANELS
         if over.any():
             raise QuadratureError(float(np.max(err[~ok][over])), QUAD_MAX_PANELS)
-        pending[open_idx] += 2
+        panels[open_idx] += 1
         m = 0.5 * (a + b)
         stack.append((m, b, open_idx))
         stack.append((a, m, open_idx))
@@ -172,7 +175,8 @@ def commutator_value(kind: OperatorKind, phi, g, f, z):
 
 def commutator_derivative(kind: OperatorKind, phi, g, f, z):
     """Closed-form derivative of the commutator (no quadrature)."""
-    s = FieldSet(phi, g, DiskGrid(z))
+    grid = DiskGrid(z)
+    s = FieldSet(MapFields(phi, grid), SymbolFields(g, grid))
     return s.map_side.factor(kind, f) * _jump(kind, s)
 
 
@@ -198,12 +202,6 @@ class SupEstimate:
 
     def __float__(self) -> float:
         return self.value
-
-
-def _grid_max(values: np.ndarray, points: np.ndarray) -> SupEstimate:
-    # np.argmax returns the first maximizer: smallest point index wins ties.
-    j = int(np.argmax(values))
-    return SupEstimate(float(values[j]), complex(points[j]))
 
 
 def _compass_max(field, x, step, stencil, xatol):
@@ -238,13 +236,14 @@ def bloch_seminorm(f, grid: DiskGrid, fields: SymbolFields | None = None) -> Sup
     """``sup (1 - |z|^2) |f'(z)|``: grid max plus local polish (lower bound).
 
     ``fields`` holds the samples of ``f`` on ``grid``, its Bloch field
-    included; without it ``f'`` is sampled here.
+    included; without it ``f'`` is sampled here.  The grid max is the
+    side's Bloch report's.
     """
     pts = grid.points
     fields = SymbolFields(f, grid) if fields is None else fields
     fields.check_symbol(f, grid)
+    base = fields.report(CriterionKind.BLOCH)
     vals = fields.values(CriterionKind.BLOCH)
-    base = _grid_max(vals, pts)
     starts = pts[np.argsort(vals, kind="stable")[::-1][:4]]
 
     def field(w):
@@ -252,31 +251,32 @@ def bloch_seminorm(f, grid: DiskGrid, fields: SymbolFields | None = None) -> Sup
         return np.where(m < 1.0, (1.0 - m**2) * np.abs(f.deriv(w)), -np.inf)
 
     z, value = _compass_max(field, starts, 0.5 * (1.0 - np.abs(starts)), _DISK_STENCIL, 1e-9)
-    return SupEstimate(value, complex(z)) if value > base.value else base
+    cand = [SupEstimate(base.sup_value, base.arg_sup), SupEstimate(value, complex(z))]
+    return max(cand, key=lambda s: s.value)
 
 
 def bloch_norm(f, grid: DiskGrid) -> float:
-    """``|f(0)| + sup (1 - |z|^2)|f'(z)|``."""
-    return abs(complex(f(0.0))) + bloch_seminorm(f, grid).value
+    """``|f(0)| + sup (1 - |z|^2)|f'(z)|``, with ``f(0)`` read through a side at the origin."""
+    origin = SymbolFields(f, DiskGrid(np.zeros(1, dtype=complex)))
+    return float(origin.values(CriterionKind.SUP_NORM)[0]) + bloch_seminorm(f, grid).value
 
 
 def hinf_norm(f, grid: DiskGrid, fields: SymbolFields | None = None) -> SupEstimate:
     """Sampled sup norm over the grid and a dense near-boundary circle.
 
     ``fields`` holds the samples of ``f`` on ``grid``; without it ``f`` is
-    sampled here.
+    sampled here.  The grid max is the side's ``|g|`` report's; the circle
+    is sampled by a side of its own, so a pole on it is refused too.
     """
-    pts = grid.points
     fields = SymbolFields(f, grid) if fields is None else fields
     fields.check_symbol(f, grid)
-    vals = fields.values(CriterionKind.SUP_NORM)
-    base = _grid_max(vals, pts)
+    base = fields.report(CriterionKind.SUP_NORM)
 
     r = 1.0 - 2.0 ** (-(grid.max_shell + 7))
     n = 8 * grid.angular_counts[-1]
     theta = 2.0 * np.pi * np.arange(n) / n
     circle = r * np.exp(1j * theta)
-    cvals = np.abs(f(circle))
+    cvals = SymbolFields(f, DiskGrid(circle)).values(CriterionKind.SUP_NORM)
     j = int(np.argmax(cvals))
 
     def on_circle(t):
@@ -284,7 +284,7 @@ def hinf_norm(f, grid: DiskGrid, fields: SymbolFields | None = None) -> SupEstim
 
     t, value = _compass_max(on_circle, theta[j : j + 1], 2.0 * np.pi / n, _ANGLE_STENCIL, 1e-14)
     cand = [
-        base,
+        SupEstimate(base.sup_value, base.arg_sup),
         SupEstimate(float(cvals[j]), complex(circle[j])),
         SupEstimate(value, complex(r * np.exp(1j * t))),
     ]
@@ -312,7 +312,7 @@ def commutator_seminorms(
     per row reads it; each row equals the call on its function alone, bit
     for bit.
     """
-    s = FieldSet(phi, g, grid) if fields is None else fields
+    s = FieldSet(MapFields(phi, grid), SymbolFields(g, grid)) if fields is None else fields
     s.check_pair(phi, g, grid)
     jump = _jump(kind, s)
     # each product goes straight into its complex row, also where the factor is
@@ -323,5 +323,5 @@ def commutator_seminorms(
         np.multiply(s.map_side.factor(kind, fn), jump, out=row)
     vals = np.abs(products)
     vals *= grid.one_minus
-    best = np.argmax(vals, axis=1)  # the first maximizer per row, as in _grid_max
+    best = np.argmax(vals, axis=1)  # the first maximizer per row, as a side's report takes it
     return [SupEstimate(float(v[j]), complex(grid.points[j])) for v, j in zip(vals, best)]

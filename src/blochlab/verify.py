@@ -537,7 +537,7 @@ def _chain_margins(op, kind, f_corpus, norm, max_shell=14, keep=None):
     for phi_src in TEN_MAP_PANEL:
         map_side = MapFields(analytic(phi_src), grid)
         for symbol in symbols:
-            fields = FieldSet.from_sides(map_side, symbol)
+            fields = FieldSet(map_side, symbol)
             phi, g = fields.phi, fields.g
             if keep is not None and not keep(phi, g, grid, fields):
                 continue
@@ -599,9 +599,9 @@ def _necessity_peak_lower_bound():
         images = [complex(phi(complex(w))) for w in witnesses.points]
         peaks = [make_test_fn(PeakH(a)) for a in images]
         for symbol in symbols:
-            fields = FieldSet.from_sides(map_side, symbol)
+            fields = FieldSet(map_side, symbol)
             g = symbol.g
-            ki = FieldSet.from_sides(at_witnesses, SymbolFields(g, witnesses)).values(CriterionKind.KI)
+            ki = FieldSet(at_witnesses, SymbolFields(g, witnesses)).values(CriterionKind.KI)
             seminorms = commutator_seminorms(OperatorKind.COMMUTATOR_I, phi, g, peaks, grid, fields=fields)
             for a, lhs, ki_w in zip(images, seminorms, ki):
                 rhs = abs(a) * float(ki_w) - NECESSITY_TOL
@@ -809,7 +809,7 @@ def _grid_monotonicity():
         # one side per map, one side per symbol and one set per pair on this grid
         maps = {src: MapFields(phi, grid) for src, phi in phis.items()}
         symbols = {src: SymbolFields(g, grid) for src, g in gs.items()}
-        pairs = {(p, g): FieldSet.from_sides(maps[p], symbols[g])
+        pairs = {(p, g): FieldSet(maps[p], symbols[g])
                  for p, g in dict.fromkeys((p, g) for _, p, g in _CURATED_CASES)}
         for case in _CURATED_CASES:
             theorem_id, phi_src, g_src = case
@@ -872,14 +872,14 @@ def _rigidity_nonconstant_g():
     for g_src, symbol in symbols.items():
         if g_src in constant:
             for _, map_side in automorphisms:
-                values = FieldSet.from_sides(map_side, symbol).values(CriterionKind.KI)
+                values = FieldSet(map_side, symbol).values(CriterionKind.KI)
                 if float(np.max(np.abs(values))) != 0.0:
                     problems.append(f"constant g={g_src}: K_I not identically zero")
                     break
             continue
         witness = None
         for phi_src, map_side in automorphisms:
-            fields = FieldSet.from_sides(map_side, symbol)
+            fields = FieldSet(map_side, symbol)
             verdict = classify("T3.2", map_side.phi, symbol.g, grid, fields=fields)
             if verdict.conclusion is Conclusion.NOT_COMPACT_EVIDENCE:
                 witness = phi_src
@@ -909,7 +909,7 @@ def _little_bloch_sufficiency():
     for g_src in members:
         symbol = symbols[g_src]
         for phi_src, map_side in maps:
-            fields = FieldSet.from_sides(map_side, symbol)
+            fields = FieldSet(map_side, symbol)
             verdict = classify("T4.1b", map_side.phi, symbol.g, grid, fields=fields)
             if verdict.conclusion is not Conclusion.COMPACT:
                 problems.append(
@@ -930,7 +930,7 @@ def _rotation_necessity():
     symbol = SymbolFields(analytic("log(2/(1-z))"), grid)
     witness = None
     for phi_src in ROTATION_PANEL:
-        fields = FieldSet.from_sides(MapFields(analytic(phi_src), grid), symbol)
+        fields = FieldSet(MapFields(analytic(phi_src), grid), symbol)
         verdict = classify("T4.1b", fields.phi, fields.g, grid, fields=fields)
         if verdict.conclusion is Conclusion.NOT_COMPACT_EVIDENCE:
             witness = phi_src
@@ -1010,7 +1010,7 @@ def _rotation_average_coherence():
         witness_t = None
         total = np.zeros(pts.shape)
         for t, rotation in rotations:
-            fields = FieldSet.from_sides(rotation, symbol)
+            fields = FieldSet(rotation, symbol)
             total += fields.values(CriterionKind.KJ)[inner]
             if witness_t is None:
                 report = fields.report(CriterionKind.KJ, "phi")

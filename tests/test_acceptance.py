@@ -67,7 +67,7 @@ def test_log_symbol_rotation_witnesses_boundary_growth(self_map, fn, grid8, defa
 def test_identity_symbol_trend_compact_with_ratio_check(self_map, fn, default_grid):
     g = fn("z")
     report = evaluate_criterion(CriterionKind.LG, None, g, default_grid)
-    tail = report.last_shell_sups(3)
+    tail = report.last_shell_sups()
     assert len(tail) == 3 and tail[0] > tail[1] > tail[2]
     assert max(tail) < 1e-2
     for phi_src in TEN_MAP_PANEL:

@@ -334,6 +334,11 @@ def test_classify_failed_hypothesis_exits_one(capsys):
          "--grid", "5,64"),
         # finite on the grid, but singular at the origin, where the Bloch norm reads f(0)
         ("classify", "--thm", "T3.1", "--phi", "z/2", "--g", "log(z)", "--grid", "5,64"),
+        # finite on the grid, but singular on hinf_norm's circle (radius 1 - 2**-13 at K=6)
+        ("hinf", "--f", "1/(z-0.9998779296875)", "--grid", "6,64"),
+        # finite on the grid, but singular at the image point 0.3125 = phi(0.625)
+        ("commutator", "--kind", "J", "--phi", "z/2", "--g", "z", "--f", "1/(z-0.3125)",
+         "--grid", "6,64"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -342,6 +347,10 @@ def test_usage_errors_exit_two(capsys, argv):
     assert err.startswith("blochlab: error:")
     if "log(z)" in argv:
         assert "is not finite at the origin z = 0j" in err
+    for pole in ("0.9998779296875", "0.3125"):
+        if f"1/(z-{pole})" in argv:
+            assert err.startswith(f"blochlab: error: '1/(z-{pole})': f(z) = ")
+            assert err.rstrip().endswith(f"is not finite at the grid point z = ({pole}+0j)")
 
 
 @pytest.mark.parametrize(

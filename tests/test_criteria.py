@@ -16,7 +16,9 @@ from blochlab import (
     analytic,
     bloch_seminorm,
     classify,
+    commutator_derivative,
     commutator_seminorm,
+    commutator_seminorms,
     criterion_value,
     evaluate_criterion,
     hinf_norm,
@@ -95,7 +97,7 @@ def test_constant_symbol_has_identically_zero_fields(self_map):
 
 def test_report_structure_and_maxima(grid6, self_map):
     phi, g = self_map("z/2"), analytic("z")
-    report = FieldSet(phi, g, grid6).report(CriterionKind.KI, "z")
+    report = FieldSet(MapFields(phi, grid6), SymbolFields(g, grid6)).report(CriterionKind.KI, "z")
     vals = criterion_value(CriterionKind.KI, phi, g, grid6.points)
     assert report.sup_value == float(vals.max())
     at_arg = float(criterion_value(CriterionKind.KI, phi, g, report.arg_sup))
@@ -121,7 +123,7 @@ def test_phi_bucketing_collapses_small_images(grid6, self_map):
 
 
 def test_report_rejects_an_unknown_limit_variable(grid6, self_map):
-    fields = FieldSet(self_map("z/2"), analytic("z"), grid6)
+    fields = FieldSet(MapFields(self_map("z/2"), grid6), SymbolFields(analytic("z"), grid6))
     for bucket_by in ("Phi", ""):
         with pytest.raises(ValueError, match="bucket_by"):
             fields.report(CriterionKind.KI, bucket_by)
@@ -143,7 +145,7 @@ def test_report_defaults_to_the_kinds_limit_variable(grid6, self_map, kind):
     """Without ``bucket_by`` a set's report is its report on the kind's limit variable, the
     same object, and equals the report evaluate_criterion samples for itself."""
     phi, g = self_map("mobius(0.5)"), analytic("log(2/(1-0.9*z))")
-    fields = FieldSet(phi, g, grid6)
+    fields = FieldSet(MapFields(phi, grid6), SymbolFields(g, grid6))
     report = fields.report(kind)
     assert report is fields.report(kind, "phi" if kind in PHI_BOUNDARY_KINDS else "z")
     assert report == evaluate_criterion(kind, phi, g, grid6)
@@ -153,7 +155,7 @@ def test_sets_joined_from_shared_sides_read_one_array_per_field(grid6):
     """Lg and LgLogBoundedness read one array, and every pair reads the symbol side's own
     array of each symbol kind."""
     g = SymbolFields(analytic("log(2/(1-0.9*z))"), grid6)
-    pairs = [FieldSet.from_sides(MapFields(validate_self_map(analytic(src), grid6), grid6), g)
+    pairs = [FieldSet(MapFields(validate_self_map(analytic(src), grid6), grid6), g)
              for src in ("z/2", "mobius(0.5)")]
     for fields in pairs:
         assert fields.values(CriterionKind.LG) is fields.values(CriterionKind.LG_LOG_BOUNDEDNESS)
@@ -162,7 +164,7 @@ def test_sets_joined_from_shared_sides_read_one_array_per_field(grid6):
 
 
 def test_a_set_with_no_map_reads_only_symbol_kinds(grid6):
-    fields = FieldSet.from_sides(MapFields(None, grid6), SymbolFields(analytic("z^2"), grid6))
+    fields = FieldSet(MapFields(None, grid6), SymbolFields(analytic("z^2"), grid6))
     for kind in SYMBOL_KINDS:
         assert fields.values(kind) is fields.symbol_side.values(kind)
         assert fields.report(kind) is fields.symbol_side.report(kind)
@@ -247,7 +249,7 @@ def test_field_set_matches_per_shell_mask_loop(grid8, phi_src, validated, bucket
     else:
         phi = validate_self_map(analytic(phi_src), grid8) if validated else analytic(phi_src)
     g = analytic("log(2/(1-0.9*z))")
-    fields = FieldSet(phi, g, grid8)
+    fields = FieldSet(MapFields(phi, grid8), SymbolFields(g, grid8))
     for kind in CriterionKind:
         values = criterion_value(kind, phi, g, grid8.points)
         expected = _mask_loop_reduction(values, phi, grid8, bucket_by)
@@ -292,7 +294,7 @@ def test_any_point_set_reports_by_the_grid_rule(grid8, phi_src, g_src):
     for ours, theirs in zip(shuffled.shells(), grid8.shells(), strict=True):
         assert np.array_equal(np.sort_complex(ours), np.sort_complex(theirs))
     phi, g = validate_self_map(analytic(phi_src), grid8), analytic(g_src)
-    on_grid, on_points = FieldSet(phi, g, grid8), FieldSet(phi, g, shuffled)
+    on_grid, on_points = (FieldSet(MapFields(phi, grid), SymbolFields(g, grid)) for grid in (grid8, shuffled))
     for kind in CriterionKind:
         for bucket_by in ("phi", "z"):
             expected, report = on_grid.report(kind, bucket_by), on_points.report(kind, bucket_by)
@@ -602,15 +604,39 @@ _ENTRY_POINTS = {
 }
 _READ_A_MAP = ("classify", "evaluate_criterion", "criterion_value", "commutator_seminorm")
 
+#: each entry point that samples a test function ``f`` at ``phi(z)``, called with ``phi = z/2``
+#: and ``g = z`` (the family's first member is finite everywhere)
+_F_AT_IMAGES = {
+    "commutator_seminorm": lambda kind, f, grid: commutator_seminorm(
+        kind, analytic("z/2"), analytic("z"), f, grid),
+    "commutator_seminorms": lambda kind, f, grid: commutator_seminorms(
+        kind, analytic("z/2"), analytic("z"), [analytic("z"), f], grid),
+    "commutator_derivative": lambda kind, f, grid: commutator_derivative(
+        kind, analytic("z/2"), analytic("z"), f, grid.points),
+}
 
-@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
-def test_every_entry_point_refuses_a_pole_on_the_grid(grid6, entry):
-    # 0.25 is the first point of shell 0: a pole there made inf evidence before the sides
-    # checked their samples
+#: (id, a call on ``make_grid(6, 64)``, the pole it must be refused at): every entry point
+#: with ``g`` (a norm's ``f``) singular at 0.25, the first point of shell 0; ``hinf_norm``
+#: with ``f`` singular on its near-boundary circle, of radius ``1 - 2**-13`` at K=6; and each
+#: commutator entry point, of either kind, with ``f`` singular at 0.3125 = phi(0.625)
+_POLES = (
+    [(entry, lambda grid, call=call: call(analytic("z/2"), analytic("1/(z-0.25)"), grid), 0.25)
+     for entry, call in _ENTRY_POINTS.items()]
+    + [("hinf_norm-circle", lambda grid: hinf_norm(analytic("1/(z-0.9998779296875)"), grid),
+        0.9998779296875)]
+    + [(f"{entry}-f-{kind.name[-1]}",
+        lambda grid, call=call, kind=kind: call(kind, analytic("1/(z-0.3125)"), grid), 0.3125)
+       for entry, call in _F_AT_IMAGES.items() for kind in OperatorKind]
+)
+
+
+@pytest.mark.parametrize("call, witness", [pole[1:] for pole in _POLES], ids=[pole[0] for pole in _POLES])
+def test_every_entry_point_refuses_a_pole_on_the_grid(grid6, call, witness):
+    # each gave inf or NaN evidence before the side that takes the sample checked it
     with pytest.raises(NotFiniteOnGrid) as refused:
-        _ENTRY_POINTS[entry](analytic("z/2"), analytic("1/(z-0.25)"), grid6)
-    assert refused.value.witness == 0.25
-    assert "is not finite at the grid point z = (0.25+0j)" in str(refused.value)
+        call(grid6)
+    assert refused.value.witness == witness
+    assert f"is not finite at the grid point z = {complex(witness)}" in str(refused.value)
 
 
 @pytest.mark.parametrize("entry", _READ_A_MAP)

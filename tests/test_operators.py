@@ -16,6 +16,7 @@ from blochlab import (
     TEN_MAP_PANEL,
     AnalyticFn,
     DiskGrid,
+    NotFiniteOnGrid,
     OperatorKind,
     QuadratureError,
     SupEstimate,
@@ -100,6 +101,18 @@ def test_quadrature_error_reports_achieved_tolerance():
         _integrate_radial(lambda u: np.sin(1.0 / np.abs(u + 1e-300)), 0.5)
     assert excinfo.value.achieved > 0.0
     assert "40 panels" in str(excinfo.value)
+
+
+def test_each_point_stops_at_its_panel_budget(monkeypatch):
+    """Each point counts its panels, accepted plus pending: 0.999, beside the pole at 1.001,
+    needs 13, so a budget of 12 fails and one of 13 integrates all three points."""
+    z = np.array([0.999, 0.5j, 0.9])
+    monkeypatch.setattr(operators, "QUAD_MAX_PANELS", 12)
+    with pytest.raises(QuadratureError, match="within 12 panels"):
+        _integrate_radial(lambda u: 1.0 / (1.001 - u), z)
+    monkeypatch.setattr(operators, "QUAD_MAX_PANELS", 13)
+    expected = -np.log((1.001 - z) / 1.001)
+    assert np.allclose(_integrate_radial(lambda u: 1.0 / (1.001 - u), z), expected, rtol=0, atol=1e-11)
 
 
 def _counting_samples_on_imaginary_axis(h):
@@ -351,6 +364,15 @@ def test_bloch_norm_adds_origin_value(grid6):
     assert bloch_norm(f, grid6) == pytest.approx(3.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("src", ["1/z", "0*log(z)"])
+def test_bloch_norm_reads_f_at_the_origin_through_a_side(grid6, src):
+    # f(0) was read as a raw scalar: 1/z raised ZeroDivisionError, 0*log(z) gave nan
+    with pytest.raises(NotFiniteOnGrid) as refused:
+        bloch_norm(analytic(src), grid6)
+    assert refused.value.witness == 0
+    assert "f(z) = " in str(refused.value) and "is not finite at the origin z = 0j" in str(refused.value)
+
+
 def test_constant_has_zero_seminorm(grid6):
     assert float(bloch_seminorm(analytic("complex(0.25,-0.5)"), grid6)) == 0.0
 
@@ -414,8 +436,8 @@ def test_shared_samples_give_the_same_seminorm(grid6, self_map, fn):
         map_side = MapFields(phi, grid6)
         for symbol in symbols:
             g = symbol.g
-            fields = FieldSet(phi, g, grid6)
-            joined = FieldSet.from_sides(map_side, symbol)
+            fields = FieldSet(MapFields(phi, grid6), SymbolFields(g, grid6))
+            joined = FieldSet(map_side, symbol)
             for kind, corpus in (
                 (OperatorKind.COMMUTATOR_I, BLOCH_F_CORPUS),
                 (OperatorKind.COMMUTATOR_J, HINF_F_CORPUS),
@@ -440,7 +462,7 @@ def test_a_family_pass_equals_each_function_alone(grid6, self_map, fn):
         phi = self_map(phi_src)
         map_side = MapFields(phi, grid6)
         for symbol in symbols:
-            fields = FieldSet.from_sides(map_side, symbol)
+            fields = FieldSet(map_side, symbol)
             for kind, corpus in ((OperatorKind.COMMUTATOR_I, BLOCH_F_CORPUS + ("1",)),
                                  (OperatorKind.COMMUTATOR_J, HINF_F_CORPUS)):
                 family = [fn(src) for src in corpus] + peaks
@@ -458,7 +480,8 @@ def test_a_family_pass_equals_each_function_alone(grid6, self_map, fn):
 def test_shared_samples_evaluate_the_pair_once(monkeypatch, grid6, self_map):
     """n test functions on one sample set: 1 phi, 1 phi', 3 g and 3 g' (on the grid, at
     phi(z), and at the origin, where the symbol side checks its sample; 2 each unchecked),
-    n f."""
+    2n f: at phi(z) and at the origin, where the test function's side on the image points
+    checks its sample (n when the factor was sampled unchecked)."""
     calls = collections.Counter()
 
     def counting(method, label):
@@ -474,7 +497,8 @@ def test_shared_samples_evaluate_the_pair_once(monkeypatch, grid6, self_map):
     f_j = [analytic(src) for src in HINF_F_CORPUS]
     monkeypatch.setattr(AnalyticFn, "__call__", counting(AnalyticFn.__call__, "f"))
     monkeypatch.setattr(AnalyticFn, "deriv", counting(AnalyticFn.deriv, "f'"))
-    fields = FieldSet(phi, g, DiskGrid(grid6.points))
+    points = DiskGrid(grid6.points)
+    fields = FieldSet(MapFields(phi, points), SymbolFields(g, points))
     for f in f_i:
         commutator_seminorm(OperatorKind.COMMUTATOR_I, phi, g, f, grid6, fields=fields)
     for f in f_j:
@@ -482,9 +506,9 @@ def test_shared_samples_evaluate_the_pair_once(monkeypatch, grid6, self_map):
     monkeypatch.undo()
     assert calls[(phi.fn, "f")] == 1 and calls[(phi.fn, "f'")] == 1
     assert calls[(g, "f")] == 3 and calls[(g, "f'")] == 3
-    assert all(calls[(f, "f'")] == 1 and calls[(f, "f")] == 0 for f in f_i)
-    assert all(calls[(f, "f")] == 1 and calls[(f, "f'")] == 0 for f in f_j)
-    assert sum(n for (fn_, _), n in calls.items() if fn_ not in (phi.fn, g)) == 12
+    assert all(calls[(f, "f'")] == 2 and calls[(f, "f")] == 0 for f in f_i)
+    assert all(calls[(f, "f")] == 2 and calls[(f, "f'")] == 0 for f in f_j)
+    assert sum(n for (fn_, _), n in calls.items() if fn_ not in (phi.fn, g)) == 24
 
 
 def test_each_kind_keeps_its_own_factor_of_one_test_function(grid6, self_map, fn):
@@ -499,7 +523,7 @@ def test_each_kind_keeps_its_own_factor_of_one_test_function(grid6, self_map, fn
         w, dphi = phi(pts), phi.deriv(pts)
         for symbol in symbols:
             g = symbol.g
-            fields = FieldSet.from_sides(map_side, symbol)
+            fields = FieldSet(map_side, symbol)
             for f in tests:
                 written_out = {
                     OperatorKind.COMMUTATOR_J: f(w) * (g.deriv(w) * dphi - g.deriv(pts)),
@@ -520,7 +544,7 @@ def test_each_kind_keeps_its_own_factor_of_one_test_function(grid6, self_map, fn
 
 def test_a_factor_goes_with_its_test_function(grid6, self_map):
     phi, g = self_map("mobius(0.5)"), analytic("log(2/(1-0.5*z))")
-    fields = FieldSet(phi, g, grid6)
+    fields = FieldSet(MapFields(phi, grid6), SymbolFields(g, grid6))
     f = make_test_fn(PeakH(0.5 + 0.25j))
     held = []
     for kind in OperatorKind:
@@ -535,7 +559,7 @@ def test_a_factor_goes_with_its_test_function(grid6, self_map):
 def test_streamed_test_functions_leave_no_factors_behind(grid6, self_map):
     """1,000 throwaway test functions through one set: the peak stays within a few factors."""
     phi, g = self_map("mobius(0.5)"), analytic("log(2/(1-0.5*z))")
-    fields = FieldSet(phi, g, grid6)
+    fields = FieldSet(MapFields(phi, grid6), SymbolFields(g, grid6))
     for kind in OperatorKind:  # the pair's own samples, before tracing
         commutator_seminorm(kind, phi, g, analytic("z"), grid6, fields=fields)
     factor_bytes, kinds = grid6.points.nbytes, list(OperatorKind)
@@ -552,18 +576,21 @@ def test_streamed_test_functions_leave_no_factors_behind(grid6, self_map):
 
 def test_seminorm_rejects_samples_of_another_pair(grid5, grid6, self_map):
     phi, g, f = self_map("z/2"), analytic("z"), analytic("z^2")
-    other = FieldSet(phi, analytic("z"), DiskGrid(grid6.points))
+    points, shell0 = DiskGrid(grid6.points), DiskGrid(grid6.shells()[0])
+    other = FieldSet(MapFields(phi, points), SymbolFields(analytic("z"), points))
     with pytest.raises(ValueError, match="another"):
         commutator_seminorm(OperatorKind.COMMUTATOR_I, phi, g, f, grid6, fields=other)
-    inner = FieldSet(phi, g, DiskGrid(grid6.shells()[0]))
+    inner = FieldSet(MapFields(phi, shell0), SymbolFields(g, shell0))
     with pytest.raises(ValueError, match="another"):
         commutator_seminorm(OperatorKind.COMMUTATOR_J, phi, g, f, grid6, fields=inner)
     # classify reads the same check: another map's fields, or another grid's
     g = analytic("log(2/(1-z))")
     with pytest.raises(ValueError, match="another"):
-        classify("T3.2", phi, g, grid6, fields=FieldSet(self_map("exp(0.5i)*z"), g, grid6))
+        classify("T3.2", phi, g, grid6,
+                 fields=FieldSet(MapFields(self_map("exp(0.5i)*z"), grid6), SymbolFields(g, grid6)))
     with pytest.raises(ValueError, match="another"):
-        classify("T3.2", phi, g, grid6, fields=FieldSet(phi, g, grid5))
+        classify("T3.2", phi, g, grid6,
+                 fields=FieldSet(MapFields(phi, grid5), SymbolFields(g, grid5)))
 
 
 def test_joined_sides_must_be_this_pairs_on_this_grid(grid5, grid6, self_map):
@@ -578,15 +605,15 @@ def test_joined_sides_must_be_this_pairs_on_this_grid(grid5, grid6, self_map):
         (MapFields(phi, grid5), SymbolFields(g, grid5)),
     ]
     for map_side, symbol_side in joins:
-        fields = FieldSet.from_sides(map_side, symbol_side)
+        fields = FieldSet(map_side, symbol_side)
         with pytest.raises(ValueError, match="another"):
             classify("T3.2", phi, g, grid6, fields=fields)
         with pytest.raises(ValueError, match="another"):
             commutator_seminorm(OperatorKind.COMMUTATOR_J, phi, g, f, grid6, fields=fields)
 
-    joined = FieldSet.from_sides(MapFields(phi, grid6), SymbolFields(g, grid6))
-    alone = FieldSet(phi, g, grid6)
+    # this pair's sides on this grid give what the pair sampled by the call itself gives
+    joined = FieldSet(MapFields(phi, grid6), SymbolFields(g, grid6))
     for kind in OperatorKind:
         assert (commutator_seminorm(kind, phi, g, f, grid6, fields=joined)
-                == commutator_seminorm(kind, phi, g, f, grid6, fields=alone))
+                == commutator_seminorm(kind, phi, g, f, grid6))
     assert classify("T3.2", phi, g, grid6, fields=joined) == classify("T3.2", phi, g, grid6)
